@@ -34,15 +34,16 @@ from .simulate import (
     deterministic_replay,
     simulate_population,
 )
-from .logs import FORMAT_VERSION, CorrectnessLog, LogFormatError, read_log, read_runs, write_log
+from .logs import FORMAT_VERSION, CorrectnessLog, LogFormatError, align_rows, read_log, read_runs, write_log
 from .estimate import (
     RateEstimates,
     TransitionCounts,
     TransitionEstimate,
     accuracy_series,
-    count_transitions,
     estimate_rates,
+    pooled_rates,
     running_pooled_rates,
+    transition_counts,
     wilson_interval,
 )
 from .stats import (

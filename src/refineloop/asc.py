@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
+import numpy as np
+
 from .dynamics import TransitionRates
+from .estimate import pooled_rates, transition_counts
+from .logs import align_rows
 from .stats import McNemarResult, BootstrapDelta, mcnemar_from_logs, paired_bootstrap_delta
 
 __all__ = [
@@ -205,31 +209,13 @@ class BatchSummary:
     final_pooled_rates: TransitionRates | None
 
 
-class _PooledCounts:
-    """Running labeled transition counts across a batch."""
-
-    def __init__(self):
-        self.intro = 0
-        self.correct_pool = 0
-        self.fixed = 0
-        self.incorrect_pool = 0
-
-    def add(self, was_correct: bool, is_correct: bool) -> None:
-        if was_correct:
-            self.correct_pool += 1
-            self.intro += not is_correct
-        else:
-            self.incorrect_pool += 1
-            self.fixed += is_correct
-
-    def rates(self) -> TransitionRates | None:
-        # Both pools must be populated before the criterion can compare
-        # the two estimates; otherwise it is skipped for the round.
-        if self.correct_pool == 0 or self.incorrect_pool == 0:
-            return None
-        return TransitionRates(
-            eir=self.intro / self.correct_pool, ecr=self.fixed / self.incorrect_pool
-        )
+def _equilibrium_rates(flows: np.ndarray) -> TransitionRates | None:
+    # Both pools must be populated before the criterion can compare the
+    # two estimates; otherwise it is skipped for the round.
+    eir, ecr = pooled_rates(flows)
+    if eir is None or ecr is None:
+        return None
+    return TransitionRates(eir=eir, ecr=ecr)
 
 
 def _label_lookup(labels, problem: Any, iteration: int) -> bool:
@@ -261,7 +247,7 @@ def run_asc_batch(
         for problem in problems:
             _label_lookup(labels, problem, 0)
     instances = [_Instance(p, backend, config) for p in problems]
-    pooled = _PooledCounts()
+    flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
     equilibrium_round: int | None = None
     rounds = 0
     for inst in instances:
@@ -277,11 +263,10 @@ def run_asc_batch(
             # Every instance that refined this round contributes its
             # observed transition, including ones that just stopped on
             # confidence; their labels are data like any other.
-            for inst in refining:
-                was = _label_lookup(labels, inst.problem, k - 1)
-                now = _label_lookup(labels, inst.problem, k)
-                pooled.add(was, now)
-            rates = pooled.rates()
+            was = [_label_lookup(labels, inst.problem, k - 1) for inst in refining]
+            now = [_label_lookup(labels, inst.problem, k) for inst in refining]
+            flows += transition_counts(np.column_stack([was, now]))
+            rates = _equilibrium_rates(flows)
         elif config.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY:
             rates = config.calibration_rates
         else:
@@ -309,7 +294,7 @@ def run_asc_batch(
         iterations_histogram=dict(sorted(histogram.items())),
         stop_reasons=reasons,
         equilibrium_fired_round=equilibrium_round,
-        final_pooled_rates=pooled.rates() if online else None,
+        final_pooled_rates=_equilibrium_rates(flows) if online else None,
     )
 
 
@@ -480,13 +465,9 @@ def confidence_tax_report(log_with, log_without, resamples: int = 10_000, seed: 
 
     Both logs must cover the same problems; rows are aligned by id.
     """
-    if set(log_with.problem_ids) != set(log_without.problem_ids):
-        raise ValueError("logs cover different problem sets; cannot pair them")
-    pos = {pid: i for i, pid in enumerate(log_without.problem_ids)}
-    order = [pos[pid] for pid in log_with.problem_ids]
+    col_without = align_rows(log_with, log_without)[:, 0]
     col_with = log_with.correctness[:, 0]
-    col_without = log_without.correctness[order, 0]
-    n = len(order)
+    n = log_with.n_problems
     return ConfidenceTaxReport(
         accuracy_with=float(col_with.sum()) / n,
         accuracy_without=float(col_without.sum()) / n,

@@ -15,6 +15,7 @@ invariant breach. ``REFINELOOP_SEED`` supplies the default seed.
 """
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -179,13 +180,16 @@ def _cmd_simulate(args, parser) -> int:
         acc0 = args.acc0
         label = args.label or "run"
         iterations = args.iterations
-    config = SimConfig(
-        n_problems=args.n,
-        n_iterations=iterations,
-        initial_accuracy=acc0,
-        seed=seed,
-        schedule=schedule,
-    )
+    try:
+        config = SimConfig(
+            n_problems=args.n,
+            n_iterations=iterations,
+            initial_accuracy=acc0,
+            seed=seed,
+            schedule=schedule,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc), parser) from None
     trajectory = simulate_population(config)
     out = _out_dir(args)
     target = out / "log.csv"
@@ -248,13 +252,13 @@ def _cmd_asc(args, parser) -> int:
     scenario = load_scenario(args.scenario)
     outcomes, summary, _ = run_scenario(scenario)
     out = _out_dir(args)
-    rows = ["problem_id,iterations_used,stop_reason,answer_index,final_answer"]
-    for problem, outcome in zip(scenario.problems, outcomes):
-        rows.append(
-            f"{problem.problem_id},{outcome.iterations_used},"
-            f"{outcome.stop_reason.value},{outcome.answer_index},{outcome.final_answer}"
+    with open(out / "outcomes.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["problem_id", "iterations_used", "stop_reason", "answer_index", "final_answer"])
+        writer.writerows(  # str keeps a None answer as "None"
+            [p.problem_id, o.iterations_used, o.stop_reason.value, o.answer_index, str(o.final_answer)]
+            for p, o in zip(scenario.problems, outcomes)
         )
-    _write(out / "outcomes.csv", "\n".join(rows) + "\n")
     srows = ["key,value", f"n_instances,{summary.n_instances}", f"rounds_executed,{summary.rounds_executed}"]
     for reason in StopReason:
         srows.append(f"stopped_{reason.value},{summary.stop_reasons.get(reason, 0)}")

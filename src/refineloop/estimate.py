@@ -21,7 +21,8 @@ __all__ = [
     "TransitionCounts",
     "TransitionEstimate",
     "RateEstimates",
-    "count_transitions",
+    "transition_counts",
+    "pooled_rates",
     "accuracy_series",
     "estimate_rates",
     "running_pooled_rates",
@@ -70,20 +71,19 @@ class RateEstimates:
     accuracy_series: tuple[AccuracyPoint, ...]
 
 
-def count_transitions(log: CorrectnessLog, transition: int) -> TransitionCounts:
-    """Flow counts across columns ``transition`` -> ``transition + 1``."""
-    if not 0 <= transition < log.n_iterations:
-        raise ValueError(
-            f"transition must be in [0, {log.n_iterations}), got {transition}"
-        )
-    before = log.correctness[:, transition]
-    after = log.correctness[:, transition + 1]
-    return TransitionCounts(
-        n_cc=int(np.count_nonzero(before & after)),
-        n_ci=int(np.count_nonzero(before & ~after)),
-        n_ic=int(np.count_nonzero(~before & after)),
-        n_ii=int(np.count_nonzero(~before & ~after)),
-    )
+def transition_counts(matrix) -> np.ndarray:
+    """(K, 4) int array of n_cc, n_ci, n_ic, n_ii per transition t -> t+1 of an N x (K+1) matrix."""
+    m = np.asarray(matrix, dtype=bool)
+    k = m.shape[1] - 1
+    # cell code 2*(not before) + (not after) is the column index: cc=0 .. ii=3
+    codes = 2 * (~m[:, :-1]).astype(np.intp) + ~m[:, 1:] + 4 * np.arange(k)
+    return np.bincount(codes.ravel(), minlength=4 * k).reshape(k, 4)
+
+
+def pooled_rates(counts: np.ndarray) -> tuple[float | None, float | None]:
+    """Count-pooled (eir, ecr) over the rows of a ``transition_counts`` table."""
+    n_cc, n_ci, n_ic, n_ii = (int(n) for n in np.sum(counts, axis=0))
+    return (_rate(n_ci, n_cc + n_ci), _rate(n_ic, n_ic + n_ii))
 
 
 def accuracy_series(log: CorrectnessLog) -> list[AccuracyPoint]:
@@ -134,10 +134,10 @@ def _rate(successes: int, pool: int) -> float | None:
 
 def estimate_rates(log: CorrectnessLog, confidence: float = 0.95) -> RateEstimates:
     """Per-transition and pooled rate estimates for one log."""
+    table = transition_counts(log.correctness)
     per = []
-    intro, correct_pool, fixed, incorrect_pool = 0, 0, 0, 0
-    for t in range(log.n_iterations):
-        counts = count_transitions(log, t)
+    for row in table.tolist():
+        counts = TransitionCounts(*row)
         eir = _rate(counts.n_ci, counts.n_correct_before)
         ecr = _rate(counts.n_ic, counts.n_incorrect_before)
         per.append(
@@ -157,14 +157,11 @@ def estimate_rates(log: CorrectnessLog, confidence: float = 0.95) -> RateEstimat
                 ),
             )
         )
-        intro += counts.n_ci
-        correct_pool += counts.n_correct_before
-        fixed += counts.n_ic
-        incorrect_pool += counts.n_incorrect_before
+    pooled_eir, pooled_ecr = pooled_rates(table)
     return RateEstimates(
         per_transition=tuple(per),
-        pooled_eir=_rate(intro, correct_pool),
-        pooled_ecr=_rate(fixed, incorrect_pool),
+        pooled_eir=pooled_eir,
+        pooled_ecr=pooled_ecr,
         accuracy_series=tuple(accuracy_series(log)),
     )
 
@@ -175,11 +172,4 @@ def running_pooled_rates(log: CorrectnessLog, upto_transition: int) -> tuple[flo
         raise ValueError(
             f"upto_transition must be in [0, {log.n_iterations}), got {upto_transition}"
         )
-    intro, correct_pool, fixed, incorrect_pool = 0, 0, 0, 0
-    for t in range(upto_transition + 1):
-        counts = count_transitions(log, t)
-        intro += counts.n_ci
-        correct_pool += counts.n_correct_before
-        fixed += counts.n_ic
-        incorrect_pool += counts.n_incorrect_before
-    return (_rate(intro, correct_pool), _rate(fixed, incorrect_pool))
+    return pooled_rates(transition_counts(log.correctness[:, : upto_transition + 2]))

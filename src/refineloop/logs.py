@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FORMAT_VERSION", "LogFormatError", "CorrectnessLog", "read_log", "read_runs", "write_log"]
+__all__ = ["FORMAT_VERSION", "LogFormatError", "CorrectnessLog", "align_rows", "read_log", "read_runs", "write_log"]
 
 FORMAT_VERSION = "correctness-log/v1"
 _RECORD_HEADER = ("problem_id", "iteration", "correct", "confidence", "run_label")
@@ -93,6 +93,18 @@ class CorrectnessLog:
 
     def accuracy(self, k: int) -> float:
         return float(np.count_nonzero(self.correctness[:, k])) / self.n_problems
+
+
+def align_rows(log_a: CorrectnessLog, log_b: CorrectnessLog) -> np.ndarray:
+    """``log_b``'s correctness rows in ``log_a``'s problem-id order; ValueError unless the ids match."""
+    if log_a.problem_ids == log_b.problem_ids:
+        return log_b.correctness
+    pos = {pid: i for i, pid in enumerate(log_b.problem_ids)}
+    order = [pos.get(pid) for pid in log_a.problem_ids]
+    # ids are unique within a log: equal counts and no missing id mean equal sets
+    if log_a.n_problems != log_b.n_problems or None in order:
+        raise ValueError("paired runs cover different problem sets")
+    return log_b.correctness[order]
 
 
 def _parse_directives(lines) -> tuple[dict[str, str], int]:
@@ -262,20 +274,36 @@ def read_log(path) -> CorrectnessLog:
     return next(iter(runs.values()))
 
 
+def _one_line(text: str) -> bool:
+    # read_runs splits a file with str.splitlines, which breaks on more than "\n"
+    return "".join(text.splitlines()) == text
+
+
 def _write_directives(out, metadata):
     out.write(f"#{FORMAT_VERSION}\n")
     for key in sorted(metadata):
         value = str(metadata[key])
-        if "\n" in value or "\n" in key:
-            raise ValueError("metadata must be single-line")
+        # read back one line at a time, split at the first "=", key and value stripped
+        if not key or "=" in key or not all(_one_line(t) and t == t.strip() for t in (key, value)):
+            raise ValueError(f"metadata {key!r}={value!r}: need a non-empty key without '=' and "
+                             "one-line key and value without surrounding whitespace")
         out.write(f"#meta:{key}={value}\n")
 
 
 def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str | None = None) -> None:
-    """Write one run to ``path`` in record or compact form."""
+    """Write one run to ``path`` in record or compact form.
+
+    Raises ValueError, before the file is created, for input that
+    ``read_runs`` would not give back unchanged.
+    """
     if form not in ("records", "compact"):
         raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
     label = run_label if run_label is not None else log.metadata.get("run_label", _DEFAULT_RUN)
+    if not _one_line("".join(log.problem_ids)):
+        bad = next(pid for pid in log.problem_ids if not _one_line(pid))
+        raise ValueError(f"problem id {bad!r} contains a line break")
+    if form == "records" and not (label and _one_line(label)):
+        raise ValueError(f"record-form run label must be one non-empty line, got {label!r}")
     out = io.StringIO()
     meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
     writer = csv.writer(out, lineterminator="\n")
@@ -295,5 +323,6 @@ def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str |
                 if conf is not None and not math.isnan(conf[i, k]):
                     cell = repr(float(conf[i, k]))
                 writer.writerow([pid, k, "1" if log.correctness[i, k] else "0", cell, label])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(out.getvalue())
+    data = out.getvalue().encode("utf-8")  # an unencodable id fails before the file exists
+    with open(path, "wb") as fh:
+        fh.write(data)

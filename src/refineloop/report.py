@@ -35,8 +35,8 @@ from .dynamics import (
     stop_or_iterate,
 )
 from .estimate import RateEstimates, estimate_rates
-from .logs import CorrectnessLog
-from .stats import BootstrapDelta, McNemarResult, mcnemar_from_logs, paired_bootstrap_delta
+from .logs import CorrectnessLog, align_rows
+from .stats import BootstrapDelta, McNemarResult, mcnemar, mcnemar_from_logs, paired_bootstrap_delta
 
 __all__ = [
     "CLASS_HARMFUL",
@@ -126,9 +126,9 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
     steady = None
     if est.pooled_eir is not None and est.pooled_ecr is not None:
         steady = steady_state(TransitionRates(est.pooled_eir, est.pooled_ecr))
+    # adjacent-iteration McNemar: b and c are the transition's n_ci and n_ic
     tests = tuple(
-        mcnemar_from_logs(log.correctness[:, t], log.correctness[:, t + 1])
-        for t in range(log.n_iterations)
+        mcnemar(b=item.counts.n_ci, c=item.counts.n_ic) for item in est.per_transition
     )
     delta_pp = (est.accuracy_series[-1].accuracy - est.accuracy_series[0].accuracy) * 100.0
     tag = classify_run(delta_pp, est.pooled_eir, band_pp, eir_threshold)
@@ -146,16 +146,6 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
             eir_threshold=eir_threshold,
         ),
     )
-
-
-def _align(log_a: CorrectnessLog, log_b: CorrectnessLog):
-    if set(log_a.problem_ids) != set(log_b.problem_ids):
-        raise ValueError("paired runs cover different problem sets")
-    if log_a.n_iterations != log_b.n_iterations:
-        raise ValueError("paired runs have different iteration counts")
-    pos = {pid: i for i, pid in enumerate(log_b.problem_ids)}
-    order = [pos[pid] for pid in log_a.problem_ids]
-    return log_a.correctness, log_b.correctness[order, :]
 
 
 def build_report(
@@ -185,7 +175,9 @@ def build_report(
         for label in (a_label, b_label):
             if label not in runs:
                 raise ValueError(f"cannot pair unknown run {label!r}")
-        mat_a, mat_b = _align(runs[a_label], runs[b_label])
+        mat_a, mat_b = runs[a_label].correctness, align_rows(runs[a_label], runs[b_label])
+        if mat_a.shape != mat_b.shape:
+            raise ValueError("paired runs have different iteration counts")
         deltas = tuple(
             (float(mat_b[:, k].mean()) - float(mat_a[:, k].mean())) * 100.0
             for k in range(mat_a.shape[1])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .estimate import transition_counts
 
 __all__ = [
     "McNemarResult",
@@ -144,11 +145,8 @@ def mcnemar_from_logs(col_a, col_b, alpha: float = DEFAULT_ALPHA) -> McNemarResu
     b counts problems correct in ``col_a`` but not ``col_b``; c the reverse.
     """
     a, b = _paired_columns(col_a, col_b)
-    return mcnemar(
-        b=int(np.count_nonzero(a & ~b)),
-        c=int(np.count_nonzero(~a & b)),
-        alpha=alpha,
-    )
+    _, n_ci, n_ic, _ = transition_counts(np.column_stack([a, b]))[0].tolist()
+    return mcnemar(b=n_ci, c=n_ic, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main()."""
 
+import csv
 import json
 
 import pytest
@@ -64,6 +65,7 @@ def test_simulate_usage_errors(tmp_path):
     assert main(["simulate", "--eir", "0.1", "--ecr", "0.2", "--iterations", "3",
                  "--out", out]) == EXIT_USAGE  # missing --acc0
     assert main(["simulate", "--preset", "o3-mini", "--eir", "0.1", "--out", out]) == EXIT_USAGE
+    assert main(["simulate", "--preset", "o3-mini", "--n", "0", "--out", out]) == EXIT_USAGE
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
 
@@ -175,6 +177,20 @@ def test_asc_scenario_command(tmp_path, capsys):
     assert "n_instances,2" in summary
     assert "stopped_equilibrium,1" in summary
     assert "histogram" in capsys.readouterr().out
+
+
+def test_asc_outcomes_are_quoted_csv(tmp_path):
+    doc = {
+        "format": "asc-scenario/v1",
+        "problems": [{"id": "p,1", "answers": ["x, y"], "confidences": [9]}],
+    }
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "asc"
+    assert main(["asc", str(scenario), "--out", str(out)]) == EXIT_OK
+    with open(out / "outcomes.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["p,1", "0", "confidence", "0", "x, y"]
 
 
 def test_asc_rejects_bad_scenario(tmp_path):

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from refineloop.logs import CorrectnessLog
 from refineloop.estimate import (
-    count_transitions,
     accuracy_series,
     estimate_rates,
+    pooled_rates,
     running_pooled_rates,
+    transition_counts,
     wilson_interval,
 )
 from refineloop.schedule import RateSchedule, preset
@@ -26,21 +28,35 @@ def _log_from_bits(rows):
     )
 
 
-def test_count_transitions_by_hand():
+def test_transition_counts_by_hand():
     log = _log_from_bits([[1, 1], [1, 0], [0, 1], [0, 0], [1, 1]])
-    counts = count_transitions(log, 0)
+    assert transition_counts(log.correctness).tolist() == [[2, 1, 1, 1]]
+    counts = estimate_rates(log).per_transition[0].counts
     assert (counts.n_cc, counts.n_ci, counts.n_ic, counts.n_ii) == (2, 1, 1, 1)
     assert counts.n_correct_before == 3
     assert counts.n_incorrect_before == 2
     assert counts.total == 5
 
 
-def test_count_transitions_bounds():
-    log = _log_from_bits([[1, 0]])
-    with pytest.raises(ValueError):
-        count_transitions(log, 1)
-    with pytest.raises(ValueError):
-        count_transitions(log, -1)
+@given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(2, 7))))
+@example(np.array([[True, False]]))
+@example(np.array([[False, False]]))
+@settings(max_examples=200)
+def test_transition_counts_match_naive_masks(matrix):
+    naive = [
+        [int(np.count_nonzero(mask)) for mask in (b & a, b & ~a, ~b & a, ~b & ~a)]
+        for b, a in zip(matrix[:, :-1].T, matrix[:, 1:].T)
+    ]
+    table = transition_counts(matrix)
+    assert table.shape == (matrix.shape[1] - 1, 4)
+    assert table.tolist() == naive
+    n_cc, n_ci, n_ic, n_ii = np.sum(naive, axis=0).tolist()
+    eir = n_ci / (n_cc + n_ci) if n_cc + n_ci else None
+    ecr = n_ic / (n_ic + n_ii) if n_ic + n_ii else None
+    pooled = pooled_rates(table)
+    assert pooled == (eir, ecr)
+    # plain floats: a numpy scalar would change every repr'd artifact cell
+    assert all(rate is None or type(rate) is float for rate in pooled)
 
 
 def test_rates_on_replay_log():
@@ -66,14 +82,14 @@ def test_accounting_identity_exact():
     )
     log = simulate_population(config).log
     series = accuracy_series(log)
-    for t in range(log.n_iterations):
-        counts = count_transitions(log, t)
+    for t, row in enumerate(transition_counts(log.correctness).tolist()):
+        n_cc, n_ci, n_ic, _ = row
         # the identity holds on integer counts, so both sides are the same
         # exact division and compare bitwise equal
-        assert series[t + 1].accuracy == (counts.n_cc + counts.n_ic) / log.n_problems
-        assert int(series[t + 1].accuracy * log.n_problems + 0.5) == counts.n_cc + counts.n_ic
+        assert series[t + 1].accuracy == (n_cc + n_ic) / log.n_problems
+        assert int(series[t + 1].accuracy * log.n_problems + 0.5) == n_cc + n_ic
         # net benefit identity: NB(k+1) == (n_ic - n_ci) / N exactly
-        assert series[t + 1].net_benefit == (counts.n_ic - counts.n_ci) / log.n_problems
+        assert series[t + 1].net_benefit == (n_ic - n_ci) / log.n_problems
 
 
 def test_undefined_rates_flagged_not_zero():
@@ -117,8 +133,8 @@ def test_pooling_is_count_weighted():
     )
     log = simulate_population(config).log
     est = estimate_rates(log)
-    num = sum(count_transitions(log, t).n_ci for t in range(4))
-    den = sum(count_transitions(log, t).n_correct_before for t in range(4))
+    num = sum(item.counts.n_ci for item in est.per_transition)
+    den = sum(item.counts.n_correct_before for item in est.per_transition)
     assert est.pooled_eir == num / den
 
 

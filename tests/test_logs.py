@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from refineloop.logs import (
     FORMAT_VERSION,
     CorrectnessLog,
     LogFormatError,
+    align_rows,
     read_log,
     read_runs,
     write_log,
@@ -189,3 +193,104 @@ def test_accessors():
 def test_integer_matrix_coerced_to_bool():
     log = CorrectnessLog(problem_ids=["a", "b"], correctness=np.array([[1, 0], [0, 1]]))
     assert log.correctness.dtype == np.bool_
+
+
+# -- writer refuses what the reader cannot give back ---------------------------------
+
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize(
+    "metadata,run_label",
+    [
+        ({"k=x": "v"}, "t"),
+        ({"": "v"}, "t"),
+        ({" k": "v"}, "t"),
+        ({"k": "v "}, "t"),
+        ({"k": "\tv"}, "t"),
+    ]
+    + [({"k": f"a{br}b"}, "t") for br in _LINE_BREAKS]
+    + [({f"k{br}": "v"}, "t") for br in _LINE_BREAKS]
+    + [({}, f"a{br}b") for br in _LINE_BREAKS],
+)
+def test_write_refuses_unreadable_text(tmp_path, form, metadata, run_label):
+    log = CorrectnessLog(problem_ids=["a"], correctness=np.array([[1, 0]]), metadata=metadata)
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError):
+        write_log(log, path, form=form, run_label=run_label)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("br", _LINE_BREAKS)
+def test_write_refuses_line_break_in_id(tmp_path, form, br):
+    log = CorrectnessLog(problem_ids=["a", f"b{br}c"], correctness=np.array([[1], [0]]))
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError, match="problem id"):
+        write_log(log, path, form=form)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("form,run_label", [("compact", " t"), ("compact", "t "), ("records", "")])
+def test_write_refuses_label_it_cannot_read_back(tmp_path, form, run_label):
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError):
+        write_log(_toy_log(), path, form=form, run_label=run_label)
+    assert not path.exists()
+
+
+def test_record_label_keeps_surrounding_spaces(tmp_path):
+    path = tmp_path / "log.csv"
+    write_log(_toy_log(), path, form="records", run_label=" t ")
+    assert list(read_runs(path)) == [" t "]
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@given(
+    ids=st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True),
+    width=st.integers(1, 3),
+    bits=st.data(),
+    metadata=st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3),
+    run_label=st.one_of(st.none(), st.text(max_size=6)),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_accepted_logs_read_back_equal(tmp_path, form, ids, width, bits, metadata, run_label):
+    matrix = bits.draw(arrays(bool, (len(ids), width)))
+    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata)
+    path = tmp_path / f"{form}.csv"
+    path.unlink(missing_ok=True)
+    try:
+        write_log(log, path, form=form, run_label=run_label)
+    except ValueError:
+        assert not path.exists()
+        return
+    label = run_label if run_label is not None else metadata.get("run_label", "run")
+    runs = read_runs(path)
+    assert list(runs) == [label]
+    back = runs[label]
+    assert back.problem_ids == ids
+    assert np.array_equal(back.correctness, matrix)
+    assert back.metadata == {k: v for k, v in metadata.items() if k != "run_label"}
+
+
+# -- row alignment ---------------------------------------------------------------------
+
+
+def test_align_rows_identical_and_permuted_order():
+    log = _toy_log()
+    assert np.array_equal(align_rows(log, log), log.correctness)
+    order = [2, 0, 3, 1]
+    permuted = CorrectnessLog(
+        problem_ids=[log.problem_ids[i] for i in order], correctness=log.correctness[order]
+    )
+    assert np.array_equal(align_rows(log, permuted), log.correctness)
+    assert np.array_equal(align_rows(permuted, log), permuted.correctness)
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "c"], ["a", "b", "c", "d", "e"], ["a", "b", "c", "e"]])
+def test_align_rows_requires_same_problems(ids):
+    other = CorrectnessLog(problem_ids=ids, correctness=np.ones((len(ids), 3), dtype=bool))
+    for first, second in ((_toy_log(), other), (other, _toy_log())):
+        with pytest.raises(ValueError, match="different problem sets"):
+            align_rows(first, second)

@@ -1,5 +1,8 @@
 """Diagnostic report assembly, classification rule, and rendering."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,15 @@ def test_station_keeping_replay_classifies_tier1():
     assert run.classification.delta_pp == pytest.approx(0.0, abs=1e-12)
     assert run.estimates.pooled_eir == pytest.approx(1 / 484)
     assert run.classification.tag == CLASS_TIER1
+
+
+def test_transition_tests_use_the_rate_counts():
+    runs = {"a": _replay("gpt-4o-mini"), "b": _replay("o3-mini")}
+    artifacts = render_tables(build_report(runs, resamples=100))
+    rates = list(csv.DictReader(io.StringIO(artifacts["rates.csv"])))
+    tests = list(csv.DictReader(io.StringIO(artifacts["tests.csv"])))
+    assert len(rates) == len(tests) == 8
+    for rate, test in zip(rates, tests):
+        assert test["run"] == rate["run"]
+        assert test["comparison"] == f"it{rate['transition']}->it{int(rate['transition']) + 1}"
+        assert (test["b"], test["c"]) == (rate["n_ci"], rate["n_ic"])
