@@ -90,5 +90,6 @@ from .report import (
     RunDiagnostics,
     build_report,
     classify_run,
+    diagnose_runs,
     render_tables,
 )

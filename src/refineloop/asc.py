@@ -11,15 +11,18 @@ refinement stop on the first of two criteria, checked in this order:
 
 If neither fires, the budget runs out and the last answer stands. Where
 the rates come from is explicit: a calibration pair fixed up front, a
-live labeled estimate (batch mode), or nothing (criterion disabled).
+live labeled estimate (online-labeled mode), or nothing (criterion
+disabled).
 
-Batch mode runs many instances in lockstep rounds; with labels it pools
-transition counts across instances after every round and applies one
-shared equilibrium decision to the still-active instances.
+One lockstep loop runs every instance; a single problem is a batch of
+one. With labels the batch pools transition counts across instances
+after every round and applies one shared equilibrium decision to the
+still-active instances.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
@@ -130,7 +133,7 @@ class _Instance:
                 f"backend failed during {fn.__name__}: {exc}", self.problem, self.answers, self.scores
             ) from exc
 
-    def _finish(self, index: int, reason: StopReason) -> None:
+    def stop(self, index: int, reason: StopReason) -> None:
         self.outcome = AscOutcome(
             final_answer=self.answers[index],
             iterations_used=index,
@@ -139,43 +142,55 @@ class _Instance:
             answer_index=index,
         )
 
-    def initial_round(self) -> None:
-        answer = self._call(self.backend.generate, self.problem)
+    def round(self) -> None:
+        """Generate the first answer, or refine the latest; stop if confident."""
+        if self.answers:
+            answer = self._call(self.backend.refine, self.problem, self.answers[-1])
+        else:
+            answer = self._call(self.backend.generate, self.problem)
         self.answers.append(answer)
         score = float(self._call(self.backend.confidence, self.problem, answer))
         self.scores.append(score)
         if score >= self.config.tau:
-            self._finish(0, StopReason.CONFIDENCE)
+            self.stop(len(self.answers) - 1, StopReason.CONFIDENCE)
 
-    def refine_round(self) -> None:
-        answer = self._call(self.backend.refine, self.problem, self.answers[-1])
-        self.answers.append(answer)
-        score = float(self._call(self.backend.confidence, self.problem, answer))
-        self.scores.append(score)
-        if score >= self.config.tau:
-            self._finish(len(self.answers) - 1, StopReason.CONFIDENCE)
 
-    def equilibrium_check(self, rates: TransitionRates | None) -> None:
+def _run_rounds(instances: list[_Instance], config: AscConfig, labeled_rates) -> tuple[int, int | None]:
+    """Drive ``instances`` in lockstep rounds to completion.
+
+    Round 0 generates; round k >= 1 refines every active instance, then
+    takes the rates that decide it -- ``labeled_rates(k, refining)`` in
+    online-labeled mode, the calibration pair in calibration-only mode,
+    none when disabled. Returns (refinement rounds run, first round in
+    which equilibrium stopped an instance, or None).
+    """
+    mode = config.equilibrium_mode
+    fixed = config.calibration_rates if mode is EquilibriumMode.CALIBRATION_ONLY else None
+    rounds, fired_round = 0, None
+    for k in range(config.max_iterations + 1):
+        refining = [inst for inst in instances if inst.active]
+        if not refining:
+            break
+        for inst in refining:
+            inst.round()
+        if k == 0:
+            continue
+        rounds = k
+        rates = labeled_rates(k, refining) if mode is EquilibriumMode.ONLINE_LABELED else fixed
         # Ties stop: once introductions keep pace with corrections the
         # expected net benefit is not positive. The answer produced by the
         # round that triggered the stop is discarded in favor of its
         # predecessor.
         if rates is not None and rates.eir >= rates.ecr:
-            self._finish(len(self.answers) - 2, StopReason.EQUILIBRIUM)
-
-    def budget_stop(self) -> None:
-        self._finish(len(self.answers) - 1, StopReason.BUDGET)
-
-
-def _static_rates(config: AscConfig, equilibrium_feed) -> Callable[[], TransitionRates | None]:
-    mode = config.equilibrium_mode
-    if mode is EquilibriumMode.DISABLED:
-        return lambda: None
-    if mode is EquilibriumMode.CALIBRATION_ONLY:
-        return lambda: config.calibration_rates
-    if equilibrium_feed is None:
-        raise ValueError("online-labeled equilibrium mode needs an equilibrium_feed")
-    return equilibrium_feed
+            stopping = [inst for inst in refining if inst.active]
+            for inst in stopping:
+                inst.stop(len(inst.answers) - 2, StopReason.EQUILIBRIUM)
+            if stopping and fired_round is None:
+                fired_round = k
+    for inst in instances:
+        if inst.active:
+            inst.stop(len(inst.answers) - 1, StopReason.BUDGET)
+    return rounds, fired_round
 
 
 def run_asc_instance(
@@ -184,18 +199,15 @@ def run_asc_instance(
     config: AscConfig,
     equilibrium_feed: Callable[[], TransitionRates | None] | None = None,
 ) -> AscOutcome:
-    """Run the controller to completion for a single problem."""
-    rates_now = _static_rates(config, equilibrium_feed)
+    """Run the controller to completion for a single problem: a batch of one.
+
+    In online-labeled mode ``equilibrium_feed()`` gives the rates after
+    each refinement that leaves the instance running.
+    """
+    if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and equilibrium_feed is None:
+        raise ValueError("online-labeled equilibrium mode needs an equilibrium_feed")
     inst = _Instance(problem, backend, config)
-    inst.initial_round()
-    for _ in range(config.max_iterations):
-        if not inst.active:
-            break
-        inst.refine_round()
-        if inst.active:
-            inst.equilibrium_check(rates_now())
-    if inst.active:
-        inst.budget_stop()
+    _run_rounds([inst], config, lambda k, refining: equilibrium_feed() if inst.active else None)
     return inst.outcome
 
 
@@ -246,54 +258,26 @@ def run_asc_batch(
             raise ValueError("online-labeled equilibrium mode needs labels for every problem")
         for problem in problems:
             _label_lookup(labels, problem, 0)
-    instances = [_Instance(p, backend, config) for p in problems]
     flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
-    equilibrium_round: int | None = None
-    rounds = 0
-    for inst in instances:
-        inst.initial_round()
-    for k in range(1, config.max_iterations + 1):
-        refining = [inst for inst in instances if inst.active]
-        if not refining:
-            break
-        rounds = k
-        for inst in refining:
-            inst.refine_round()
-        if online:
-            # Every instance that refined this round contributes its
-            # observed transition, including ones that just stopped on
-            # confidence; their labels are data like any other.
-            was = [_label_lookup(labels, inst.problem, k - 1) for inst in refining]
-            now = [_label_lookup(labels, inst.problem, k) for inst in refining]
-            flows += transition_counts(np.column_stack([was, now]))
-            rates = _equilibrium_rates(flows)
-        elif config.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY:
-            rates = config.calibration_rates
-        else:
-            rates = None
-        if rates is not None and rates.eir >= rates.ecr:
-            fired = False
-            for inst in instances:
-                if inst.active:
-                    inst.equilibrium_check(rates)
-                    fired = True
-            if fired and equilibrium_round is None:
-                equilibrium_round = k
-    for inst in instances:
-        if inst.active:
-            inst.budget_stop()
+
+    def pooled_after(k: int, refining: list[_Instance]) -> TransitionRates | None:
+        # Every instance that refined this round contributes its observed
+        # transition, including ones that just stopped on confidence; their
+        # labels are data like any other.
+        was = [_label_lookup(labels, inst.problem, k - 1) for inst in refining]
+        now = [_label_lookup(labels, inst.problem, k) for inst in refining]
+        flows[:] += transition_counts(np.column_stack([was, now]))
+        return _equilibrium_rates(flows)
+
+    instances = [_Instance(p, backend, config) for p in problems]
+    rounds, fired_round = _run_rounds(instances, config, pooled_after)
     outcomes = [inst.outcome for inst in instances]
-    histogram: dict[int, int] = {}
-    reasons: dict[StopReason, int] = {}
-    for out in outcomes:
-        histogram[out.iterations_used] = histogram.get(out.iterations_used, 0) + 1
-        reasons[out.stop_reason] = reasons.get(out.stop_reason, 0) + 1
     return outcomes, BatchSummary(
         n_instances=len(outcomes),
         rounds_executed=rounds,
-        iterations_histogram=dict(sorted(histogram.items())),
-        stop_reasons=reasons,
-        equilibrium_fired_round=equilibrium_round,
+        iterations_histogram=dict(sorted(Counter(o.iterations_used for o in outcomes).items())),
+        stop_reasons=dict(Counter(o.stop_reason for o in outcomes)),
+        equilibrium_fired_round=fired_round,
         final_pooled_rates=_equilibrium_rates(flows) if online else None,
     )
 

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asc import ScenarioError, StopReason, load_scenario, run_scenario
+from .asc import StopReason, load_scenario, run_scenario
 from .baselines import (
     CorrelatedSampleModel,
     fit_common_cause_weight,
@@ -29,8 +29,8 @@ from .baselines import (
     simulate_self_consistency,
     theoretical_sc_accuracy,
 )
-from .logs import LogFormatError, read_runs, write_log
-from .report import DEFAULT_BAND_PP, DEFAULT_EIR_THRESHOLD, build_report, render_tables
+from .logs import read_runs, write_log
+from .report import DEFAULT_BAND_PP, DEFAULT_EIR_THRESHOLD, build_report, diagnose_runs, render_tables
 from .schedule import RateSchedule, preset, preset_baseline, preset_names
 from .simulate import SimConfig, simulate_population
 
@@ -53,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
     # exit-code scheme instead (usage errors are 1 here).
     def error(self, message):
         raise _UsageError(message, self)
-
-
-class _DataError(Exception):
-    pass
 
 
 def _default_seed() -> int:
@@ -152,7 +148,7 @@ def _collect_runs(paths) -> dict:
     for raw in paths:
         for label, log in read_runs(raw).items():
             if label in runs:
-                raise _DataError(f"run label {label!r} appears in more than one input")
+                raise ValueError(f"run label {label!r} appears in more than one input")
             runs[label] = log
     return runs
 
@@ -169,6 +165,9 @@ def _cmd_simulate(args, parser) -> int:
         iterations = args.iterations if args.iterations is not None else len(schedule)
         if args.stationary_tail and not schedule.stationary_tail:
             schedule = RateSchedule(schedule.transitions, schedule.name, stationary_tail=True)
+        if iterations > len(schedule) and not schedule.stationary_tail:
+            raise _UsageError(f"preset {args.preset!r} defines {len(schedule)} transitions; "
+                              f"--iterations {iterations} needs --stationary-tail", parser)
     else:
         if args.ecr is None:
             raise _UsageError("--eir requires --ecr", parser)
@@ -207,16 +206,18 @@ _REPORT_FILES = None  # everything render_tables produces
 
 def _cmd_tables(args, which) -> int:
     runs = _collect_runs(args.logs)
-    pair = tuple(args.pair) if getattr(args, "pair", None) else None
-    report = build_report(
-        runs,
-        seed=_seed_of(args) if hasattr(args, "seed") else 0,
-        resamples=getattr(args, "resamples", 10_000),
-        confidence=args.confidence,
-        band_pp=args.band,
-        eir_threshold=args.eir_threshold,
-        pair=pair,
-    )
+    if which is not None:  # analyze and diagnose never pair runs
+        report = diagnose_runs(runs, args.confidence, args.band, args.eir_threshold)
+    else:
+        report = build_report(
+            runs,
+            seed=_seed_of(args),
+            resamples=args.resamples,
+            confidence=args.confidence,
+            band_pp=args.band,
+            eir_threshold=args.eir_threshold,
+            pair=tuple(args.pair) if args.pair else None,
+        )
     artifacts = render_tables(report)
     out = _out_dir(args)
     names = which if which is not None else tuple(artifacts)
@@ -225,7 +226,7 @@ def _cmd_tables(args, which) -> int:
     for run in report.runs:
         c = run.classification
         print(f"{run.label}: delta {c.delta_pp:+.1f} pp -> {c.tag}")
-    if which is None and report.paired is not None:
+    if report.paired is not None:
         b = report.paired.final_bootstrap
         print(
             f"paired {report.paired.label_b} - {report.paired.label_a}: "
@@ -331,13 +332,7 @@ def main(argv=None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f"refineloop: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LogFormatError, ScenarioError, _DataError) as exc:
-        print(f"refineloop: bad input: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"refineloop: bad input: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # LogFormatError and ScenarioError included
         print(f"refineloop: bad input: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - invariant breach boundary

@@ -147,9 +147,8 @@ def _parse_correct(text: str, line: int) -> bool:
 
 
 def _read_record_rows(rows, metadata) -> dict[str, CorrectnessLog]:
-    # cells[(label, pid)][iteration] = (correct, confidence)
-    cells: dict[tuple[str, str], dict[int, tuple[bool, float]]] = {}
-    order: dict[str, list[str]] = {}
+    # runs[label][pid][iteration] = (correct, confidence), in first-seen order
+    runs: dict[str, dict[str, dict[int, tuple[bool, float]]]] = {}
     for row, line in rows:
         if len(row) < 3 or len(row) > 5:
             raise LogFormatError(f"expected 3-5 fields, got {len(row)}", line=line)
@@ -165,52 +164,40 @@ def _read_record_rows(rows, metadata) -> dict[str, CorrectnessLog]:
             except ValueError:
                 raise LogFormatError(f"confidence must be a number, got {row[3]!r}", line=line) from None
         label = row[4] if len(row) == 5 and row[4] != "" else metadata.get("run_label", _DEFAULT_RUN)
-        key = (label, pid)
-        per = cells.setdefault(key, {})
+        per = runs.setdefault(label, {}).setdefault(pid, {})
         if iteration in per:
             raise LogFormatError(
                 f"duplicate record for problem {pid!r}, run {label!r}, iteration {iteration}",
                 line=line,
             )
         per[iteration] = (correct, conf)
-        bucket = order.setdefault(label, [])
-        if len(per) == 1:  # first record seen for this (run, problem)
-            bucket.append(pid)
+    if not runs:
+        raise LogFormatError("log contains a header but no records")
 
-    runs: dict[str, CorrectnessLog] = {}
-    for label, pids in order.items():
-        widths = {len(cells[(label, pid)]) for pid in pids}
+    logs: dict[str, CorrectnessLog] = {}
+    for label, problems in runs.items():
+        widths = {len(per) for per in problems.values()}
         if len(widths) != 1:
             raise LogFormatError(
                 f"run {label!r}: problems disagree on iteration count ({sorted(widths)})"
             )
         width = widths.pop()
-        matrix = np.zeros((len(pids), width), dtype=bool)
-        conf = np.full((len(pids), width), math.nan)
-        any_conf = False
-        for i, pid in enumerate(pids):
-            per = cells[(label, pid)]
+        for pid, per in problems.items():
             if sorted(per) != list(range(width)):
                 raise LogFormatError(
                     f"run {label!r}, problem {pid!r}: iterations must be contiguous from 0, "
                     f"got {sorted(per)}"
                 )
-            for k, (c, g) in per.items():
-                matrix[i, k] = c
-                conf[i, k] = g
-                if not math.isnan(g):
-                    any_conf = True
-        meta = dict(metadata)
-        meta.pop("run_label", None)
-        runs[label] = CorrectnessLog(
-            problem_ids=list(pids),
-            correctness=matrix,
-            metadata=meta,
-            confidence=conf if any_conf else None,
+        flat = (v for per in problems.values() for k in range(width) for v in per[k])
+        cells = np.fromiter(flat, dtype=float, count=2 * len(problems) * width).reshape(len(problems), width, 2)
+        conf = cells[:, :, 1]
+        logs[label] = CorrectnessLog(
+            problem_ids=list(problems),
+            correctness=cells[:, :, 0].astype(bool),
+            metadata={k: v for k, v in metadata.items() if k != "run_label"},
+            confidence=None if np.isnan(conf).all() else conf,
         )
-    if not runs:
-        raise LogFormatError("log contains a header but no records")
-    return runs
+    return logs
 
 
 def _read_compact_rows(rows, header, metadata, header_line) -> dict[str, CorrectnessLog]:

@@ -24,7 +24,7 @@ no environment leakage, byte-identical across runs and worker counts.
 import io
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .dynamics import (
@@ -47,6 +47,7 @@ __all__ = [
     "PairedComparison",
     "DiagnosticReport",
     "classify_run",
+    "diagnose_runs",
     "build_report",
     "render_tables",
 ]
@@ -148,6 +149,23 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
     )
 
 
+def diagnose_runs(
+    runs: Mapping[str, CorrectnessLog],
+    confidence: float = 0.95,
+    band_pp: float = DEFAULT_BAND_PP,
+    eir_threshold: float = DEFAULT_EIR_THRESHOLD,
+) -> DiagnosticReport:
+    """Diagnose every run on its own: no paired comparison, no resamples drawn."""
+    return DiagnosticReport(
+        runs=tuple(_diagnose_run(label, log, confidence, band_pp, eir_threshold) for label, log in runs.items()),
+        paired=None,
+        seed=0,
+        resamples=0,
+        band_pp=band_pp,
+        eir_threshold=eir_threshold,
+    )
+
+
 def build_report(
     runs: Mapping[str, CorrectnessLog],
     seed: int = 0,
@@ -163,10 +181,7 @@ def build_report(
     explicit ``pair``, they are compared in that order (delta = second
     minus first).
     """
-    diagnostics = tuple(
-        _diagnose_run(label, log, confidence, band_pp, eir_threshold)
-        for label, log in runs.items()
-    )
+    report = diagnose_runs(runs, confidence, band_pp, eir_threshold)
     paired = None
     if pair is None and len(runs) == 2:
         pair = tuple(runs)
@@ -191,14 +206,7 @@ def build_report(
                 mat_a[:, -1], mat_b[:, -1], resamples=resamples, seed=seed
             ),
         )
-    return DiagnosticReport(
-        runs=diagnostics,
-        paired=paired,
-        seed=seed,
-        resamples=resamples,
-        band_pp=band_pp,
-        eir_threshold=eir_threshold,
-    )
+    return replace(report, paired=paired, seed=seed, resamples=resamples)
 
 
 # -- rendering ----------------------------------------------------------------

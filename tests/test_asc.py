@@ -27,6 +27,7 @@ from refineloop.asc import (
     run_scenario,
 )
 from refineloop.dynamics import TransitionRates
+from refineloop.estimate import pooled_rates, transition_counts
 from refineloop.logs import CorrectnessLog
 from refineloop.schedule import preset, preset_baseline
 from refineloop.simulate import deterministic_replay
@@ -287,6 +288,41 @@ def test_batch_mixed_stop_reasons():
     assert by_id["never"].iterations_used == 4
     assert summary.stop_reasons == {StopReason.CONFIDENCE: 2, StopReason.BUDGET: 1}
     assert summary.n_instances == 3
+
+
+def _labeled_feed(correct):
+    """The rates a one-problem online-labeled batch pools after each round."""
+    flows = transition_counts(np.array([correct]))
+    feeds = []
+    for k in range(1, len(correct)):
+        eir, ecr = pooled_rates(flows[:k])
+        feeds.append(None if eir is None or ecr is None else TransitionRates(eir, ecr))
+    return iter(feeds).__next__
+
+
+@pytest.mark.parametrize(
+    "confidences, correct",
+    [
+        ([9], (True,)),
+        ([5, 5, 5, 5, 5], (True, True, True, True, True)),
+        ([5, 5, 5, 5, 5], (False, True, True, False, True)),
+        ([5, 5, 9], (True, False, True)),
+        ([5, 5, 5, 5, 5], (True, True, False, False, False)),
+        ([5, 5, 5, 5, 5], (False, False, True, True, False)),
+    ],
+)
+def test_instance_is_a_batch_of_one(confidences, correct):
+    calibrated = AscConfig(
+        equilibrium_mode=EquilibriumMode.CALIBRATION_ONLY, calibration_rates=TransitionRates(0.03, 0.03)
+    )
+    online = AscConfig(equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
+    for config, feed in ((AscConfig(), None), (calibrated, None), (online, _labeled_feed(correct))):
+        script = [_scripted("q", confidences, n_answers=5)]
+        alone, batch = ScriptedBackend(script), ScriptedBackend(script)
+        outcome = run_asc_instance("q", alone, config, equilibrium_feed=feed)
+        outcomes, _ = run_asc_batch(["q"], batch, config, labels={"q": correct})
+        assert outcomes == [outcome]
+        assert alone.calls == batch.calls
 
 
 # -- scenario files -------------------------------------------------------------

@@ -66,15 +66,12 @@ def test_simulate_usage_errors(tmp_path):
                  "--out", out]) == EXIT_USAGE  # missing --acc0
     assert main(["simulate", "--preset", "o3-mini", "--eir", "0.1", "--out", out]) == EXIT_USAGE
     assert main(["simulate", "--preset", "o3-mini", "--n", "0", "--out", out]) == EXIT_USAGE
+    # more iterations than the schedule defines, without --stationary-tail
+    for iterations in ("6", "9"):
+        assert main(["simulate", "--preset", "gpt-4o-mini", "--iterations", iterations,
+                     "--out", out]) == EXIT_USAGE
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
-
-
-def test_simulate_preset_exhausted_is_data_error(tmp_path):
-    # more iterations than the schedule defines, without --stationary-tail
-    code = main(["simulate", "--preset", "gpt-4o-mini", "--iterations", "9",
-                 "--out", str(tmp_path / "x")])
-    assert code == EXIT_DATA
 
 
 def test_analyze_and_diagnose_artifacts(tmp_path, capsys):
@@ -90,6 +87,42 @@ def test_analyze_and_diagnose_artifacts(tmp_path, capsys):
     assert "harmful" in (out / "summary.csv").read_text()
     printed = capsys.readouterr().out
     assert "->" in printed
+
+
+def test_analyze_never_pairs_runs_over_different_problems(tmp_path, capsys):
+    log_a = _simulate(tmp_path, "--preset", "gpt-4o-mini", "--n", "200", out="a")
+    log_b = _simulate(tmp_path, "--preset", "o3-mini", "--n", "300", out="b")
+    out = tmp_path / "analysis"
+    assert main(["report", str(log_a), str(log_b), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    assert main(["analyze", str(log_a), str(log_b), "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "accuracy.csv").open()))
+    assert {row["run"] for row in rows} == {"gpt-4o-mini", "o3-mini"}
+    assert "paired" not in capsys.readouterr().out
+    assert not (out / "paired.csv").exists()
+
+
+def test_diagnose_never_pairs_runs_of_different_lengths(tmp_path, capsys):
+    log_a = _simulate(tmp_path, "--preset", "gpt-4o-mini", out="a")
+    log_b = _simulate(tmp_path, "--eir", "0.05", "--ecr", "0.15", "--acc0", "0.7",
+                      "--iterations", "6", "--label", "toy", out="b")
+    out = tmp_path / "diagnosis"
+    assert main(["report", str(log_a), str(log_b), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    assert main(["diagnose", str(log_a), str(log_b), "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "verdicts.csv").open()))
+    assert [row["transition"] for row in rows if row["run"] == "toy"] == [str(t) for t in range(6)]
+    assert "paired" not in capsys.readouterr().out
+
+
+def test_analyze_and_diagnose_draw_no_bootstrap(tmp_path, monkeypatch):
+    log_a = _simulate(tmp_path, "--preset", "gpt-4o-mini", out="a")
+    log_b = _simulate(tmp_path, "--preset", "o3-mini", out="b")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bootstrap drawn")
+
+    monkeypatch.setattr("refineloop.report.paired_bootstrap_delta", refuse)
+    for command in ("analyze", "diagnose"):
+        assert main([command, str(log_a), str(log_b), "--out", str(tmp_path / command)]) == EXIT_OK
 
 
 def test_report_pairs_two_runs(tmp_path, capsys):
