@@ -67,11 +67,21 @@ def test_simulate_usage_errors(tmp_path):
     assert main(["simulate", "--preset", "o3-mini", "--eir", "0.1", "--out", out]) == EXIT_USAGE
     assert main(["simulate", "--preset", "o3-mini", "--n", "0", "--out", out]) == EXIT_USAGE
     # more iterations than the schedule defines, without --stationary-tail
-    for iterations in ("6", "9"):
-        assert main(["simulate", "--preset", "gpt-4o-mini", "--iterations", iterations,
-                     "--out", out]) == EXIT_USAGE
+    assert main(["simulate", "--preset", "gpt-4o-mini", "--iterations", "6",
+                 "--out", out]) == EXIT_USAGE
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+
+
+def test_simulate_preset_exhausted_is_data_error(tmp_path, capsys):
+    # Running past the schedule without --stationary-tail is a flag combination,
+    # so it is reported as a usage error (exit 1), not as bad input (exit 2).
+    out = tmp_path / "x"
+    code = main(["simulate", "--preset", "gpt-4o-mini", "--iterations", "9",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "--stationary-tail" in capsys.readouterr().err
+    assert not (out / "log.csv").exists()
 
 
 def test_analyze_and_diagnose_artifacts(tmp_path, capsys):
