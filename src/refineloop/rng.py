@@ -50,13 +50,22 @@ def _mix_int(z: int) -> int:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps modulo 2**64, which is exactly what the
-    # scalar reference implementation does with explicit masking.
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_A)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, in place on the uint64 array ``z``.
+
+    One scratch buffer holds each shifted copy. uint64 arithmetic wraps
+    modulo 2**64, which is exactly what the scalar reference
+    implementation does with explicit masking.
+    """
+    tmp = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX_A)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX_B)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 def uniforms(seed: int, stream, index) -> np.ndarray:
@@ -64,16 +73,27 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
 
     ``stream`` and ``index`` may be non-negative ints or integer arrays;
     they broadcast against each other. Each draw carries 53 random bits.
+    The arguments are never written to.
     """
     check_seed(seed)
     with np.errstate(over="ignore"):
         st = np.asarray(stream, dtype=np.uint64)
         ix = np.asarray(index, dtype=np.uint64)
         base = np.uint64(_mix_int(seed + _GOLDEN))
-        key = _mix(base ^ _mix(st * np.uint64(_STREAM_SALT) + np.uint64(_GOLDEN)))
-        gamma = _mix(key ^ np.uint64(_GAMMA_SALT)) | np.uint64(1)
-        bits = _mix(key + ix * gamma)
-    return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        # np.asarray: a ufunc on 0-d arrays returns a scalar, which cannot
+        # be updated in place. Each array below is new, never the caller's.
+        key = _mix(np.asarray(st * np.uint64(_STREAM_SALT) + np.uint64(_GOLDEN)))
+        key ^= base
+        _mix(key)
+        gamma = _mix(np.asarray(key ^ np.uint64(_GAMMA_SALT)))
+        gamma |= np.uint64(1)
+        bits = np.asarray(ix * gamma)
+        bits += key
+        _mix(bits)
+        bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return u[()]  # a numpy scalar for 0-d inputs, as the ufuncs give
 
 
 def uniform(seed: int, stream: int, index: int) -> float:

@@ -71,6 +71,37 @@ def test_chunked_equals_monolithic():
     assert np.array_equal(whole, parts)
 
 
+def test_arguments_are_never_written():
+    # uint64 arrays pass through np.asarray uncopied, so an in-place step
+    # applied to them would show here
+    streams = np.arange(5, dtype=np.uint64)
+    indices = np.arange(5, dtype=np.uint64) + np.uint64(2**63)
+    assert np.asarray(streams, dtype=np.uint64) is streams
+    for st, ix in ((streams, indices), (streams[:, None], indices[None, :]), (7, indices), (streams, 3)):
+        rng.uniforms(11, st, ix)
+        assert np.array_equal(streams, np.arange(5, dtype=np.uint64))
+        assert np.array_equal(indices, np.arange(5, dtype=np.uint64) + np.uint64(2**63))
+
+
+@pytest.mark.parametrize(
+    "stream, index, shape",
+    [
+        (3, 4, ()),
+        (3, np.arange(6), (6,)),
+        (np.arange(6), np.arange(6), (6,)),
+        (np.arange(4)[:, None], np.arange(6)[None, :], (4, 6)),
+    ],
+)
+def test_shape_and_dtype(stream, index, shape):
+    u = rng.uniforms(1, stream, index)
+    assert u.shape == shape
+    assert u.dtype == np.float64
+
+
+def test_scalar_wrapper_returns_python_float():
+    assert type(rng.uniform(1, 2, 3)) is float
+
+
 def test_range_and_moments():
     u = rng.uniforms(12345, 0, np.arange(200_000))
     assert (u >= 0.0).all() and (u < 1.0).all()

@@ -1,6 +1,7 @@
 """Paired tests: frozen reference rows, tail-function oracles, bootstrap."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,65 @@ def test_bootstrap_matches_naive_loop():
     assert result.ci_lo == lo
     assert result.ci_hi == hi
     assert result.delta_pp == pytest.approx((b.mean() - a.mean()) * 100.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, resamples",
+    [
+        (70_000, 6),  # n exceeds one block: one resample per block
+        (500, 50),  # all resamples fit in one block
+        (600, 250),  # 109 resamples per block: the last block is partial
+    ],
+)
+@pytest.mark.parametrize("confidence", [0.95, 0.5, 0.2])
+def test_bootstrap_blocks_match_naive_loop(n, resamples, confidence):
+    # the confidences move the percentiles across the order statistics,
+    # so more of the resampled deltas are compared than the 95% tails
+    gen = np.random.default_rng(n)
+    a = gen.random(n) < 0.7
+    b = gen.random(n) < 0.75
+    result = paired_bootstrap_delta(a, b, resamples=resamples, seed=5, confidence=confidence)
+    assert (result.ci_lo, result.ci_hi) == _oracle_bootstrap(a, b, resamples, 5, confidence)
+
+
+def test_bootstrap_memory_stays_cache_sized():
+    gen = np.random.default_rng(8)
+    a = gen.random(20_000) < 0.8
+    b = gen.random(20_000) < 0.82
+    tracemalloc.start()
+    try:
+        paired_bootstrap_delta(a, b, resamples=2_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_bootstrap_draws_every_index_through_rng_uniforms(monkeypatch):
+    # the benchmark traces the kernel's draws at rng.uniforms, so a kernel
+    # that generated them any other way would go unmeasured
+    n, resamples = 3_000, 70
+    drawn = []
+    coordinates = set()
+    uniforms = rng.uniforms
+
+    def counting(seed, stream, index):
+        u = uniforms(seed, stream, index)
+        drawn.append(u.size)
+        st, ix = np.broadcast_arrays(np.asarray(stream), np.asarray(index))
+        coordinates.update(zip(st.ravel().tolist(), ix.ravel().tolist()))
+        return u
+
+    gen = np.random.default_rng(4)
+    a = gen.random(n) < 0.6
+    b = gen.random(n) < 0.65
+    expected = paired_bootstrap_delta(a, b, resamples=resamples, seed=2)
+    monkeypatch.setattr("refineloop.rng.uniforms", counting)
+    assert paired_bootstrap_delta(a, b, resamples=resamples, seed=2) == expected
+    assert sum(drawn) == resamples * n
+    assert coordinates == {
+        (rng.BOOTSTRAP_STREAM_BASE + r, i) for r in range(resamples) for i in range(n)
+    }
 
 
 def test_bootstrap_identical_columns_degenerate():
