@@ -131,13 +131,6 @@ def _parse_directives(lines) -> tuple[dict[str, str], int]:
     return metadata, i
 
 
-def _parse_cell_int(text: str, what: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise LogFormatError(f"{what} must be an integer, got {text!r}", line=line) from None
-
-
 def _parse_correct(text: str, line: int) -> bool:
     if text == "0":
         return False
@@ -146,14 +139,17 @@ def _parse_correct(text: str, line: int) -> bool:
     raise LogFormatError(f"correct must be 0 or 1, got {text!r}", line=line)
 
 
-def _read_record_rows(rows, metadata) -> dict[str, CorrectnessLog]:
+def _read_record_rows(rows, metadata, default_label) -> dict[str, CorrectnessLog]:
     # runs[label][pid][iteration] = (correct, confidence), in first-seen order
     runs: dict[str, dict[str, dict[int, tuple[bool, float]]]] = {}
     for row, line in rows:
         if len(row) < 3 or len(row) > 5:
             raise LogFormatError(f"expected 3-5 fields, got {len(row)}", line=line)
         pid = row[0]
-        iteration = _parse_cell_int(row[1], "iteration", line)
+        try:
+            iteration = int(row[1])
+        except ValueError:
+            raise LogFormatError(f"iteration must be an integer, got {row[1]!r}", line=line) from None
         if iteration < 0:
             raise LogFormatError(f"iteration must be >= 0, got {iteration}", line=line)
         correct = _parse_correct(row[2], line)
@@ -163,7 +159,7 @@ def _read_record_rows(rows, metadata) -> dict[str, CorrectnessLog]:
                 conf = float(row[3])
             except ValueError:
                 raise LogFormatError(f"confidence must be a number, got {row[3]!r}", line=line) from None
-        label = row[4] if len(row) == 5 and row[4] != "" else metadata.get("run_label", _DEFAULT_RUN)
+        label = row[4] if len(row) == 5 and row[4] != "" else default_label
         per = runs.setdefault(label, {}).setdefault(pid, {})
         if iteration in per:
             raise LogFormatError(
@@ -194,35 +190,42 @@ def _read_record_rows(rows, metadata) -> dict[str, CorrectnessLog]:
         logs[label] = CorrectnessLog(
             problem_ids=list(problems),
             correctness=cells[:, :, 0].astype(bool),
-            metadata={k: v for k, v in metadata.items() if k != "run_label"},
+            metadata=dict(metadata),
             confidence=None if np.isnan(conf).all() else conf,
         )
     return logs
 
 
-def _read_compact_rows(rows, header, metadata, header_line) -> dict[str, CorrectnessLog]:
+def _read_compact_rows(rows, header, header_line, metadata, label) -> dict[str, CorrectnessLog]:
     expected = [f"it{k}" for k in range(len(header) - 1)]
     if header[1:] != expected:
         raise LogFormatError(
             f"compact header columns must be it0..it{len(header) - 2}, got {header[1:]}",
             line=header_line,
         )
-    width = len(header) - 1
-    if width < 1:
-        raise LogFormatError("compact form needs at least one iteration column", line=header_line)
-    pids: list[str] = []
-    bits: list[list[bool]] = []
+    bits: dict[str, list[bool]] = {}  # problem id -> its row, in file order
     for row, line in rows:
         if len(row) != len(header):
             raise LogFormatError(f"expected {len(header)} fields, got {len(row)}", line=line)
-        pids.append(row[0])
-        bits.append([_parse_correct(cell, line) for cell in row[1:]])
-    if not pids:
+        cells = [_parse_correct(cell, line) for cell in row[1:]]
+        if row[0] in bits:
+            raise LogFormatError(f"duplicate row for problem {row[0]!r}", line=line)
+        bits[row[0]] = cells
+    if not bits:
         raise LogFormatError("log contains a header but no records")
-    label = metadata.get("run_label", _DEFAULT_RUN)
-    meta = dict(metadata)
-    meta.pop("run_label", None)
-    return {label: CorrectnessLog(problem_ids=pids, correctness=np.array(bits, dtype=bool), metadata=meta)}
+    matrix = np.array(list(bits.values()), dtype=bool)
+    return {label: CorrectnessLog(problem_ids=list(bits), correctness=matrix, metadata=metadata)}
+
+
+def _fields(lines, start):
+    """Yield (csv fields, 1-based line number) for each non-blank line from ``lines[start]`` on."""
+    for line in range(start + 1, len(lines) + 1):
+        text = lines[line - 1]
+        if text.strip():
+            try:
+                yield next(csv.reader([text])), line
+            except csv.Error as exc:  # a field longer than csv.field_size_limit()
+                raise LogFormatError(str(exc), line=line) from None
 
 
 def read_runs(path) -> dict[str, CorrectnessLog]:
@@ -230,20 +233,19 @@ def read_runs(path) -> dict[str, CorrectnessLog]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     metadata, start = _parse_directives(lines)
-    body = [(line_no, text) for line_no, text in enumerate(lines[start:], start=start + 1) if text.strip()]
-    if not body:
+    label = metadata.pop("run_label", _DEFAULT_RUN)
+    rows = _fields(lines, start)
+    header, header_line = next(rows, (None, None))
+    if header is None:
         raise LogFormatError("log has no column header after the directives")
-    header_line, header_text = body[0]
-    header = next(csv.reader([header_text]))
-    rows = [(next(csv.reader([text])), line_no) for line_no, text in body[1:]]
     if len(header) >= 2 and header[1] == "iteration":
         if tuple(header) != _RECORD_HEADER[: len(header)] or len(header) < 3:
             raise LogFormatError(
                 f"record header must be a prefix of {','.join(_RECORD_HEADER)}", line=header_line
             )
-        return _read_record_rows(rows, metadata)
+        return _read_record_rows(rows, metadata, label)
     if len(header) >= 2 and header[0] == "problem_id" and re.fullmatch(r"it\d+", header[1]):
-        return _read_compact_rows(rows, header, metadata, header_line)
+        return _read_compact_rows(rows, header, header_line, metadata, label)
     raise LogFormatError(
         "unrecognized column header; expected record form "
         f"({','.join(_RECORD_HEADER[:3])},...) or compact form (problem_id,it0,...)",
@@ -291,6 +293,9 @@ def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str |
         raise ValueError(f"problem id {bad!r} contains a line break")
     if form == "records" and not (label and _one_line(label)):
         raise ValueError(f"record-form run label must be one non-empty line, got {label!r}")
+    limit = csv.field_size_limit()
+    if max(map(len, log.problem_ids)) > limit or (form == "records" and len(label) > limit):
+        raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
     out = io.StringIO()
     meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
     writer = csv.writer(out, lineterminator="\n")

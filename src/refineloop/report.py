@@ -203,7 +203,7 @@ def build_report(
             delta_pp_by_iteration=deltas,
             final_mcnemar=mcnemar_from_logs(mat_a[:, -1], mat_b[:, -1]),
             final_bootstrap=paired_bootstrap_delta(
-                mat_a[:, -1], mat_b[:, -1], resamples=resamples, seed=seed
+                mat_a[:, -1], mat_b[:, -1], resamples=resamples, seed=seed, confidence=confidence
             ),
         )
     return replace(report, paired=paired, seed=seed, resamples=resamples)
@@ -413,7 +413,7 @@ def _report_text(report: DiagnosticReport) -> str:
         lines.append(f"delta by iteration (pp): {per_it}")
         lines.append(
             f"final iteration: delta {_signed_pp(p.final_bootstrap.delta_pp)} pp, "
-            f"{int(p.final_bootstrap.confidence * 100)}% CI "
+            f"{p.final_bootstrap.confidence * 100:g}% CI "
             f"[{p.final_bootstrap.ci_lo:+.1f}, {p.final_bootstrap.ci_hi:+.1f}] pp "
             f"({p.final_bootstrap.resamples} resamples, seed {p.final_bootstrap.seed})"
         )

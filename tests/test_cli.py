@@ -105,7 +105,7 @@ def test_analyze_never_pairs_runs_over_different_problems(tmp_path, capsys):
     out = tmp_path / "analysis"
     assert main(["report", str(log_a), str(log_b), "--out", str(tmp_path / "r")]) == EXIT_DATA
     assert main(["analyze", str(log_a), str(log_b), "--out", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader((out / "accuracy.csv").open()))
+    rows = list(csv.DictReader((out / "accuracy.csv").read_text().splitlines()))
     assert {row["run"] for row in rows} == {"gpt-4o-mini", "o3-mini"}
     assert "paired" not in capsys.readouterr().out
     assert not (out / "paired.csv").exists()
@@ -118,7 +118,7 @@ def test_diagnose_never_pairs_runs_of_different_lengths(tmp_path, capsys):
     out = tmp_path / "diagnosis"
     assert main(["report", str(log_a), str(log_b), "--out", str(tmp_path / "r")]) == EXIT_DATA
     assert main(["diagnose", str(log_a), str(log_b), "--out", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader((out / "verdicts.csv").open()))
+    rows = list(csv.DictReader((out / "verdicts.csv").read_text().splitlines()))
     assert [row["transition"] for row in rows if row["run"] == "toy"] == [str(t) for t in range(6)]
     assert "paired" not in capsys.readouterr().out
 

@@ -1,6 +1,8 @@
 """Correctness-log format: round trips and line-numbered failures."""
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from refineloop.logs import (
     read_runs,
     write_log,
 )
+
+
+_FIELD_LIMIT = csv.field_size_limit()
 
 
 def _toy_log(with_confidence=False):
@@ -136,6 +141,12 @@ def test_run_label_metadata_directive(tmp_path):
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,0,1\np,0,1\n", 4, "duplicate record"),
         (f"#{FORMAT_VERSION}\nproblem_id,it0,it1\np,1\n", 3, "expected 3 fields"),
         (f"#{FORMAT_VERSION}\nproblem_id,it0\n", None, "no records"),
+        (f"#{FORMAT_VERSION}\nproblem_id,it0,it1\np0,1,0\np1,0,1\np0,1,1\n", 5, "duplicate row for problem 'p0'"),
+        pytest.param(
+            f"#{FORMAT_VERSION}\nproblem_id,it0\n{'x' * (_FIELD_LIMIT + 1)},1\n", 3, "field limit", id="over-field-limit"
+        ),
+        # blank and whitespace-only lines are skipped but still counted
+        (f"#{FORMAT_VERSION}\n\n  \nproblem_id,iteration,correct\np,0,1\n\t\n\np,1,1\nq,0,x\n", 9, "correct must be"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, content, expect_line, fragment):
@@ -195,6 +206,24 @@ def test_integer_matrix_coerced_to_bool():
     assert log.correctness.dtype == np.bool_
 
 
+def test_record_read_memory_stays_streaming(tmp_path):
+    # the reader keeps one list of lines and the parsed cells, not a list of every line's fields
+    log = CorrectnessLog(
+        problem_ids=[f"p{i:05d}" for i in range(5_000)],
+        correctness=np.arange(25_000).reshape(5_000, 5) % 3 == 0,
+    )
+    path = tmp_path / "log.csv"
+    write_log(log, path, form="records")
+    tracemalloc.start()
+    try:
+        back = read_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.correctness, log.correctness)
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # -- writer refuses what the reader cannot give back ---------------------------------
 
 _LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -223,7 +252,8 @@ def test_write_refuses_unreadable_text(tmp_path, form, metadata, run_label):
 
 
 @pytest.mark.parametrize("form", ["records", "compact"])
-@pytest.mark.parametrize("br", _LINE_BREAKS)
+# the last case is an id longer than csv.field_size_limit(), which read_runs refuses
+@pytest.mark.parametrize("br", _LINE_BREAKS + [pytest.param("x" * _FIELD_LIMIT, id="over-field-limit")])
 def test_write_refuses_line_break_in_id(tmp_path, form, br):
     log = CorrectnessLog(problem_ids=["a", f"b{br}c"], correctness=np.array([[1], [0]]))
     path = tmp_path / "log.csv"
@@ -232,7 +262,11 @@ def test_write_refuses_line_break_in_id(tmp_path, form, br):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("form,run_label", [("compact", " t"), ("compact", "t "), ("records", "")])
+@pytest.mark.parametrize(
+    "form,run_label",
+    [("compact", " t"), ("compact", "t "), ("records", ""),
+     pytest.param("records", "x" * (_FIELD_LIMIT + 1), id="records-over-field-limit")],
+)
 def test_write_refuses_label_it_cannot_read_back(tmp_path, form, run_label):
     path = tmp_path / "log.csv"
     with pytest.raises(ValueError):
@@ -244,6 +278,15 @@ def test_record_label_keeps_surrounding_spaces(tmp_path):
     path = tmp_path / "log.csv"
     write_log(_toy_log(), path, form="records", run_label=" t ")
     assert list(read_runs(path)) == [" t "]
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+def test_fields_at_the_limit_read_back(tmp_path, form):
+    ids = ["x" * _FIELD_LIMIT, '"' * _FIELD_LIMIT]  # quotes are doubled on disk, counted once by the reader
+    log = CorrectnessLog(problem_ids=ids, correctness=np.array([[1, 0], [0, 1]]))
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form, run_label="y" * _FIELD_LIMIT)
+    assert read_runs(path)["y" * _FIELD_LIMIT].problem_ids == ids
 
 
 @pytest.mark.parametrize("form", ["records", "compact"])

@@ -131,6 +131,14 @@ def test_explicit_pair_selection():
         build_report(runs, pair=("a", "zz"), resamples=300)
 
 
+def test_confidence_reaches_the_paired_bootstrap():
+    runs = {"a": _replay("gpt-4o-mini"), "b": _replay("o3-mini")}
+    report = build_report(runs, resamples=300, confidence=0.8)
+    assert report.paired.final_bootstrap.confidence == 0.8
+    assert "80% CI" in render_tables(report)["report.txt"]
+    assert "95% CI" in render_tables(build_report(runs, resamples=300))["report.txt"]
+
+
 def test_three_runs_no_automatic_pair():
     runs = {
         "a": _replay("gpt-4o-mini"),
