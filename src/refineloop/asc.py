@@ -104,10 +104,9 @@ class AscBackendError(RuntimeError):
 @dataclass(frozen=True)
 class AscOutcome:
     final_answer: Any
-    iterations_used: int
+    iterations_used: int  # also the index k of the kept answer r^(k)
     stop_reason: StopReason
     confidence_trace: tuple[float, ...]
-    answer_index: int  # which r^(k) was returned; equals iterations_used
 
 
 class _Instance:
@@ -139,7 +138,6 @@ class _Instance:
             iterations_used=index,
             stop_reason=reason,
             confidence_trace=tuple(self.scores),
-            answer_index=index,
         )
 
     def round(self) -> None:

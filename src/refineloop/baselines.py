@@ -109,7 +109,7 @@ def simulate_self_consistency(model: CorrelatedSampleModel, n_problems: int, see
     return float(np.count_nonzero(wins)) / n_problems
 
 
-def fit_common_cause_weight(p: float, k: int, target_accuracy: float, tol: float = 1e-12) -> float:
+def fit_common_cause_weight(p: float, k: int, target_accuracy: float) -> float:
     """Bisect for the rho whose closed-form vote accuracy hits the target.
 
     Vote accuracy decreases monotonically in rho when p > 1/2, from the
@@ -127,7 +127,7 @@ def fit_common_cause_weight(p: float, k: int, target_accuracy: float, tol: float
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if hi - lo <= tol:
+        if hi - lo <= 1e-12:
             break
         value = mixture_sc_accuracy(p, mid, k)
         # accuracy is decreasing in rho for p > 1/2 (and increasing below);

@@ -65,6 +65,21 @@ def _default_seed() -> int:
         raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", _build_parser()) from None
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, refused as a usage error unless ``ok``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value: ..."
+    return parse
+
+
+_open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="refineloop", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"refineloop {__version__}")
@@ -94,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("diagnose", "verdicts, steady state, and classification")):
         p = sub.add_parser(name, help=text)
         p.add_argument("logs", nargs="+", metavar="LOG")
-        p.add_argument("--confidence", type=float, default=0.95)
+        if name == "analyze":  # diagnose writes no interval
+            p.add_argument("--confidence", type=_open_unit, default=0.95)
         p.add_argument("--band", type=float, default=DEFAULT_BAND_PP,
                        help="tier-1 |delta| band in pp (default 0.5)")
         p.add_argument("--eir-threshold", type=float, default=DEFAULT_EIR_THRESHOLD,
@@ -109,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc_p.add_argument("--p", type=float, required=True, help="per-sample accuracy")
     sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
     sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
-    sc_p.add_argument("--n", type=int, default=100_000, help="simulated problems (default 100000)")
+    sc_p.add_argument("--n", type=_positive_int, default=100_000, help="simulated problems (default 100000)")
     sc_p.add_argument("--seed", type=int)
     sc_p.add_argument("--fit-target", type=float,
                       help="also fit the rho whose closed-form accuracy hits this value")
@@ -120,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
                      help="paired comparison (default: automatic when exactly two runs)")
     rep.add_argument("--seed", type=int)
-    rep.add_argument("--resamples", type=int, default=10_000)
-    rep.add_argument("--confidence", type=float, default=0.95)
+    rep.add_argument("--resamples", type=_positive_int, default=10_000)
+    rep.add_argument("--confidence", type=_open_unit, default=0.95)
     rep.add_argument("--band", type=float, default=DEFAULT_BAND_PP)
     rep.add_argument("--eir-threshold", type=float, default=DEFAULT_EIR_THRESHOLD)
     rep.add_argument("--out", default=".")
@@ -207,7 +223,7 @@ _REPORT_FILES = None  # everything render_tables produces
 def _cmd_tables(args, which) -> int:
     runs = _collect_runs(args.logs)
     if which is not None:  # analyze and diagnose never pair runs
-        report = diagnose_runs(runs, args.confidence, args.band, args.eir_threshold)
+        report = diagnose_runs(runs, getattr(args, "confidence", 0.95), args.band, args.eir_threshold)
     else:
         report = build_report(
             runs,
@@ -256,8 +272,8 @@ def _cmd_asc(args, parser) -> int:
     with open(out / "outcomes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["problem_id", "iterations_used", "stop_reason", "answer_index", "final_answer"])
-        writer.writerows(  # str keeps a None answer as "None"
-            [p.problem_id, o.iterations_used, o.stop_reason.value, o.answer_index, str(o.final_answer)]
+        writer.writerows(  # answer_index is iterations_used; str keeps a None answer as "None"
+            [p.problem_id, o.iterations_used, o.stop_reason.value, o.iterations_used, str(o.final_answer)]
             for p, o in zip(scenario.problems, outcomes)
         )
     srows = ["key,value", f"n_instances,{summary.n_instances}", f"rounds_executed,{summary.rounds_executed}"]

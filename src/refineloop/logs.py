@@ -88,9 +88,6 @@ class CorrectnessLog:
         """Number of transitions K; columns run 0..K."""
         return self.correctness.shape[1] - 1
 
-    def column(self, k: int) -> np.ndarray:
-        return self.correctness[:, k]
-
     def accuracy(self, k: int) -> float:
         return float(np.count_nonzero(self.correctness[:, k])) / self.n_problems
 
@@ -118,15 +115,20 @@ def _parse_directives(lines) -> tuple[dict[str, str], int]:
         )
     metadata: dict[str, str] = {}
     i = 1
-    while i < len(lines) and lines[i].startswith("#"):
+    while i < len(lines) and (lines[i].startswith("#") or not lines[i].strip()):
+        if not lines[i].strip():  # a blank line, skipped here as in the body
+            i += 1
+            continue
         body = lines[i][1:].strip()
         if not body.startswith("meta:"):
             raise LogFormatError(f"unknown directive {lines[i].strip()!r}", line=i + 1)
         payload = body[len("meta:"):]
         if "=" not in payload:
             raise LogFormatError(f"metadata directive needs key=value, got {payload!r}", line=i + 1)
-        key, value = payload.split("=", 1)
-        metadata[key.strip()] = value.strip()
+        key, value = (text.strip() for text in payload.split("=", 1))
+        if key in metadata:
+            raise LogFormatError(f"repeated metadata key {key!r}", line=i + 1)
+        metadata[key] = value
         i += 1
     return metadata, i
 

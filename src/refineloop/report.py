@@ -24,7 +24,7 @@ no environment leakage, byte-identical across runs and worker counts.
 import io
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .dynamics import (
@@ -78,9 +78,6 @@ def classify_run(
 class Classification:
     tag: str
     delta_pp: float
-    pooled_eir: float | None
-    band_pp: float
-    eir_threshold: float
 
 
 @dataclass(frozen=True)
@@ -108,10 +105,6 @@ class PairedComparison:
 class DiagnosticReport:
     runs: tuple[RunDiagnostics, ...]
     paired: PairedComparison | None
-    seed: int
-    resamples: int
-    band_pp: float
-    eir_threshold: float
 
 
 def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
@@ -139,13 +132,7 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
         verdicts=tuple(verdicts),
         steady=steady,
         transition_tests=tests,
-        classification=Classification(
-            tag=tag,
-            delta_pp=delta_pp,
-            pooled_eir=est.pooled_eir,
-            band_pp=band_pp,
-            eir_threshold=eir_threshold,
-        ),
+        classification=Classification(tag=tag, delta_pp=delta_pp),
     )
 
 
@@ -159,10 +146,6 @@ def diagnose_runs(
     return DiagnosticReport(
         runs=tuple(_diagnose_run(label, log, confidence, band_pp, eir_threshold) for label, log in runs.items()),
         paired=None,
-        seed=0,
-        resamples=0,
-        band_pp=band_pp,
-        eir_threshold=eir_threshold,
     )
 
 
@@ -182,31 +165,30 @@ def build_report(
     minus first).
     """
     report = diagnose_runs(runs, confidence, band_pp, eir_threshold)
-    paired = None
     if pair is None and len(runs) == 2:
         pair = tuple(runs)
-    if pair is not None:
-        a_label, b_label = pair
-        for label in (a_label, b_label):
-            if label not in runs:
-                raise ValueError(f"cannot pair unknown run {label!r}")
-        mat_a, mat_b = runs[a_label].correctness, align_rows(runs[a_label], runs[b_label])
-        if mat_a.shape != mat_b.shape:
-            raise ValueError("paired runs have different iteration counts")
-        deltas = tuple(
-            (float(mat_b[:, k].mean()) - float(mat_a[:, k].mean())) * 100.0
-            for k in range(mat_a.shape[1])
-        )
-        paired = PairedComparison(
-            label_a=a_label,
-            label_b=b_label,
-            delta_pp_by_iteration=deltas,
-            final_mcnemar=mcnemar_from_logs(mat_a[:, -1], mat_b[:, -1]),
-            final_bootstrap=paired_bootstrap_delta(
-                mat_a[:, -1], mat_b[:, -1], resamples=resamples, seed=seed, confidence=confidence
-            ),
-        )
-    return replace(report, paired=paired, seed=seed, resamples=resamples)
+    if pair is None:
+        return report
+    a_label, b_label = pair
+    for label in (a_label, b_label):
+        if label not in runs:
+            raise ValueError(f"cannot pair unknown run {label!r}")
+    mat_a, mat_b = runs[a_label].correctness, align_rows(runs[a_label], runs[b_label])
+    if mat_a.shape != mat_b.shape:
+        raise ValueError("paired runs have different iteration counts")
+    # a column's accuracy is its count over n, so pairing rows cannot change it
+    series = {run.label: run.estimates.accuracy_series for run in report.runs}
+    deltas = tuple((b.accuracy - a.accuracy) * 100.0 for a, b in zip(series[a_label], series[b_label]))
+    paired = PairedComparison(
+        label_a=a_label,
+        label_b=b_label,
+        delta_pp_by_iteration=deltas,
+        final_mcnemar=mcnemar_from_logs(mat_a[:, -1], mat_b[:, -1]),
+        final_bootstrap=paired_bootstrap_delta(
+            mat_a[:, -1], mat_b[:, -1], resamples=resamples, seed=seed, confidence=confidence
+        ),
+    )
+    return DiagnosticReport(runs=report.runs, paired=paired)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -375,11 +357,9 @@ def _report_text(report: DiagnosticReport) -> str:
     lines += _text_table(["run", "transition", "eir", "ecr", "verdict"], rate_rows) + [""]
 
     for run in report.runs:
-        c = run.classification
-        pooled_eir = _pct(c.pooled_eir) if c.pooled_eir is not None else "n/a"
-        pooled_ecr = (
-            _pct(run.estimates.pooled_ecr) if run.estimates.pooled_ecr is not None else "n/a"
-        )
+        c, est = run.classification, run.estimates
+        pooled_eir = _pct(est.pooled_eir) if est.pooled_eir is not None else "n/a"
+        pooled_ecr = _pct(est.pooled_ecr) if est.pooled_ecr is not None else "n/a"
         lines.append(
             f"{run.label}: delta {_signed_pp(c.delta_pp)} pp, "
             f"pooled eir {pooled_eir}%, pooled ecr {pooled_ecr}% -> {c.tag}"

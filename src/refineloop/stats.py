@@ -9,8 +9,9 @@ resample, so the interval is seed-deterministic and order-independent.
 Resamples are drawn in cache-sized blocks; any block size gives the same
 bits.
 
-The chi-square tail is computed here from the regularized incomplete
-gamma function (series for small arguments, Lentz continued fraction for
+The chi-square tail is for one degree of freedom only, the case McNemar
+needs. It is computed here from the regularized incomplete gamma function
+at a = 1/2 (series for small arguments, Lentz continued fraction for
 large), accurate to well under 1e-10 in relative terms across the range
 a test can produce; no table lookups and no external dependency.
 """
@@ -32,35 +33,36 @@ __all__ = [
     "paired_bootstrap_delta",
 ]
 
-DEFAULT_ALPHA = 0.05
+ALPHA = 0.05  # McNemar significance level
+_A = 0.5  # incomplete-gamma shape: half of McNemar's one degree of freedom
 _EPS = 1e-16
 _MAX_ITER = 500
 _BLOCK_DRAWS = 1 << 16  # bootstrap draws per block: its temporaries stay in cache
 
 
-def _regularized_gamma_series(a: float, x: float) -> float:
+def _regularized_gamma_series(x: float) -> float:
     """Lower regularized P(a, x) by power series; valid for x < a + 1."""
-    term = 1.0 / a
+    term = 1.0 / _A
     total = term
-    denom = a
+    denom = _A
     for _ in range(_MAX_ITER):
         denom += 1.0
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total * math.exp(-x + _A * math.log(x) - math.lgamma(_A))
 
 
-def _regularized_gamma_cf(a: float, x: float) -> float:
+def _regularized_gamma_cf(x: float) -> float:
     """Upper regularized Q(a, x) by Lentz's continued fraction; x >= a + 1."""
     tiny = 1e-300
-    b = x + 1.0 - a
+    b = x + 1.0 - _A
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
+        an = -i * (i - _A)
         b += 2.0
         d = an * d + b
         if abs(d) < tiny:
@@ -73,26 +75,19 @@ def _regularized_gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h * math.exp(-x + _A * math.log(x) - math.lgamma(_A))
 
 
-def _regularized_gamma_upper(a: float, x: float) -> float:
-    if x < 0.0 or a <= 0.0:
-        raise ValueError(f"need x >= 0 and a > 0, got a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _regularized_gamma_series(a, x)
-    return _regularized_gamma_cf(a, x)
-
-
-def chi_square_survival(x: float, df: int = 1) -> float:
-    """P(X >= x) for a chi-square variable with ``df`` degrees of freedom."""
+def chi_square_survival(x: float) -> float:
+    """P(X >= x) for a chi-square variable with one degree of freedom."""
     if x < 0.0:
         raise ValueError(f"statistic must be >= 0, got {x}")
-    if df <= 0:
-        raise ValueError(f"df must be positive, got {df}")
-    return _regularized_gamma_upper(df / 2.0, x / 2.0)
+    half = x / 2.0
+    if half == 0.0:  # tested after halving: the smallest subnormal halves to 0.0
+        return 1.0
+    if half < _A + 1.0:
+        return 1.0 - _regularized_gamma_series(half)
+    return _regularized_gamma_cf(half)
 
 
 @dataclass(frozen=True)
@@ -101,12 +96,11 @@ class McNemarResult:
     c: int
     statistic: float
     p_value: float
-    significant: bool
-    alpha: float = DEFAULT_ALPHA
+    significant: bool  # p_value < ALPHA
     no_discordance: bool = False
 
 
-def mcnemar(b: int, c: int, alpha: float = DEFAULT_ALPHA) -> McNemarResult:
+def mcnemar(b: int, c: int) -> McNemarResult:
     """Uncorrected McNemar test from the two discordant counts.
 
     ``b + c == 0`` is reported as a flagged no-discordance result
@@ -115,19 +109,11 @@ def mcnemar(b: int, c: int, alpha: float = DEFAULT_ALPHA) -> McNemarResult:
     for name, value in (("b", b), ("c", c)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if b + c == 0:
-        return McNemarResult(
-            b=b, c=c, statistic=0.0, p_value=1.0, significant=False,
-            alpha=alpha, no_discordance=True,
-        )
+        return McNemarResult(b=b, c=c, statistic=0.0, p_value=1.0, significant=False, no_discordance=True)
     statistic = (b - c) ** 2 / (b + c)
-    p_value = chi_square_survival(statistic, df=1)
-    return McNemarResult(
-        b=b, c=c, statistic=statistic, p_value=p_value,
-        significant=p_value < alpha, alpha=alpha,
-    )
+    p_value = chi_square_survival(statistic)
+    return McNemarResult(b=b, c=c, statistic=statistic, p_value=p_value, significant=p_value < ALPHA)
 
 
 def _paired_columns(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
@@ -142,14 +128,14 @@ def _paired_columns(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def mcnemar_from_logs(col_a, col_b, alpha: float = DEFAULT_ALPHA) -> McNemarResult:
+def mcnemar_from_logs(col_a, col_b) -> McNemarResult:
     """McNemar test on two aligned correctness columns.
 
     b counts problems correct in ``col_a`` but not ``col_b``; c the reverse.
     """
     a, b = _paired_columns(col_a, col_b)
     _, n_ci, n_ic, _ = transition_counts(np.column_stack([a, b]))[0].tolist()
-    return mcnemar(b=n_ci, c=n_ic, alpha=alpha)
+    return mcnemar(b=n_ci, c=n_ic)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ def test_trace_confident_at_generation():
     outcome = run_asc_instance("q1", backend, AscConfig())
     assert outcome.stop_reason is StopReason.CONFIDENCE
     assert outcome.iterations_used == 0
-    assert outcome.answer_index == 0
     assert outcome.final_answer == "q1-r0"
     assert outcome.confidence_trace == (9.0,)
     assert backend.calls == [("generate", "q1"), ("confidence", "q1")]
@@ -90,7 +89,6 @@ def test_trace_calibration_equilibrium_returns_previous():
     # the refinement that triggered the stop is discarded
     assert outcome.final_answer == "q3-r0"
     assert outcome.iterations_used == 0
-    assert outcome.answer_index == 0
     assert backend.calls == [
         ("generate", "q3"),
         ("confidence", "q3"),
@@ -115,7 +113,7 @@ def test_traces_are_reproducible():
         ):
             backend = ScriptedBackend([_scripted("p", conf, n_answers=5)])
             outcome = run_asc_instance("p", backend, config)
-            traces.append((tuple(backend.calls), outcome.stop_reason, outcome.answer_index))
+            traces.append((tuple(backend.calls), outcome.stop_reason, outcome.iterations_used))
         return traces
 
     assert run_all() == run_all()

@@ -267,6 +267,26 @@ def test_sc_usage_errors(tmp_path):
     assert main(["sc"]) == EXIT_USAGE  # --p is required
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["report", "{log}", "--confidence", "1.5"], id="report-confidence-1.5"),
+    pytest.param(["report", "{log}", "--confidence", "0"], id="report-confidence-0"),
+    pytest.param(["analyze", "{log}", "--confidence", "1.5"], id="analyze-confidence-1.5"),
+    pytest.param(["report", "{log}", "{other}", "--resamples", "0"], id="report-resamples-0"),
+    pytest.param(["report", "{log}", "--resamples", "many"], id="report-resamples-many"),
+    pytest.param(["diagnose", "{log}", "--confidence", "0.9"], id="diagnose-has-no-confidence"),
+    pytest.param(["sc", "--p", "0.9", "--n", "0"], id="sc-n-0"),
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv):
+    log = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20")
+    other = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", "--label", "other", out="other")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [arg.format(log=log, other=other) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage: refineloop")
+    assert not out.exists()
+
+
 def test_pipeline_is_byte_identical(tmp_path):
     def run(tag):
         base = tmp_path / tag

@@ -127,6 +127,14 @@ def test_run_label_metadata_directive(tmp_path):
     assert "run_label" not in runs["named"].metadata
 
 
+def test_blank_lines_between_directives_are_skipped(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(f"#{FORMAT_VERSION}\n#meta:seed=7\n\n  \n#meta:source=x\nproblem_id,it0\np,1\n")
+    log = read_log(path)
+    assert log.metadata == {"seed": "7", "source": "x"}
+    assert log.problem_ids == ["p"]
+
+
 @pytest.mark.parametrize(
     "content,expect_line,fragment",
     [
@@ -134,6 +142,12 @@ def test_run_label_metadata_directive(tmp_path):
         ("problem_id,it0\np,1\n", 1, "version header"),
         (f"#{FORMAT_VERSION}\n#bogus\nproblem_id,it0\np,1\n", 2, "unknown directive"),
         (f"#{FORMAT_VERSION}\n#meta:noequals\nproblem_id,it0\np,1\n", 2, "key=value"),
+        pytest.param(f"#{FORMAT_VERSION}\n#meta:seed=7\n#meta:seed=8\nproblem_id,it0\np,1\n", 3,
+                     "repeated metadata key 'seed'", id="repeated-meta-key"),
+        pytest.param(f"#{FORMAT_VERSION}\n#meta:seed=7\n\n#meta: seed =8\nproblem_id,it0\np,1\n", 4,
+                     "repeated metadata key 'seed'", id="repeated-meta-key-after-blank"),
+        pytest.param(f"#{FORMAT_VERSION}\n#meta:seed=7\n\n#bogus\nproblem_id,it0\np,1\n", 4,
+                     "unknown directive", id="directive-after-blank"),
         (f"#{FORMAT_VERSION}\nwhat,ever\n", 2, "unrecognized column header"),
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,0,2\n", 3, "correct must be 0 or 1"),
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,zero,1\n", 3, "iteration must be an integer"),
@@ -198,7 +212,6 @@ def test_accessors():
     assert log.n_iterations == 2
     assert log.accuracy(0) == 0.5
     assert log.accuracy(2) == 0.25
-    assert np.array_equal(log.column(1), np.array([True, True, False, False]))
 
 
 def test_integer_matrix_coerced_to_bool():

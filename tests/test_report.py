@@ -5,7 +5,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from refineloop.dynamics import TransitionRates, Verdict, stop_or_iterate
 from refineloop.logs import CorrectnessLog
 from refineloop.report import (
     CLASS_HARMFUL,
@@ -13,6 +17,7 @@ from refineloop.report import (
     CLASS_TIER2,
     build_report,
     classify_run,
+    diagnose_runs,
     render_tables,
 )
 from refineloop.schedule import preset, preset_baseline
@@ -249,3 +254,39 @@ def test_transition_tests_use_the_rate_counts():
         assert test["run"] == rate["run"]
         assert test["comparison"] == f"it{rate['transition']}->it{int(rate['transition']) + 1}"
         assert (test["b"], test["c"]) == (rate["n_ci"], rate["n_ic"])
+
+
+# -- a verdict is McNemar's discordant comparison --------------------------------
+# With rates estimated from the same transition, Acc*EIR = n_ci/n and
+# (1 - Acc)*ECR = n_ic/n, so ECR/EIR > Acc/(1 - Acc) exactly when n_ic > n_ci.
+
+
+def _sign_verdict(b, c):
+    """The verdict read off McNemar's b = n_ci and c = n_ic."""
+    return Verdict.ITERATE if c > b else Verdict.STOP if c < b else Verdict.AT_EQUILIBRIUM
+
+
+# (pool size, flips out of it); both pools non-empty
+_pools = st.integers(1, 10**6).flatmap(lambda pool: st.tuples(st.just(pool), st.integers(0, pool)))
+
+
+@given(correct=_pools, incorrect=_pools)
+@example(correct=(999_999, 3), incorrect=(7, 3))
+@example(correct=(10**6, 500_000), incorrect=(10**6, 500_001))
+@example(correct=(10**6, 500_001), incorrect=(10**6, 500_000))
+def test_verdict_is_the_sign_of_the_discordant_counts(correct, incorrect):
+    (n_correct, n_ci), (n_incorrect, n_ic) = correct, incorrect
+    accuracy = n_correct / (n_correct + n_incorrect)
+    rates = TransitionRates(n_ci / n_correct, n_ic / n_incorrect)
+    assert stop_or_iterate(accuracy, rates).verdict is _sign_verdict(n_ci, n_ic)
+
+
+@given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(2, 6))))
+def test_report_verdicts_agree_with_the_transition_tests(matrix):
+    log = CorrectnessLog(problem_ids=[f"p{i}" for i in range(len(matrix))], correctness=matrix)
+    run = diagnose_runs({"run": log}).runs[0]
+    for verdict, test, item in zip(run.verdicts, run.transition_tests, run.estimates.per_transition):
+        if item.eir is None or item.ecr is None:
+            assert verdict is None
+        else:
+            assert verdict.verdict is _sign_verdict(test.b, test.c)

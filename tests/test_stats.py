@@ -84,8 +84,6 @@ def test_mcnemar_validation():
         mcnemar(-1, 0)
     with pytest.raises(ValueError):
         mcnemar(1.0, 0)
-    with pytest.raises(ValueError):
-        mcnemar(1, 2, alpha=0.0)
 
 
 def test_mcnemar_from_logs_counts():
@@ -103,28 +101,31 @@ def test_mcnemar_from_logs_counts():
 
 
 def test_chi_square_quantile_self_check():
-    assert chi_square_survival(3.841, df=1) == pytest.approx(0.05, abs=1e-4)
+    assert chi_square_survival(3.841) == pytest.approx(0.05, abs=1e-4)
 
 
 def test_chi_square_against_erfc_oracle():
     # for one degree of freedom the survival function is erfc(sqrt(x/2))
     for x in np.concatenate([np.linspace(0.0, 5.0, 41), np.linspace(5.0, 60.0, 23)]):
         want = math.erfc(math.sqrt(x / 2.0))
-        got = chi_square_survival(float(x), df=1)
+        got = chi_square_survival(float(x))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
-def test_chi_square_exponential_identity_two_dof():
-    for x in (0.0, 0.5, 2.0, 10.0, 40.0):
-        assert chi_square_survival(x, df=2) == pytest.approx(math.exp(-x / 2.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 10])
+@pytest.mark.parametrize("df", [1])  # McNemar's tail is the only one computed
 def test_chi_square_against_scipy(df):
     for x in (0.01, 0.5, 1.0, 3.841, 6.0, 11.84, 25.6, 80.0):
-        assert chi_square_survival(x, df=df) == pytest.approx(
+        assert chi_square_survival(x) == pytest.approx(
             float(scipy_stats.chi2.sf(x, df)), rel=1e-10
         )
+
+
+def test_chi_square_is_one_where_the_halved_statistic_is_zero():
+    # the smallest subnormal halves to 0.0 and must take the zero branch, never log(0.0);
+    # the next one halves to 5e-324 and goes through the series
+    assert chi_square_survival(0.0) == 1.0
+    assert chi_square_survival(5e-324) == 1.0
+    assert chi_square_survival(1e-323) == 1.0
 
 
 @given(st.floats(0.0, 200.0, allow_nan=False))
@@ -135,8 +136,6 @@ def test_chi_square_monotone_decreasing(x):
 def test_chi_square_validation():
     with pytest.raises(ValueError):
         chi_square_survival(-0.1)
-    with pytest.raises(ValueError):
-        chi_square_survival(1.0, df=0)
 
 
 # -- paired bootstrap ----------------------------------------------------------
