@@ -30,7 +30,7 @@ from .baselines import (
     theoretical_sc_accuracy,
 )
 from .logs import read_runs, write_log
-from .report import DEFAULT_BAND_PP, DEFAULT_EIR_THRESHOLD, build_report, diagnose_runs, render_tables
+from .report import build_report, diagnose_runs, render_tables
 from .schedule import RateSchedule, preset, preset_baseline, preset_names
 from .simulate import SimConfig, simulate_population
 
@@ -55,16 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", _build_parser()) from None
-
-
 def _checked(kind, ok, rule: str):
     """An argparse type: ``kind(text)``, refused as a usage error unless ``ok``."""
     def parse(text: str):
@@ -78,9 +68,13 @@ def _checked(kind, ok, rule: str):
 
 _open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_seed = _checked(int, lambda v: 0 <= v < 1 << 64, "in [0, 2**64)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse runs a string default through the type, so a bad
+    # $REFINELOOP_SEED is refused exactly like a bad --seed
+    default_seed = os.environ.get(SEED_ENV_VAR, "0")
     parser = _Parser(prog="refineloop", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"refineloop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -98,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=500, help="population size (default 500)")
     sim.add_argument("--iterations", type=int, help="refinement passes (default: schedule length)")
     sim.add_argument("--acc0", type=float, help="initial accuracy (default: preset baseline)")
-    sim.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    sim.add_argument("--seed", type=_seed, default=default_seed,
+                     help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--label", help="run label stored in the log (default: preset name or 'run')")
     sim.add_argument("--form", choices=("records", "compact"), default="records")
     sim.add_argument("--stationary-tail", action="store_true",
@@ -111,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("logs", nargs="+", metavar="LOG")
         if name == "analyze":  # diagnose writes no interval
             p.add_argument("--confidence", type=_open_unit, default=0.95)
-        p.add_argument("--band", type=float, default=DEFAULT_BAND_PP,
-                       help="tier-1 |delta| band in pp (default 0.5)")
-        p.add_argument("--eir-threshold", type=float, default=DEFAULT_EIR_THRESHOLD,
-                       help="tier-1 pooled-eir cap as a probability (default 0.005)")
         p.add_argument("--out", default=".")
 
     asc_p = sub.add_parser("asc", help="run a scripted adaptive-stopping scenario")
@@ -126,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
     sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
     sc_p.add_argument("--n", type=_positive_int, default=100_000, help="simulated problems (default 100000)")
-    sc_p.add_argument("--seed", type=int)
+    sc_p.add_argument("--seed", type=_seed, default=default_seed)
     sc_p.add_argument("--fit-target", type=float,
                       help="also fit the rho whose closed-form accuracy hits this value")
     sc_p.add_argument("--out", default=".")
@@ -135,11 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("logs", nargs="+", metavar="LOG")
     rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
                      help="paired comparison (default: automatic when exactly two runs)")
-    rep.add_argument("--seed", type=int)
+    rep.add_argument("--seed", type=_seed, default=default_seed)
     rep.add_argument("--resamples", type=_positive_int, default=10_000)
     rep.add_argument("--confidence", type=_open_unit, default=0.95)
-    rep.add_argument("--band", type=float, default=DEFAULT_BAND_PP)
-    rep.add_argument("--eir-threshold", type=float, default=DEFAULT_EIR_THRESHOLD)
     rep.add_argument("--out", default=".")
     return parser
 
@@ -155,10 +144,6 @@ def _write(path: Path, content: str) -> None:
         fh.write(content)
 
 
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
-
-
 def _collect_runs(paths) -> dict:
     runs: dict = {}
     for raw in paths:
@@ -170,8 +155,9 @@ def _collect_runs(paths) -> dict:
 
 
 def _cmd_simulate(args, parser) -> int:
-    seed = _seed_of(args)
     if args.preset is not None:
+        if args.ecr is not None:
+            raise _UsageError("--ecr goes with --eir, not with --preset", parser)
         try:
             schedule = preset(args.preset)
         except KeyError as exc:
@@ -191,16 +177,17 @@ def _cmd_simulate(args, parser) -> int:
             raise _UsageError("custom rates require --iterations", parser)
         if args.acc0 is None:
             raise _UsageError("custom rates require --acc0", parser)
-        schedule = RateSchedule.from_pairs([(args.eir, args.ecr)], stationary_tail=True)
         acc0 = args.acc0
         label = args.label or "run"
         iterations = args.iterations
-    try:
+    try:  # an out-of-range rate, accuracy or size is a usage error too
+        if args.preset is None:
+            schedule = RateSchedule.from_pairs([(args.eir, args.ecr)], stationary_tail=True)
         config = SimConfig(
             n_problems=args.n,
             n_iterations=iterations,
             initial_accuracy=acc0,
-            seed=seed,
+            seed=args.seed,
             schedule=schedule,
         )
     except ValueError as exc:
@@ -210,7 +197,7 @@ def _cmd_simulate(args, parser) -> int:
     target = out / "log.csv"
     write_log(trajectory.log, target, form=args.form, run_label=label)
     final = trajectory.log.accuracy(iterations)
-    print(f"wrote {target} ({args.n} problems, {iterations} iterations, seed {seed})")
+    print(f"wrote {target} ({args.n} problems, {iterations} iterations, seed {args.seed})")
     print(f"accuracy {trajectory.log.accuracy(0) * 100.0:.1f}% -> {final * 100.0:.1f}%")
     return EXIT_OK
 
@@ -223,15 +210,13 @@ _REPORT_FILES = None  # everything render_tables produces
 def _cmd_tables(args, which) -> int:
     runs = _collect_runs(args.logs)
     if which is not None:  # analyze and diagnose never pair runs
-        report = diagnose_runs(runs, getattr(args, "confidence", 0.95), args.band, args.eir_threshold)
+        report = diagnose_runs(runs, getattr(args, "confidence", 0.95))
     else:
         report = build_report(
             runs,
-            seed=_seed_of(args),
+            seed=args.seed,
             resamples=args.resamples,
             confidence=args.confidence,
-            band_pp=args.band,
-            eir_threshold=args.eir_threshold,
             pair=tuple(args.pair) if args.pair else None,
         )
     artifacts = render_tables(report)
@@ -294,14 +279,13 @@ def _cmd_asc(args, parser) -> int:
 
 
 def _cmd_sc(args, parser) -> int:
-    seed = _seed_of(args)
     try:
         model = CorrelatedSampleModel(p=args.p, rho=args.rho, k=args.k)
     except ValueError as exc:
         raise _UsageError(str(exc), parser) from None
     iid = theoretical_sc_accuracy(args.p, args.k)
     mixture = mixture_sc_accuracy(args.p, args.rho, args.k)
-    empirical = simulate_self_consistency(model, args.n, seed)
+    empirical = simulate_self_consistency(model, args.n, args.seed)
     rows = [
         "key,value",
         f"p,{args.p!r}",
@@ -311,10 +295,10 @@ def _cmd_sc(args, parser) -> int:
         f"mixture_accuracy,{mixture!r}",
         f"empirical_accuracy,{empirical!r}",
         f"n_problems,{args.n}",
-        f"seed,{seed}",
+        f"seed,{args.seed}",
     ]
     print(f"i.i.d. closed form {iid * 100.0:.2f}%, mixture {mixture * 100.0:.2f}%, "
-          f"empirical {empirical * 100.0:.2f}% (n={args.n}, seed {seed})")
+          f"empirical {empirical * 100.0:.2f}% (n={args.n}, seed {args.seed})")
     if args.fit_target is not None:
         try:
             rho = fit_common_cause_weight(args.p, args.k, args.fit_target)

@@ -5,8 +5,8 @@ estimates with intervals, a stop-or-iterate verdict wherever both rates
 are defined, the steady state implied by the pooled rates, adjacent-
 iteration McNemar tests, and a three-way classification of the loop:
 
-* ``tier-1 non-degrading``: final-minus-initial accuracy within a small
-  band (default 0.5 pp) and pooled eir at or under a cap (default 0.5%);
+* ``tier-1 non-degrading``: final-minus-initial accuracy within a fixed
+  band (``BAND_PP``, 0.5 pp) and pooled eir at most ``EIR_THRESHOLD`` (0.5%);
 * ``tier-2 beneficial``: accuracy moved up beyond the tier-1 band;
 * ``harmful``: everything else.
 
@@ -56,18 +56,13 @@ CLASS_HARMFUL = "harmful"
 CLASS_TIER1 = "tier-1 non-degrading"
 CLASS_TIER2 = "tier-2 beneficial"
 
-DEFAULT_BAND_PP = 0.5
-DEFAULT_EIR_THRESHOLD = 0.005
+BAND_PP = 0.5
+EIR_THRESHOLD = 0.005
 
 
-def classify_run(
-    delta_pp: float,
-    pooled_eir: float | None,
-    band_pp: float = DEFAULT_BAND_PP,
-    eir_threshold: float = DEFAULT_EIR_THRESHOLD,
-) -> str:
-    """Pure classification rule; thresholds are explicit arguments."""
-    if pooled_eir is not None and abs(delta_pp) <= band_pp and pooled_eir <= eir_threshold:
+def classify_run(delta_pp: float, pooled_eir: float | None) -> str:
+    """Pure classification rule at the fixed cutoffs ``BAND_PP`` and ``EIR_THRESHOLD``."""
+    if pooled_eir is not None and abs(delta_pp) <= BAND_PP and pooled_eir <= EIR_THRESHOLD:
         return CLASS_TIER1
     if delta_pp > 0.0:
         return CLASS_TIER2
@@ -107,8 +102,7 @@ class DiagnosticReport:
     paired: PairedComparison | None
 
 
-def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
-                  band_pp: float, eir_threshold: float) -> RunDiagnostics:
+def _diagnose_run(label: str, log: CorrectnessLog, confidence: float) -> RunDiagnostics:
     est = estimate_rates(log, confidence=confidence)
     verdicts = []
     for t, item in enumerate(est.per_transition):
@@ -125,7 +119,7 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
         mcnemar(b=item.counts.n_ci, c=item.counts.n_ic) for item in est.per_transition
     )
     delta_pp = (est.accuracy_series[-1].accuracy - est.accuracy_series[0].accuracy) * 100.0
-    tag = classify_run(delta_pp, est.pooled_eir, band_pp, eir_threshold)
+    tag = classify_run(delta_pp, est.pooled_eir)
     return RunDiagnostics(
         label=label,
         estimates=est,
@@ -136,15 +130,10 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float,
     )
 
 
-def diagnose_runs(
-    runs: Mapping[str, CorrectnessLog],
-    confidence: float = 0.95,
-    band_pp: float = DEFAULT_BAND_PP,
-    eir_threshold: float = DEFAULT_EIR_THRESHOLD,
-) -> DiagnosticReport:
+def diagnose_runs(runs: Mapping[str, CorrectnessLog], confidence: float = 0.95) -> DiagnosticReport:
     """Diagnose every run on its own: no paired comparison, no resamples drawn."""
     return DiagnosticReport(
-        runs=tuple(_diagnose_run(label, log, confidence, band_pp, eir_threshold) for label, log in runs.items()),
+        runs=tuple(_diagnose_run(label, log, confidence) for label, log in runs.items()),
         paired=None,
     )
 
@@ -154,8 +143,6 @@ def build_report(
     seed: int = 0,
     resamples: int = 10_000,
     confidence: float = 0.95,
-    band_pp: float = DEFAULT_BAND_PP,
-    eir_threshold: float = DEFAULT_EIR_THRESHOLD,
     pair: tuple[str, str] | None = None,
 ) -> DiagnosticReport:
     """Diagnose every run; pair two of them when asked or when obvious.
@@ -164,7 +151,7 @@ def build_report(
     explicit ``pair``, they are compared in that order (delta = second
     minus first).
     """
-    report = diagnose_runs(runs, confidence, band_pp, eir_threshold)
+    report = diagnose_runs(runs, confidence)
     if pair is None and len(runs) == 2:
         pair = tuple(runs)
     if pair is None:

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from refineloop.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from refineloop.cli import _COMMANDS, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from refineloop.logs import read_log, read_runs
 
 
@@ -65,12 +67,19 @@ def test_simulate_usage_errors(tmp_path):
     assert main(["simulate", "--eir", "0.1", "--ecr", "0.2", "--iterations", "3",
                  "--out", out]) == EXIT_USAGE  # missing --acc0
     assert main(["simulate", "--preset", "o3-mini", "--eir", "0.1", "--out", out]) == EXIT_USAGE
+    assert main(["simulate", "--preset", "o3-mini", "--ecr", "0.9", "--out", out]) == EXIT_USAGE
+    # custom rates outside [0, 1] are refused like any other out-of-range flag
+    assert main(["simulate", "--eir", "1.5", "--ecr", "0.1", "--acc0", "0.5", "--iterations", "3",
+                 "--out", out]) == EXIT_USAGE
+    assert main(["simulate", "--eir", "0.1", "--ecr", "nan", "--acc0", "0.5", "--iterations", "3",
+                 "--out", out]) == EXIT_USAGE
     assert main(["simulate", "--preset", "o3-mini", "--n", "0", "--out", out]) == EXIT_USAGE
     # more iterations than the schedule defines, without --stationary-tail
     assert main(["simulate", "--preset", "gpt-4o-mini", "--iterations", "6",
                  "--out", out]) == EXIT_USAGE
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_preset_exhausted_is_data_error(tmp_path, capsys):
@@ -194,6 +203,13 @@ def test_seed_env_var(tmp_path, monkeypatch):
     assert read_log(path).metadata["seed"] == "5"
     monkeypatch.setenv("REFINELOOP_SEED", "not-a-number")
     assert main(["simulate", "--preset", "o3-mini", "--out", str(tmp_path / "z")]) == EXIT_USAGE
+    # a one-run report draws no bootstrap, yet its seed is checked all the same
+    monkeypatch.setenv("REFINELOOP_SEED", "-1")
+    assert main(["report", str(path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    assert not (tmp_path / "r").exists()
+    # an explicit flag wins over a bad environment value too
+    path = _simulate(tmp_path, "--preset", "o3-mini", "--seed", "6", out="flag2")
+    assert read_log(path).metadata["seed"] == "6"
 
 
 def test_asc_scenario_command(tmp_path, capsys):
@@ -275,6 +291,10 @@ def test_sc_usage_errors(tmp_path):
     pytest.param(["report", "{log}", "--resamples", "many"], id="report-resamples-many"),
     pytest.param(["diagnose", "{log}", "--confidence", "0.9"], id="diagnose-has-no-confidence"),
     pytest.param(["sc", "--p", "0.9", "--n", "0"], id="sc-n-0"),
+    pytest.param(["sc", "--p", "0.9", "--seed", "-1"], id="sc-seed-negative"),
+    pytest.param(["report", "{log}", "--seed", "-1"], id="report-one-run-seed-negative"),
+    pytest.param(["report", "{log}", "{other}", "--seed", "18446744073709551616"], id="report-seed-2-64"),
+    pytest.param(["diagnose", "{log}", "--band", "1"], id="diagnose-has-no-band"),
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv):
     log = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20")
@@ -299,3 +319,15 @@ def test_pipeline_is_byte_identical(tmp_path):
         }
 
     assert run("one") == run("two")
+
+
+def test_readme_commands_parse():
+    # Every command line README shows must still parse: a deleted flag fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("refineloop ")]
+    assert {argv[0] for argv in commands} == set(_COMMANDS)
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -39,16 +39,22 @@ def _replay(name):
         (0.2, 0.0, CLASS_TIER1),
         (0.0, 0.002, CLASS_TIER1),
         (-0.4, 0.005, CLASS_TIER1),
+        # the cutoffs themselves are inside
+        (0.5, 0.005, CLASS_TIER1),
+        (-0.5, 0.005, CLASS_TIER1),
         # outside the band, sign decides
         (3.4, 0.0, CLASS_TIER2),
         (0.6, 0.002, CLASS_TIER2),
         (0.6, 0.02, CLASS_TIER2),
         (-0.6, 0.0, CLASS_HARMFUL),
         (-6.2, 0.02, CLASS_HARMFUL),
+        (0.51, 0.0, CLASS_TIER2),
+        (-0.51, 0.0, CLASS_HARMFUL),
         # inside the band but eir above the cap: not tier-1, sign decides
         (0.2, 0.02, CLASS_TIER2),
         (-0.2, 0.02, CLASS_HARMFUL),
         (0.0, 0.02, CLASS_HARMFUL),
+        (0.0, 0.0051, CLASS_HARMFUL),
     ],
 )
 def test_classification_rule(delta_pp, pooled_eir, expected):
@@ -58,11 +64,6 @@ def test_classification_rule(delta_pp, pooled_eir, expected):
 def test_classification_undefined_eir_cannot_be_tier1():
     assert classify_run(0.0, None) == CLASS_HARMFUL
     assert classify_run(1.0, None) == CLASS_TIER2
-
-
-def test_classification_custom_thresholds():
-    assert classify_run(0.9, 0.004, band_pp=1.0) == CLASS_TIER1
-    assert classify_run(0.2, 0.004, eir_threshold=0.001) == CLASS_TIER2
 
 
 # -- report assembly ------------------------------------------------------------
