@@ -71,7 +71,8 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _seed = _checked(int, lambda v: 0 <= v < 1 << 64, "in [0, 2**64)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, keyed by command."""
     # argparse runs a string default through the type, so a bad
     # $REFINELOOP_SEED is refused exactly like a bad --seed
     default_seed = os.environ.get(SEED_ENV_VAR, "0")
@@ -100,19 +101,20 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="repeat the final schedule entry past its end")
     sim.add_argument("--out", default=".", help="output directory (default .)")
 
+    commands = {"simulate": sim}
     for name, text in (("analyze", "estimate rates from a log"),
                        ("diagnose", "verdicts, steady state, and classification")):
-        p = sub.add_parser(name, help=text)
+        p = commands[name] = sub.add_parser(name, help=text)
         p.add_argument("logs", nargs="+", metavar="LOG")
         if name == "analyze":  # diagnose writes no interval
             p.add_argument("--confidence", type=_open_unit, default=0.95)
         p.add_argument("--out", default=".")
 
-    asc_p = sub.add_parser("asc", help="run a scripted adaptive-stopping scenario")
+    asc_p = commands["asc"] = sub.add_parser("asc", help="run a scripted adaptive-stopping scenario")
     asc_p.add_argument("scenario", metavar="SCENARIO")
     asc_p.add_argument("--out", default=".")
 
-    sc_p = sub.add_parser("sc", help="self-consistency baseline numbers")
+    sc_p = commands["sc"] = sub.add_parser("sc", help="self-consistency baseline numbers")
     sc_p.add_argument("--p", type=float, required=True, help="per-sample accuracy")
     sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
     sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
@@ -122,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also fit the rho whose closed-form accuracy hits this value")
     sc_p.add_argument("--out", default=".")
 
-    rep = sub.add_parser("report", help="full diagnostic report")
+    rep = commands["report"] = sub.add_parser("report", help="full diagnostic report")
     rep.add_argument("logs", nargs="+", metavar="LOG")
     rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
                      help="paired comparison (default: automatic when exactly two runs)")
@@ -130,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--resamples", type=_positive_int, default=10_000)
     rep.add_argument("--confidence", type=_open_unit, default=0.95)
     rep.add_argument("--out", default=".")
-    return parser
+    return parser, commands
 
 
 def _out_dir(args) -> Path:
@@ -324,10 +326,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+        # a usage error found after parsing names the subcommand's flags
+        return _COMMANDS[args.command](args, commands[args.command])
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"refineloop: error: {exc}", file=sys.stderr)

@@ -21,11 +21,12 @@ compact form (one row per problem)::
 ``#meta:key=value`` lines carry free-form metadata. The record form may
 hold several runs distinguished by ``run_label``; the compact form always
 holds one. Confidence values are optional per record. Parsers fail with
-the offending line number rather than guessing.
+the offending line number rather than guessing. A file byte for byte as
+``write_log`` writes it is read through numpy and checked by encoding the
+result again; any other file is read with ``csv``, with the same result.
 """
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -230,10 +231,9 @@ def _fields(lines, start):
                 raise LogFormatError(str(exc), line=line) from None
 
 
-def read_runs(path) -> dict[str, CorrectnessLog]:
-    """Read every run in a log file, keyed by run label."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+def _read_csv(data: bytes) -> dict[str, CorrectnessLog]:
+    """Parse any log file with ``csv``, one line at a time; a fault names its line."""
+    lines = data.decode("utf-8").splitlines()
     metadata, start = _parse_directives(lines)
     label = metadata.pop("run_label", _DEFAULT_RUN)
     rows = _fields(lines, start)
@@ -255,6 +255,74 @@ def read_runs(path) -> dict[str, CorrectnessLog]:
     )
 
 
+def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
+    """(log, form, label) read from ``data`` on the guess that ``write_log`` wrote it.
+
+    Nothing is checked here: ``_read_canonical`` keeps the guess only if
+    ``_encode`` turns it back into ``data``.
+    """
+    end = 0
+    while data.startswith(b"#", end):  # the directives
+        end = data.index(b"\n", end) + 1
+    body = data.index(b"\n", end) + 1  # past the column header
+    head = data[: body - 1].decode("utf-8").split("\n")
+    metadata, _ = _parse_directives(head)
+    label = metadata.pop("run_label", _DEFAULT_RUN)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf[body:] == ord("\n")) + body  # where each line's "\n" is
+    starts = np.concatenate(([body], ends[:-1] + 1))
+    if head[-1] == ",".join(_RECORD_HEADER):
+        form = "records"
+        first = data[body : ends[0]]  # "pid,0,b,,label"
+        tag = first.split(b",")[4]
+        label = tag.decode("utf-8")
+        prefix = first[: first.index(b",") + 1]
+        width = 1
+        while width < len(starts) and data.startswith(prefix, starts[width]):
+            width += 1
+        cells = ends - len(tag)  # each line ends "b,,label"; a confidence would fill the ",,"
+        if not ((buf[cells - 2] == ord(",")) & (buf[cells - 1] == ord(","))).all():
+            raise ValueError("a confidence cell is filled")
+        matrix = (buf[cells - 3] == ord("1")).reshape(-1, width)
+        starts, id_ends = starts[::width], ends[::width] - len(tag) - 6
+    else:  # compact: "pid,b0,...,bK"
+        form = "compact"
+        width = head[-1].count(",")
+        # rows too short for the header are not canonical, and their index matrix could dwarf the file
+        if len(ends) * (2 * width + 1) > len(data) - body:
+            raise ValueError("rows shorter than the header")
+        matrix = buf[ends[:, None] + np.arange(1 - 2 * width, 0, 2)] == ord("1")
+        id_ends = ends - 2 * width
+    ids = b"\n".join([data[s:e] for s, e in zip(starts.tolist(), id_ends.tolist())])
+    log = CorrectnessLog(problem_ids=ids.decode("utf-8").split("\n"), correctness=matrix, metadata=metadata)
+    return log, form, label
+
+
+def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
+    """The run in ``data`` if ``data`` is byte for byte what ``write_log`` writes for it, else None."""
+    if b'"' in data or b"\r" in data:  # quoted fields and "\r" are left to csv
+        return None
+    try:
+        log, form, label = _canonical_candidate(data)
+        if _encode(log, form, label) == data:
+            return {label: log}
+    except (ValueError, IndexError):  # not canonical; _read_csv names the fault, if any
+        pass
+    return None
+
+
+def read_runs(path) -> dict[str, CorrectnessLog]:
+    """Read every run in a log file, keyed by run label.
+
+    A file exactly as ``write_log`` writes it is parsed with numpy and
+    kept only when encoding the result gives the file's bytes back; every
+    other file goes through ``csv`` line by line, with the same result.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _read_canonical(data) or _read_csv(data)
+
+
 def read_log(path) -> CorrectnessLog:
     """Read a single-run log file; refuses multi-run files."""
     runs = read_runs(path)
@@ -270,15 +338,70 @@ def _one_line(text: str) -> bool:
     return "".join(text.splitlines()) == text
 
 
-def _write_directives(out, metadata):
-    out.write(f"#{FORMAT_VERSION}\n")
+def _quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field (QUOTE_MINIMAL; line breaks are refused earlier)."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+def _directives(metadata) -> str:
+    lines = [f"#{FORMAT_VERSION}\n"]
     for key in sorted(metadata):
         value = str(metadata[key])
         # read back one line at a time, split at the first "=", key and value stripped
         if not key or "=" in key or not all(_one_line(t) and t == t.strip() for t in (key, value)):
             raise ValueError(f"metadata {key!r}={value!r}: need a non-empty key without '=' and "
                              "one-line key and value without surrounding whitespace")
-        out.write(f"#meta:{key}={value}\n")
+        lines.append(f"#meta:{key}={value}\n")
+    return "".join(lines)
+
+
+def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
+    """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged."""
+    if form not in ("records", "compact"):
+        raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
+    ids = log.problem_ids
+    joined = "".join(ids)
+    if not _one_line(joined):
+        bad = next(pid for pid in ids if not _one_line(pid))
+        raise ValueError(f"problem id {bad!r} contains a line break")
+    if form == "records" and not (label and _one_line(label)):
+        raise ValueError(f"record-form run label must be one non-empty line, got {label!r}")
+    limit = csv.field_size_limit()
+    if max(map(len, ids)) > limit or (form == "records" and len(label) > limit):
+        raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
+    conf = log.confidence
+    filled = None if conf is None else ~np.isnan(conf)
+    if form == "compact" and filled is not None and filled.any():
+        raise ValueError("the compact form holds no confidences; write this log in record form")
+    meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
+    matrix = log.correctness
+    tag = _quote(label)
+    if form == "compact":
+        meta["run_label"] = label
+        header = ",".join(["problem_id"] + [f"it{k}" for k in range(matrix.shape[1])])
+    else:
+        header = ",".join(_RECORD_HEADER)
+    # a row's lines are the parts of one pattern of bits joined by its quoted id
+    packed = np.packbits(matrix, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()  # one bytes per row
+    patterns = {}
+    for key, i in {key: i for i, key in enumerate(keys)}.items():
+        bits = matrix[i].tolist()
+        if form == "compact":
+            patterns[key] = ["", "".join([",1" if b else ",0" for b in bits]) + "\n"]
+        else:
+            patterns[key] = [""] + [f",{k},{1 if b else 0},,{tag}\n" for k, b in enumerate(bits)]
+    rows = [patterns[key] for key in keys]
+    if form == "records" and filled is not None:  # the one loop per cell, over confidences only
+        copied = -1
+        at_i, at_k = np.nonzero(filled)  # row-major: a row's cells come together
+        for i, k, bit, value in zip(at_i.tolist(), at_k.tolist(), matrix[filled].tolist(), conf[filled].tolist()):
+            if i != copied:  # the row's parts are shared with every row of its pattern until copied
+                rows[i], copied = list(rows[i]), i
+            rows[i][k + 1] = f",{k},{1 if bit else 0},{value!r},{tag}\n"
+    quoted = ids if "," not in joined and '"' not in joined else [_quote(pid) for pid in ids]
+    body = [pid.join(parts) for pid, parts in zip(quoted, rows)]
+    return "".join([_directives(meta), header, "\n", *body]).encode("utf-8")  # an unencodable id fails here
 
 
 def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str | None = None) -> None:
@@ -287,36 +410,7 @@ def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str |
     Raises ValueError, before the file is created, for input that
     ``read_runs`` would not give back unchanged.
     """
-    if form not in ("records", "compact"):
-        raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
     label = run_label if run_label is not None else log.metadata.get("run_label", _DEFAULT_RUN)
-    if not _one_line("".join(log.problem_ids)):
-        bad = next(pid for pid in log.problem_ids if not _one_line(pid))
-        raise ValueError(f"problem id {bad!r} contains a line break")
-    if form == "records" and not (label and _one_line(label)):
-        raise ValueError(f"record-form run label must be one non-empty line, got {label!r}")
-    limit = csv.field_size_limit()
-    if max(map(len, log.problem_ids)) > limit or (form == "records" and len(label) > limit):
-        raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
-    out = io.StringIO()
-    meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
-    writer = csv.writer(out, lineterminator="\n")
-    if form == "compact":
-        meta["run_label"] = label
-        _write_directives(out, meta)
-        writer.writerow(["problem_id"] + [f"it{k}" for k in range(log.correctness.shape[1])])
-        for pid, row in zip(log.problem_ids, log.correctness):
-            writer.writerow([pid] + ["1" if c else "0" for c in row])
-    else:
-        _write_directives(out, meta)
-        writer.writerow(_RECORD_HEADER)
-        conf = log.confidence
-        for i, pid in enumerate(log.problem_ids):
-            for k in range(log.correctness.shape[1]):
-                cell = ""
-                if conf is not None and not math.isnan(conf[i, k]):
-                    cell = repr(float(conf[i, k]))
-                writer.writerow([pid, k, "1" if log.correctness[i, k] else "0", cell, label])
-    data = out.getvalue().encode("utf-8")  # an unencodable id fails before the file exists
+    data = _encode(log, form, label)
     with open(path, "wb") as fh:
         fh.write(data)

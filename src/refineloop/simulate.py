@@ -49,8 +49,8 @@ class SimTrajectory:
 
 
 def _problem_ids(n: int) -> list[str]:
-    width = len(str(n - 1))
-    return [f"p{i:0{width}d}" for i in range(n)]
+    fmt = f"p%0{len(str(n - 1))}d"
+    return [fmt % i for i in range(n)]
 
 
 def _resolve_schedule(config: SimConfig) -> list[TransitionRates]:

@@ -284,6 +284,18 @@ def test_sc_usage_errors(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "o3-mini", "--acc0", "1.5"],
+    ["simulate", "--preset", "o3-mini", "--ecr", "0.9"],
+    ["sc", "--p", "1.5"],
+])
+def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys, argv):
+    # these are refused by the command, not by an argparse type, and still name its flags
+    assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_USAGE
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(f"usage: refineloop {argv[0]} [-h]"), first
+
+
+@pytest.mark.parametrize("argv", [
     pytest.param(["report", "{log}", "--confidence", "1.5"], id="report-confidence-1.5"),
     pytest.param(["report", "{log}", "--confidence", "0"], id="report-confidence-0"),
     pytest.param(["analyze", "{log}", "--confidence", "1.5"], id="analyze-confidence-1.5"),
@@ -328,6 +340,6 @@ def test_readme_commands_parse():
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("refineloop ")]
     assert {argv[0] for argv in commands} == set(_COMMANDS)
-    parser = _build_parser()
+    parser, _ = _build_parser()
     for argv in commands:
         parser.parse_args(argv)

@@ -1,6 +1,7 @@
 """Correctness-log format: round trips and line-numbered failures."""
 
 import csv
+import io
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from refineloop import logs
 from refineloop.logs import (
     FORMAT_VERSION,
     CorrectnessLog,
@@ -22,6 +24,10 @@ from refineloop.logs import (
 
 
 _FIELD_LIMIT = csv.field_size_limit()
+# confidences that are hard to write and read back: nan, infinities, signed zero, subnormals
+_CONFIDENCES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310]), st.floats()
+)
 
 
 def _toy_log(with_confidence=False):
@@ -159,13 +165,16 @@ def test_blank_lines_between_directives_are_skipped(tmp_path):
         pytest.param(
             f"#{FORMAT_VERSION}\nproblem_id,it0\n{'x' * (_FIELD_LIMIT + 1)},1\n", 3, "field limit", id="over-field-limit"
         ),
+        # "\x85" ends a line for str.splitlines: write_log refuses such an id, so the fast path must too
+        pytest.param(f"#{FORMAT_VERSION}\n#meta:run_label=run\nproblem_id,it0,it1\na\x85b,1,0\n", 4,
+                     "expected 3 fields, got 1", id="next-line-in-compact-id"),
         # blank and whitespace-only lines are skipped but still counted
         (f"#{FORMAT_VERSION}\n\n  \nproblem_id,iteration,correct\np,0,1\n\t\n\np,1,1\nq,0,x\n", 9, "correct must be"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, content, expect_line, fragment):
     path = tmp_path / "bad.csv"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(LogFormatError) as err:
         read_runs(path)
     assert fragment in str(err.value)
@@ -223,6 +232,25 @@ def test_record_read_memory_stays_streaming(tmp_path):
     # the reader keeps one list of lines and the parsed cells, not a list of every line's fields
     log = CorrectnessLog(
         problem_ids=[f"p{i:05d}" for i in range(5_000)],
+        correctness=np.arange(25_000).reshape(5_000, 5) % 3 == 0,
+    )
+    path = tmp_path / "log.csv"
+    write_log(log, path, form="records")
+    tracemalloc.start()
+    try:
+        back = read_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.correctness, log.correctness)
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_csv_path_read_memory_stays_streaming(tmp_path):
+    # the file above takes the fast path; quoted ids send this one through csv, which must
+    # keep one list of lines and the parsed cells, not a list of every line's fields
+    log = CorrectnessLog(
+        problem_ids=[f"p,{i:05d}" for i in range(5_000)],
         correctness=np.arange(25_000).reshape(5_000, 5) % 3 == 0,
     )
     path = tmp_path / "log.csv"
@@ -313,7 +341,10 @@ def test_fields_at_the_limit_read_back(tmp_path, form):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_accepted_logs_read_back_equal(tmp_path, form, ids, width, bits, metadata, run_label):
     matrix = bits.draw(arrays(bool, (len(ids), width)))
-    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata)
+    conf = None
+    if form == "records":
+        conf = bits.draw(st.none() | arrays(float, matrix.shape, elements=_CONFIDENCES))
+    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=conf)
     path = tmp_path / f"{form}.csv"
     path.unlink(missing_ok=True)
     try:
@@ -328,6 +359,166 @@ def test_accepted_logs_read_back_equal(tmp_path, form, ids, width, bits, metadat
     assert back.problem_ids == ids
     assert np.array_equal(back.correctness, matrix)
     assert back.metadata == {k: v for k, v in metadata.items() if k != "run_label"}
+    if conf is None or np.isnan(conf).all():
+        assert back.confidence is None
+    else:
+        assert np.array_equal(back.confidence, conf, equal_nan=True)
+        # an empty cell reads back as a positive nan; every number keeps its sign
+        assert np.array_equal(np.signbit(back.confidence), np.signbit(conf) & ~np.isnan(conf))
+
+
+def test_compact_form_refuses_confidences(tmp_path):
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError, match="confidences"):
+        write_log(_toy_log(with_confidence=True), path, form="compact")
+    assert not path.exists()
+
+
+# -- the encoder, and the two ways read_runs reads a file -----------------------------
+
+
+def _csv_writer_bytes(log, form, label):
+    """The oracle for ``_encode``: the bytes of one ``csv.writer`` row per line."""
+    out = io.StringIO()
+    meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
+    if form == "compact":
+        meta["run_label"] = label
+    out.write(f"#{FORMAT_VERSION}\n")
+    for key in sorted(meta):
+        out.write(f"#meta:{key}={meta[key]}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    if form == "compact":
+        writer.writerow(["problem_id"] + [f"it{k}" for k in range(log.correctness.shape[1])])
+        for pid, row in zip(log.problem_ids, log.correctness):
+            writer.writerow([pid] + ["1" if c else "0" for c in row])
+    else:
+        writer.writerow(["problem_id", "iteration", "correct", "confidence", "run_label"])
+        conf = log.confidence
+        for i, pid in enumerate(log.problem_ids):
+            for k in range(log.correctness.shape[1]):
+                cell = ""
+                if conf is not None and not math.isnan(conf[i, k]):
+                    cell = repr(float(conf[i, k]))
+                writer.writerow([pid, k, "1" if log.correctness[i, k] else "0", cell, label])
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@given(
+    ids=st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True),
+    width=st.integers(1, 4),
+    data=st.data(),
+    metadata=st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
+    label=st.text(max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_encode_matches_the_csv_writer(form, ids, width, data, metadata, label):
+    matrix = data.draw(arrays(bool, (len(ids), width)))
+    conf = None
+    if form == "records":
+        conf = data.draw(st.none() | arrays(float, matrix.shape, elements=_CONFIDENCES))
+    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=conf)
+    try:
+        encoded = logs._encode(log, form, label)
+    except ValueError:  # a refusal; test_accepted_logs_read_back_equal covers what is accepted
+        return
+    assert encoded == _csv_writer_bytes(log, form, label)
+
+
+def _outcome(read):
+    """What a read gives: each run's contents, or the error's type, message and line."""
+    try:
+        runs = read()
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err), getattr(err, "line", None)
+    return [
+        (label, log.problem_ids, log.correctness.tolist(), log.metadata,
+         None if log.confidence is None else repr(log.confidence.tolist()))
+        for label, log in runs.items()
+    ]
+
+
+_MUTATIONS = ("flip", "drop", "duplicate", "swap", "insert-cr", "insert-quote", "insert-nel", "relabel", "long-id")
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@given(
+    ids=st.lists(st.from_regex(r"[a-z0-9 #]{0,3}", fullmatch=True) | st.text(max_size=3),
+                 min_size=1, max_size=4, unique=True),
+    width=st.integers(1, 3),
+    data=st.data(),
+    mutation=st.sampled_from(_MUTATIONS),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fast_and_csv_paths_agree_on_mutated_files(tmp_path, form, ids, width, data, mutation):
+    log = CorrectnessLog(problem_ids=ids, correctness=data.draw(arrays(bool, (len(ids), width))),
+                         metadata={"seed": "7"})
+    try:
+        text = logs._encode(log, form, "run").decode("utf-8")
+    except ValueError:
+        return
+    lines = text.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    row = data.draw(st.integers(header + 1, len(lines) - 1))
+    if mutation == "flip":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c in "01"]))
+        text = text[:at] + "10"[int(text[at])] + text[at + 1:]
+    elif mutation.startswith("insert"):
+        start = len("".join(lines[:row]))
+        at = data.draw(st.integers(start, start + len(lines[row]) - 1))  # inside one row
+        text = text[:at] + {"insert-cr": "\r", "insert-quote": '"', "insert-nel": "\x85"}[mutation] + text[at:]
+    else:
+        if mutation == "drop":
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+        elif mutation == "duplicate":
+            lines.insert(row, lines[row])
+        elif mutation == "swap":
+            other = data.draw(st.integers(0, len(lines) - 1))
+            lines[row], lines[other] = lines[other], lines[row]
+        elif mutation == "relabel":  # the row's last field
+            lines[row] = lines[row].rstrip("\n").rsplit(",", 1)[0] + ",other\n"
+        else:  # long-id
+            lines[row] = "x" * (_FIELD_LIMIT + 1) + lines[row][lines[row].index(","):]
+        text = "".join(lines)
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: read_runs(path)) == _outcome(lambda: logs._read_csv(path.read_bytes()))
+
+
+def _no_csv(data):
+    raise AssertionError("read_runs took the csv path")
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form):
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    log = CorrectnessLog(problem_ids=[f"p{i}" for i in range(300)],
+                         correctness=np.arange(1500).reshape(300, 5) % 7 < 3, metadata={"seed": "3"})
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form, run_label="fast")
+    back = read_runs(path)["fast"]
+    assert back.problem_ids == log.problem_ids
+    assert np.array_equal(back.correctness, log.correctness)
+    assert back.metadata == {"seed": "3"}
+
+
+@pytest.mark.parametrize(
+    "form,ids,with_confidence",
+    [("compact", ["a,1", "b"], False), ("records", ['say "hi"', "b"], False), ("records", ["a", "b"], True)],
+    ids=["compact-quoted-id", "records-quoted-id", "records-confidence"],
+)
+def test_quoted_ids_and_confidences_take_the_csv_path(tmp_path, monkeypatch, form, ids, with_confidence):
+    calls = []
+    read_csv = logs._read_csv
+    monkeypatch.setattr(logs, "_read_csv", lambda data: calls.append(data) or read_csv(data))
+    conf = np.array([[0.5, math.nan], [math.nan, 2.0]]) if with_confidence else None
+    log = CorrectnessLog(problem_ids=ids, correctness=np.array([[1, 0], [0, 1]]), confidence=conf)
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form)
+    back = read_log(path)
+    assert calls == [path.read_bytes()]
+    assert back.problem_ids == ids
+    assert (back.confidence is None) == (conf is None)
 
 
 # -- row alignment ---------------------------------------------------------------------

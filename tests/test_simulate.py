@@ -12,6 +12,7 @@ from refineloop.dynamics import TransitionRates, closed_form_accuracy
 from refineloop.schedule import RateSchedule, ScheduleExhaustedError, preset, preset_baseline
 from refineloop.simulate import (
     SimConfig,
+    _problem_ids,
     analytic_trajectory,
     deterministic_replay,
     simulate_population,
@@ -134,6 +135,12 @@ def test_problem_ids_are_zero_padded_and_unique():
     assert ids[0] == "p000"
     assert ids[-1] == "p119"
     assert len(set(ids)) == 120
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001])
+def test_problem_ids_match_the_nested_format_spec(n):
+    width = len(str(n - 1))
+    assert _problem_ids(n) == [f"p{i:0{width}d}" for i in range(n)]
 
 
 def test_underspecified_schedule_fails_before_simulating():
