@@ -328,8 +328,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
         # a usage error found after parsing names the subcommand's flags
+        if extra:
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
         return _COMMANDS[args.command](args, commands[args.command])
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)

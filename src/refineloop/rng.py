@@ -91,7 +91,8 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
         bits += key
         _mix(bits)
         bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
+    # the value is below 2**53: converting it as signed is exact and faster
+    u = bits.view(np.int64).astype(np.float64)
     u *= 2.0**-53
     return u[()]  # a numpy scalar for 0-d inputs, as the ufuncs give
 

@@ -287,9 +287,12 @@ def test_sc_usage_errors(tmp_path):
     ["simulate", "--preset", "o3-mini", "--acc0", "1.5"],
     ["simulate", "--preset", "o3-mini", "--ecr", "0.9"],
     ["sc", "--p", "1.5"],
+    ["simulate", "--preset", "o3-mini", "--bogus", "1"],
+    ["sc", "--p", "0.9", "extra"],
 ])
 def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys, argv):
-    # these are refused by the command, not by an argparse type, and still name its flags
+    # these are refused by the command, not by an argparse type, or are
+    # arguments the subcommand does not know; each names its flags
     assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_USAGE
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith(f"usage: refineloop {argv[0]} [-h]"), first

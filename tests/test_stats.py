@@ -1,6 +1,8 @@
 """Paired tests: frozen reference rows, tail-function oracles, bootstrap."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refineloop import rng
+from refineloop import rng, stats
 from refineloop.stats import (
     chi_square_survival,
     mcnemar,
@@ -198,6 +200,79 @@ def test_bootstrap_memory_stays_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_bootstrap_memory_stays_cache_sized_past_one_tile_of_columns():
+    # one whole resample of 300,000 draws would need four 2.4 MB temporaries
+    gen = np.random.default_rng(9)
+    a = gen.random(300_000) < 0.8
+    b = gen.random(300_000) < 0.82
+    tracemalloc.start()
+    try:
+        paired_bootstrap_delta(a, b, resamples=2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _force_workers(monkeypatch, workers):
+    """Make the kernel use ``workers`` threads, whatever this host's cores."""
+    monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(stats, "_MAX_WORKERS", workers)
+
+
+@pytest.mark.parametrize("n, resamples", [(70_000, 6), (500, 50), (600, 250)])
+@pytest.mark.parametrize("confidence", [0.95, 0.2])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_bootstrap_bits_do_not_depend_on_worker_count(monkeypatch, workers, n, resamples, confidence):
+    # more workers than this host may have cores, and a short switch
+    # interval, so helpers interleave with the caller as often as they can
+    gen = np.random.default_rng(n)
+    a = gen.random(n) < 0.7
+    b = gen.random(n) < 0.75
+    expected = _oracle_bootstrap(a, b, resamples, 5, confidence)
+    _force_workers(monkeypatch, workers)
+    uniforms = rng.uniforms
+    callers = set()
+
+    def recording(seed, stream, index):
+        callers.add(threading.get_ident())
+        return uniforms(seed, stream, index)
+
+    monkeypatch.setattr("refineloop.rng.uniforms", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = paired_bootstrap_delta(a, b, resamples=resamples, seed=5, confidence=confidence)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (result.ci_lo, result.ci_hi) == expected
+    assert 1 <= len(callers) <= workers
+    if workers == 1:  # one worker runs every tile inline, on the calling thread
+        assert callers == {threading.get_ident()}
+
+
+def test_bootstrap_helper_exception_reaches_the_caller(monkeypatch):
+    _force_workers(monkeypatch, 3)
+    uniforms = rng.uniforms
+    caller = threading.get_ident()
+    helper_drew = threading.Event()
+
+    def failing(seed, stream, index):
+        if threading.get_ident() == caller:
+            helper_drew.wait(timeout=10)  # hold the caller's first tile until a helper fails
+            return uniforms(seed, stream, index)
+        helper_drew.set()
+        raise RuntimeError("draw failed in a helper")
+
+    monkeypatch.setattr("refineloop.rng.uniforms", failing)
+    threads = threading.active_count()
+    col = np.arange(500) % 3 == 0
+    with pytest.raises(RuntimeError, match="draw failed in a helper"):
+        paired_bootstrap_delta(col, ~col, resamples=1_000, seed=1)
+    assert helper_drew.is_set()
+    assert threading.active_count() == threads
 
 
 def test_bootstrap_draws_every_index_through_rng_uniforms(monkeypatch):
