@@ -24,7 +24,6 @@ from .dynamics import (
     steady_state,
     step_accuracy,
     stop_or_iterate,
-    subdominant_eigenvalue,
 )
 from .schedule import RateSchedule, ScheduleExhaustedError, preset, preset_baseline, preset_names
 from .simulate import (
@@ -42,7 +41,6 @@ from .estimate import (
     accuracy_series,
     estimate_rates,
     pooled_rates,
-    running_pooled_rates,
     transition_counts,
     wilson_interval,
 )

@@ -75,8 +75,9 @@ class AscConfig:
     def __post_init__(self):
         if not 1.0 <= self.tau <= 10.0:
             raise ValueError(f"tau must be on the 1-10 confidence scale, got {self.tau!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be a positive int, got {self.max_iterations!r}")
+        m = self.max_iterations
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"max_iterations must be a positive int, got {m!r}")
         if self.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY and self.calibration_rates is None:
             raise ValueError("calibration-only equilibrium mode needs calibration_rates")
 
@@ -349,13 +350,24 @@ class Scenario:
         return {p.problem_id: p.correct for p in self.problems}
 
 
+def _scenario_array(entry: dict, field: str, index: int, types=None, rule: str = "") -> tuple:
+    """``entry[field]`` as a tuple, refused unless it is a JSON array whose items' types are in ``types``."""
+    value = entry[field]
+    if not isinstance(value, list):
+        raise ScenarioError(f"problems[{index}].{field} must be an array, got {value!r}")
+    if types is not None and not set(map(type, value)) <= types:  # bool is not int here
+        bad = next(item for item in value if type(item) not in types)
+        raise ScenarioError(f"problems[{index}].{field} must hold {rule}, got {bad!r}")
+    return tuple(value)
+
+
 def _scenario_problem(entry, index: int) -> ScriptedProblem:
     if not isinstance(entry, dict):
         raise ScenarioError(f"problems[{index}] must be an object")
     try:
         pid = str(entry["id"])
-        answers = tuple(entry["answers"])
-        confidences = tuple(float(g) for g in entry["confidences"])
+        answers = _scenario_array(entry, "answers", index)
+        confidences = tuple(map(float, _scenario_array(entry, "confidences", index, {int, float}, "numbers")))
     except KeyError as exc:
         raise ScenarioError(f"problems[{index}] missing field {exc}") from None
     if len(answers) != len(confidences):
@@ -369,7 +381,12 @@ def _scenario_problem(entry, index: int) -> ScriptedProblem:
             raise ScenarioError(f"problems[{index}]: confidence {g} outside the 1-10 scale")
     correct = None
     if "correct" in entry:
-        correct = tuple(bool(c) for c in entry["correct"])
+        rule = "booleans (or 0/1)"
+        labels = _scenario_array(entry, "correct", index, {bool, int}, rule)
+        if not set(labels) <= {0, 1}:  # False == 0 and True == 1
+            bad = next(c for c in labels if c not in (0, 1))
+            raise ScenarioError(f"problems[{index}].correct must hold {rule}, got {bad!r}")
+        correct = tuple(map(bool, labels))
         if len(correct) != len(answers):
             raise ScenarioError(f"problems[{index}]: correct length must match answers")
     return ScriptedProblem(problem_id=pid, answers=answers, confidences=confidences, correct=correct)
@@ -394,13 +411,16 @@ def load_scenario(path) -> Scenario:
     if "calibration_rates" in doc:
         pair = doc["calibration_rates"]
         try:
-            rates = TransitionRates(float(pair["eir"]), float(pair["ecr"]))
+            rates = TransitionRates(pair["eir"], pair["ecr"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities: {exc}") from None
+    tau = doc.get("tau", 8.0)
+    if type(tau) not in (int, float):
+        raise ScenarioError(f"tau must be a number, got {tau!r}")
     try:
         config = AscConfig(
-            tau=float(doc.get("tau", 8.0)),
-            max_iterations=int(doc.get("max_iterations", 4)),
+            tau=float(tau),
+            max_iterations=doc.get("max_iterations", 4),
             calibration_rates=rates,
             equilibrium_mode=mode,
         )
@@ -412,8 +432,10 @@ def load_scenario(path) -> Scenario:
     problems = tuple(_scenario_problem(entry, i) for i, entry in enumerate(raw_problems))
     if len({p.problem_id for p in problems}) != len(problems):
         raise ScenarioError("problem ids must be unique")
-    metadata = {str(k): str(v) for k, v in dict(doc.get("metadata", {})).items()}
-    return Scenario(config=config, problems=problems, metadata=metadata)
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ScenarioError(f"metadata must be an object, got {metadata!r}")
+    return Scenario(config=config, problems=problems, metadata={str(k): str(v) for k, v in metadata.items()})
 
 
 def run_scenario(scenario: Scenario) -> tuple[list[AscOutcome], BatchSummary, ScriptedBackend]:
@@ -422,9 +444,14 @@ def run_scenario(scenario: Scenario) -> tuple[list[AscOutcome], BatchSummary, Sc
     if scenario.config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and labels is None:
         raise ScenarioError("online-labeled scenarios must label every problem")
     backend = ScriptedBackend(scenario.problems)
-    outcomes, summary = run_asc_batch(
-        [p.problem_id for p in scenario.problems], backend, scenario.config, labels=labels
-    )
+    try:
+        outcomes, summary = run_asc_batch(
+            [p.problem_id for p in scenario.problems], backend, scenario.config, labels=labels
+        )
+    except AscBackendError as exc:  # a scripted backend fails only when a script runs out
+        n = scenario.config.max_iterations
+        raise ScenarioError(f"answers of problem {exc.problem!r} ran out after {len(exc.answers)}; "
+                            f"max_iterations {n} can ask for up to {n + 1}") from exc
     return outcomes, summary, backend
 
 

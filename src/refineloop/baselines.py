@@ -49,9 +49,17 @@ def majority_vote(answers: Sequence[Any]) -> VoteOutcome:
     return VoteOutcome(chosen=leaders[0], counts=dict(counts), tie_broken=len(leaders) > 1)
 
 
+# The closed form multiplies math.comb(k, j) by a float, which converts the
+# integer to a float; from k = 1031 the central coefficient exceeds the
+# largest float and the conversion overflows, whatever p is.
+_MAX_K = 1029
+
+
 def _check_odd_k(k) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k % 2 == 0:
         raise ValueError(f"k must be a positive odd integer, got {k!r}")
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}, got {k}")
     return k
 
 

@@ -204,26 +204,20 @@ def _cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-_ANALYZE_FILES = ("accuracy.csv", "rates.csv")
-_DIAGNOSE_FILES = ("verdicts.csv", "summary.csv")
-_REPORT_FILES = None  # everything render_tables produces
+# the files analyze and diagnose write; report writes everything render_tables produces
+_TABLE_FILES = {"analyze": ("accuracy.csv", "rates.csv"), "diagnose": ("verdicts.csv", "summary.csv")}
 
 
-def _cmd_tables(args, which) -> int:
+def _cmd_tables(args, parser) -> int:
     runs = _collect_runs(args.logs)
-    if which is not None:  # analyze and diagnose never pair runs
+    if args.command in _TABLE_FILES:  # analyze and diagnose never pair runs
         report = diagnose_runs(runs, getattr(args, "confidence", 0.95))
     else:
-        report = build_report(
-            runs,
-            seed=args.seed,
-            resamples=args.resamples,
-            confidence=args.confidence,
-            pair=tuple(args.pair) if args.pair else None,
-        )
+        report = build_report(runs, seed=args.seed, resamples=args.resamples, confidence=args.confidence,
+                              pair=tuple(args.pair) if args.pair else None)
     artifacts = render_tables(report)
     out = _out_dir(args)
-    names = which if which is not None else tuple(artifacts)
+    names = _TABLE_FILES.get(args.command, tuple(artifacts))
     for name in names:
         _write(out / name, artifacts[name])
     for run in report.runs:
@@ -238,18 +232,6 @@ def _cmd_tables(args, which) -> int:
         )
     print(f"wrote {', '.join(str(out / n) for n in names)}")
     return EXIT_OK
-
-
-def _cmd_analyze(args, parser) -> int:
-    return _cmd_tables(args, _ANALYZE_FILES)
-
-
-def _cmd_diagnose(args, parser) -> int:
-    return _cmd_tables(args, _DIAGNOSE_FILES)
-
-
-def _cmd_report(args, parser) -> int:
-    return _cmd_tables(args, _REPORT_FILES)
 
 
 def _cmd_asc(args, parser) -> int:
@@ -317,11 +299,11 @@ def _cmd_sc(args, parser) -> int:
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "diagnose": _cmd_diagnose,
+    "analyze": _cmd_tables,
+    "diagnose": _cmd_tables,
     "asc": _cmd_asc,
     "sc": _cmd_sc,
-    "report": _cmd_report,
+    "report": _cmd_tables,
 }
 
 
@@ -337,7 +319,7 @@ def main(argv=None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f"refineloop: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:  # LogFormatError and ScenarioError included
+    except (ValueError, OSError) as exc:  # LogFormatError, ScenarioError and path errors included
         print(f"refineloop: bad input: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - invariant breach boundary

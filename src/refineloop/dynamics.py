@@ -31,7 +31,6 @@ __all__ = [
     "rate_ratio",
     "stop_or_iterate",
     "steady_state",
-    "subdominant_eigenvalue",
     "closed_form_accuracy",
 ]
 
@@ -164,11 +163,6 @@ def steady_state(rates: TransitionRates) -> SteadyStateSummary:
     return SteadyStateSummary(
         accuracy=rates.ecr / total, eigenvalue=1.0 - total, absorbing=False
     )
-
-
-def subdominant_eigenvalue(rates: TransitionRates) -> float:
-    """Second eigenvalue of the transition matrix; |value| < 1 unless absorbing."""
-    return 1.0 - rates.eir - rates.ecr
 
 
 def closed_form_accuracy(k: int, rates: TransitionRates, initial_accuracy: float) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "pooled_rates",
     "accuracy_series",
     "estimate_rates",
-    "running_pooled_rates",
     "wilson_interval",
 ]
 
@@ -165,11 +164,3 @@ def estimate_rates(log: CorrectnessLog, confidence: float = 0.95) -> RateEstimat
         accuracy_series=tuple(accuracy_series(log)),
     )
 
-
-def running_pooled_rates(log: CorrectnessLog, upto_transition: int) -> tuple[float | None, float | None]:
-    """Count-pooled (eir, ecr) over transitions 0..upto_transition inclusive."""
-    if not 0 <= upto_transition < log.n_iterations:
-        raise ValueError(
-            f"upto_transition must be in [0, {log.n_iterations}), got {upto_transition}"
-        )
-    return pooled_rates(transition_counts(log.correctness[:, : upto_transition + 2]))

@@ -96,7 +96,3 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
     u *= 2.0**-53
     return u[()]  # a numpy scalar for 0-d inputs, as the ufuncs give
 
-
-def uniform(seed: int, stream: int, index: int) -> float:
-    """Scalar convenience wrapper around :func:`uniforms`."""
-    return float(uniforms(seed, stream, index))

@@ -380,6 +380,15 @@ def test_scenario_with_calibration_rates(tmp_path):
         (lambda d: d["problems"][0].update(confidences=[5, 11]), "1-10 scale"),
         (lambda d: d["problems"].append(dict(d["problems"][0])), "unique"),
         (lambda d: d["problems"][0].pop("answers"), "missing field"),
+        (lambda d: d["problems"][0].update(correct=["false", True]), "correct must hold booleans"),
+        (lambda d: d["problems"][0].update(correct=[1.0, 0]), "correct must hold booleans .or 0/1., got 1.0"),
+        (lambda d: d["problems"][0].update(correct=5), "correct must be an array"),
+        (lambda d: d.update(max_iterations=2.7), "max_iterations must be a positive int, got 2.7"),
+        (lambda d: d.update(max_iterations=True), "max_iterations must be a positive int, got True"),
+        (lambda d: d["problems"][0].update(answers="xy"), "answers must be an array"),
+        (lambda d: d.update(tau=None), "tau must be a number"),
+        (lambda d: d["problems"][0].update(confidences=[None, 9]), "confidences must hold numbers"),
+        (lambda d: d.update(metadata=[1, 2]), "metadata must be an object"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):
@@ -389,6 +398,15 @@ def test_scenario_validation_errors(tmp_path, mutate, fragment):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match=fragment):
         load_scenario(path)
+
+
+def test_scenario_accepts_zero_one_labels(tmp_path):
+    doc = _scenario_doc()
+    doc["problems"][0]["correct"] = [0, 1]
+    doc["problems"][1]["correct"] = [True]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert load_scenario(path).labels() == {"p0": (False, True), "p1": (True,)}
 
 
 def test_scenario_rejects_bad_json(tmp_path):

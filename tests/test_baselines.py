@@ -206,5 +206,8 @@ def test_model_validation():
         CorrelatedSampleModel(p=0.5, rho=-0.1, k=3)
     with pytest.raises(ValueError):
         CorrelatedSampleModel(p=0.5, rho=0.0, k=2)
+    with pytest.raises(ValueError, match="at most 1029"):  # comb(1031, 515) overflows a float
+        CorrelatedSampleModel(p=0.5, rho=0.0, k=1031)
+    assert 0.0 < theoretical_sc_accuracy(0.5, 1029) < 1.0
     with pytest.raises(ValueError):
         simulate_self_consistency(CorrelatedSampleModel(0.5, 0.0, 3), 0, seed=0)

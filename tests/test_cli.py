@@ -95,15 +95,20 @@ def test_simulate_preset_exhausted_is_data_error(tmp_path, capsys):
 
 def test_analyze_and_diagnose_artifacts(tmp_path, capsys):
     log = _simulate(tmp_path, "--preset", "gpt-4o-mini", "--seed", "5")
-    out = tmp_path / "analysis"
-    assert main(["analyze", str(log), "--out", str(out)]) == EXIT_OK
-    assert (out / "accuracy.csv").exists()
-    assert (out / "rates.csv").exists()
-    assert not (out / "report.txt").exists()
-    assert main(["diagnose", str(log), "--out", str(out)]) == EXIT_OK
-    assert (out / "verdicts.csv").exists()
-    assert (out / "summary.csv").exists()
-    assert "harmful" in (out / "summary.csv").read_text()
+    other = _simulate(tmp_path, "--preset", "gpt-4o-mini", "--seed", "6", "--label", "other", out="sim2")
+
+    def files(*argv):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        return {p.name for p in out.iterdir()}
+
+    assert files("analyze", str(log)) == {"accuracy.csv", "rates.csv"}
+    assert files("diagnose", str(log)) == {"verdicts.csv", "summary.csv"}
+    assert "harmful" in (tmp_path / "diagnose" / "summary.csv").read_text()
+    tables = {"report.txt", "accuracy.csv", "rates.csv", "verdicts.csv", "tests.csv", "summary.csv"}
+    assert files("report", str(log), "--resamples", "50") == tables
+    paired = files("report", str(log), str(other), "--resamples", "50")
+    assert paired == tables | {"paired.csv"}
     printed = capsys.readouterr().out
     assert "->" in printed
 
@@ -182,6 +187,9 @@ def test_missing_and_malformed_inputs(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not a log\n")
     assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
+    # a directory where a log should be, and a file where --out wants a directory
+    assert main(["report", str(tmp_path), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    assert main(["simulate", "--preset", "o3-mini", "--out", str(bad)]) == EXIT_DATA
 
 
 def test_internal_errors_exit_three(tmp_path, monkeypatch):
@@ -259,6 +267,20 @@ def test_asc_rejects_bad_scenario(tmp_path):
     assert main(["asc", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("problem, field", [
+    ({"id": "p0", "answers": ["a"], "confidences": [None]}, "confidences"),
+    ({"id": "p0", "answers": ["a"], "confidences": [5], "correct": 5}, "correct"),
+    ({"id": "p0", "answers": ["a", "b"], "confidences": [5, 5]}, "max_iterations"),  # script runs out
+])
+def test_asc_scenario_faults_exit_two(tmp_path, capsys, problem, field):
+    doc = {"format": "asc-scenario/v1", "max_iterations": 2, "problems": [problem]}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["asc", str(scenario), "--out", str(tmp_path / "asc")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("refineloop: bad input: ") and field in err
+
+
 def test_sc_command(tmp_path, capsys):
     out = tmp_path / "sc"
     code = main(["sc", "--p", "0.912", "--k", "3", "--n", "2000", "--seed", "0",
@@ -279,6 +301,9 @@ def test_sc_usage_errors(tmp_path):
     out = str(tmp_path)
     assert main(["sc", "--p", "1.5", "--out", out]) == EXIT_USAGE
     assert main(["sc", "--p", "0.9", "--k", "2", "--out", out]) == EXIT_USAGE
+    # from k = 1031 the closed form's binomial coefficients overflow a float
+    assert main(["sc", "--p", "0.9", "--k", "1029", "--n", "10", "--out", out]) == EXIT_OK
+    assert main(["sc", "--p", "0.9", "--k", "1031", "--n", "10", "--out", out]) == EXIT_USAGE
     assert main(["sc", "--p", "0.912", "--fit-target", "0.5", "--out", out]) == EXIT_USAGE
     assert main(["sc"]) == EXIT_USAGE  # --p is required
 

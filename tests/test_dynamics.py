@@ -18,7 +18,6 @@ from refineloop.dynamics import (
     steady_state,
     step_accuracy,
     stop_or_iterate,
-    subdominant_eigenvalue,
 )
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -87,9 +86,9 @@ def test_steady_state_values():
 
 
 def test_subdominant_eigenvalue():
-    assert subdominant_eigenvalue(TransitionRates(0.05, 0.15)) == pytest.approx(0.8)
-    assert subdominant_eigenvalue(TransitionRates(1.0, 1.0)) == pytest.approx(-1.0)
-    assert subdominant_eigenvalue(TransitionRates(0.0, 0.0)) == 1.0
+    assert steady_state(TransitionRates(0.05, 0.15)).eigenvalue == pytest.approx(0.8)
+    assert steady_state(TransitionRates(1.0, 1.0)).eigenvalue == pytest.approx(-1.0)
+    assert steady_state(TransitionRates(0.0, 0.0)).eigenvalue == 1.0
 
 
 def test_closed_form_iteration_zero_is_exact():

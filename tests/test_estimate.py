@@ -11,7 +11,6 @@ from refineloop.estimate import (
     accuracy_series,
     estimate_rates,
     pooled_rates,
-    running_pooled_rates,
     transition_counts,
     wilson_interval,
 )
@@ -113,14 +112,14 @@ def test_all_correct_log_has_undefined_ecr_everywhere():
 
 def test_running_pooled_rates_prefixes():
     log = deterministic_replay(preset("gpt-4o-mini"), 0.912, 500)
-    eir0, ecr0 = running_pooled_rates(log, 0)
+    table = transition_counts(log.correctness)
+    assert len(table) == 4
+    eir0, ecr0 = pooled_rates(table[:1])
     assert eir0 == pytest.approx(6 / 456)
     assert ecr0 == 0.0
-    eir3, ecr3 = running_pooled_rates(log, 3)
+    eir3, ecr3 = pooled_rates(table[:4])
     assert eir3 == pytest.approx(36 / 1787)
     assert ecr3 == pytest.approx(5 / 213)
-    with pytest.raises(ValueError):
-        running_pooled_rates(log, 4)
 
 
 def test_pooling_is_count_weighted():
