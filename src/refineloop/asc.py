@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .dynamics import TransitionRates
+from .dynamics import TransitionRates, _check_int
 from .estimate import pooled_rates, transition_counts
 from .logs import align_rows
 from .stats import McNemarResult, BootstrapDelta, mcnemar_from_logs, paired_bootstrap_delta
@@ -73,11 +73,9 @@ class AscConfig:
     equilibrium_mode: EquilibriumMode = EquilibriumMode.DISABLED
 
     def __post_init__(self):
-        if not 1.0 <= self.tau <= 10.0:
+        if isinstance(self.tau, bool) or not 1.0 <= self.tau <= 10.0:
             raise ValueError(f"tau must be on the 1-10 confidence scale, got {self.tau!r}")
-        m = self.max_iterations
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"max_iterations must be a positive int, got {m!r}")
+        _check_int("max_iterations", self.max_iterations, 1)
         if self.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY and self.calibration_rates is None:
             raise ValueError("calibration-only equilibrium mode needs calibration_rates")
 
@@ -365,11 +363,13 @@ def _scenario_problem(entry, index: int) -> ScriptedProblem:
     if not isinstance(entry, dict):
         raise ScenarioError(f"problems[{index}] must be an object")
     try:
-        pid = str(entry["id"])
+        pid = entry["id"]
         answers = _scenario_array(entry, "answers", index)
         confidences = tuple(map(float, _scenario_array(entry, "confidences", index, {int, float}, "numbers")))
     except KeyError as exc:
         raise ScenarioError(f"problems[{index}] missing field {exc}") from None
+    if not isinstance(pid, str):
+        raise ScenarioError(f"problems[{index}].id must be a string, got {pid!r}")
     if len(answers) != len(confidences):
         raise ScenarioError(
             f"problems[{index}]: {len(answers)} answers vs {len(confidences)} confidences"
@@ -435,7 +435,10 @@ def load_scenario(path) -> Scenario:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ScenarioError(f"metadata must be an object, got {metadata!r}")
-    return Scenario(config=config, problems=problems, metadata={str(k): str(v) for k, v in metadata.items()})
+    for key, value in metadata.items():  # a JSON object's keys are strings already
+        if not isinstance(value, str):
+            raise ScenarioError(f"metadata.{key} must be a string, got {value!r}")
+    return Scenario(config=config, problems=problems, metadata=dict(metadata))
 
 
 def run_scenario(scenario: Scenario) -> tuple[list[AscOutcome], BatchSummary, ScriptedBackend]:

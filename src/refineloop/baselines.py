@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import rng
-from .dynamics import _check_probability
+from .dynamics import _check_int, _check_probability
 
 __all__ = [
     "VoteOutcome",
@@ -56,10 +56,9 @@ _MAX_K = 1029
 
 
 def _check_odd_k(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be a positive odd integer, got {k!r}")
-    if k > _MAX_K:
-        raise ValueError(f"k must be at most {_MAX_K}, got {k}")
+    k = _check_int("k", k, 1)
+    if k % 2 == 0 or k > _MAX_K:
+        raise ValueError(f"k must be odd and at most {_MAX_K}, got {k}")
     return k
 
 
@@ -102,8 +101,7 @@ def simulate_self_consistency(model: CorrelatedSampleModel, n_problems: int, see
     (wrong samples are not distinguished), matching the closed form:
     the correct answer wins exactly on strict majorities.
     """
-    if n_problems < 1:
-        raise ValueError(f"n_problems must be >= 1, got {n_problems}")
+    n_problems = _check_int("n_problems", n_problems, 1)
     rng.check_seed(seed)
     idx = np.arange(n_problems)
     common_correct = rng.uniforms(seed, rng.VOTE_STREAM_BASE, idx) < model.p

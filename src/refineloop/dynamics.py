@@ -15,6 +15,7 @@ long-run accuracy ``ecr/(eir+ecr)``, and the geometric rate
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +46,13 @@ def _check_probability(name: str, value) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
+
+
+def _check_int(name: str, value, low: int = 0) -> int:
+    """``value`` as an int, refused unless it is an integer (not a bool) of at least ``low``, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} int, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,7 @@ def closed_form_accuracy(k: int, rates: TransitionRates, initial_accuracy: float
     ``lam = 1 - eir - ecr``; when the chain is absorbing the accuracy
     never moves. Matches k-fold :func:`step_accuracy` to float precision.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    k = _check_int("k", k)
     acc0 = _check_probability("initial_accuracy", initial_accuracy)
     if k == 0:
         return acc0

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dynamics import AccuracyPoint
+from .dynamics import AccuracyPoint, _check_int
 from .logs import CorrectnessLog
 
 __all__ = [
@@ -107,14 +107,14 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     Always contains the point estimate; degenerate ``trials == 0`` returns
     the vacuous interval (0, 1).
     """
-    if trials < 0 or successes < 0 or successes > trials:
-        raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
+    successes, n = _check_int("successes", successes), _check_int("trials", trials)
+    if successes > n:
+        raise ValueError(f"need successes <= trials, got {successes}/{n}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if trials == 0:
+    if n == 0:
         return (0.0, 1.0)
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    n = trials
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -123,7 +123,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     # at the degenerate point estimates the bound is exactly the estimate,
     # but center - half leaves ~1 ulp of residue; pin it
     lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == trials else min(1.0, center + half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
     return (lo, hi)
 
 

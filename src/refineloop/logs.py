@@ -67,7 +67,10 @@ class CorrectnessLog:
                 raise ValueError("correctness entries must be 0/1")
             matrix = matrix.astype(bool)
         self.correctness = matrix
-        self.problem_ids = [str(p) for p in self.problem_ids]
+        ids = self.problem_ids = list(self.problem_ids)
+        if not all(issubclass(t, str) for t in set(map(type, ids))):  # one test per type, not per id
+            bad = next(p for p in ids if not isinstance(p, str))
+            raise ValueError(f"problem ids must be strings, got {bad!r}")
         if len(self.problem_ids) != matrix.shape[0]:
             raise ValueError(
                 f"{len(self.problem_ids)} problem ids for {matrix.shape[0]} matrix rows"
@@ -333,9 +336,9 @@ def read_log(path) -> CorrectnessLog:
     return next(iter(runs.values()))
 
 
-def _one_line(text: str) -> bool:
-    # read_runs splits a file with str.splitlines, which breaks on more than "\n"
-    return "".join(text.splitlines()) == text
+def _one_line(text) -> bool:
+    # only a str reads back as itself; read_runs splits lines with str.splitlines, which breaks on more than "\n"
+    return isinstance(text, str) and "".join(text.splitlines()) == text
 
 
 def _quote(text: str) -> str:
@@ -345,12 +348,12 @@ def _quote(text: str) -> str:
 
 def _directives(metadata) -> str:
     lines = [f"#{FORMAT_VERSION}\n"]
-    for key in sorted(metadata):
-        value = str(metadata[key])
+    for key in sorted(metadata, key=str):  # a key that is not a str is refused below
+        value = metadata[key]
         # read back one line at a time, split at the first "=", key and value stripped
-        if not key or "=" in key or not all(_one_line(t) and t == t.strip() for t in (key, value)):
-            raise ValueError(f"metadata {key!r}={value!r}: need a non-empty key without '=' and "
-                             "one-line key and value without surrounding whitespace")
+        if not all(_one_line(t) and t == t.strip() for t in (key, value)) or not key or "=" in key:
+            raise ValueError(f"metadata {key!r}={value!r}: key and value must be one-line strings without "
+                             "surrounding whitespace, the key non-empty and without '='")
         lines.append(f"#meta:{key}={value}\n")
     return "".join(lines)
 
@@ -364,8 +367,8 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
     if not _one_line(joined):
         bad = next(pid for pid in ids if not _one_line(pid))
         raise ValueError(f"problem id {bad!r} contains a line break")
-    if form == "records" and not (label and _one_line(label)):
-        raise ValueError(f"record-form run label must be one non-empty line, got {label!r}")
+    if not _one_line(label) or (form == "records" and not label):
+        raise ValueError(f"run label must be a one-line string, non-empty in record form, got {label!r}")
     limit = csv.field_size_limit()
     if max(map(len, ids)) > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")

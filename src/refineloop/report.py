@@ -203,9 +203,7 @@ def _signed_pp(value: float) -> str:
 
 def _csv(rows) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
@@ -300,10 +298,7 @@ def _paired_csv(paired: PairedComparison) -> str:
 
 
 def _text_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]  # every row is as wide as headers
     def fmt(row):
         # left-align the first column, right-align numeric columns
         parts = [row[0].ljust(widths[0])]
@@ -345,11 +340,11 @@ def _report_text(report: DiagnosticReport) -> str:
 
     for run in report.runs:
         c, est = run.classification, run.estimates
-        pooled_eir = _pct(est.pooled_eir) if est.pooled_eir is not None else "n/a"
-        pooled_ecr = _pct(est.pooled_ecr) if est.pooled_ecr is not None else "n/a"
+        pooled_eir = f"{_pct(est.pooled_eir)}%" if est.pooled_eir is not None else "n/a"
+        pooled_ecr = f"{_pct(est.pooled_ecr)}%" if est.pooled_ecr is not None else "n/a"
         lines.append(
             f"{run.label}: delta {_signed_pp(c.delta_pp)} pp, "
-            f"pooled eir {pooled_eir}%, pooled ecr {pooled_ecr}% -> {c.tag}"
+            f"pooled eir {pooled_eir}, pooled ecr {pooled_ecr} -> {c.tag}"
         )
         if run.steady is not None and not run.steady.absorbing:
             lines.append(

@@ -11,7 +11,7 @@ exactly as measured; conversion to probabilities happens once, here.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynamics import TransitionRates
+from .dynamics import TransitionRates, _check_int
 
 __all__ = ["RateSchedule", "ScheduleExhaustedError", "preset", "preset_baseline", "preset_names"]
 
@@ -47,8 +47,7 @@ class RateSchedule:
         return len(self.transitions)
 
     def rates_for(self, transition: int) -> TransitionRates:
-        if not isinstance(transition, int) or transition < 0:
-            raise ValueError(f"transition index must be a non-negative int, got {transition!r}")
+        _check_int("transition index", transition)
         if transition < len(self.transitions):
             return self.transitions[transition]
         if self.stationary_tail:

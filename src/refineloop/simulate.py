@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dynamics import AccuracyPoint, TransitionRates, step_accuracy, _check_probability
+from .dynamics import AccuracyPoint, TransitionRates, step_accuracy, _check_int, _check_probability
 from .logs import CorrectnessLog
 from .schedule import RateSchedule
 
@@ -30,10 +30,8 @@ class SimConfig:
     schedule: RateSchedule
 
     def __post_init__(self):
-        if not isinstance(self.n_problems, int) or self.n_problems < 1:
-            raise ValueError(f"n_problems must be a positive int, got {self.n_problems!r}")
-        if not isinstance(self.n_iterations, int) or self.n_iterations < 1:
-            raise ValueError(f"n_iterations must be a positive int, got {self.n_iterations!r}")
+        _check_int("n_problems", self.n_problems, 1)
+        _check_int("n_iterations", self.n_iterations, 1)
         _check_probability("initial_accuracy", self.initial_accuracy)
         rng.check_seed(self.seed)
         if not isinstance(self.schedule, RateSchedule):
@@ -119,9 +117,8 @@ def deterministic_replay(schedule: RateSchedule, initial_accuracy: float, n_prob
     pool. Useful for reconstructing published aggregate tables, whose
     counts are exactly these rounded pools.
     """
-    k = len(schedule) if n_iterations is None else n_iterations
-    if k < 1:
-        raise ValueError("need at least one transition")
+    k = _check_int("n_iterations", len(schedule) if n_iterations is None else n_iterations, 1)
+    n_problems = _check_int("n_problems", n_problems, 1)
     _check_probability("initial_accuracy", initial_accuracy)
     n_correct = int(round(n_problems * initial_accuracy))
     state = np.zeros(n_problems, dtype=bool)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .dynamics import _check_int
 from .estimate import transition_counts
 
 __all__ = [
@@ -117,9 +118,7 @@ def mcnemar(b: int, c: int) -> McNemarResult:
     ``b + c == 0`` is reported as a flagged no-discordance result
     (statistic 0, p-value 1) rather than an error.
     """
-    for name, value in (("b", b), ("c", c)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    b, c = _check_int("b", b), _check_int("c", c)
     if b + c == 0:
         return McNemarResult(b=b, c=c, statistic=0.0, p_value=1.0, significant=False, no_discordance=True)
     statistic = (b - c) ** 2 / (b + c)
@@ -227,8 +226,7 @@ def paired_bootstrap_delta(
     not depend on evaluation order or worker count.
     """
     a, b = _paired_columns(col_a, col_b)
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    resamples = _check_int("resamples", resamples, 1)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     rng.check_seed(seed)

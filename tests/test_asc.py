@@ -55,6 +55,12 @@ def test_trace_confident_at_generation():
     assert backend.calls == [("generate", "q1"), ("confidence", "q1")]
 
 
+def test_scripted_backend_refuses_an_unknown_problem():
+    backend = ScriptedBackend([_scripted("q1", [9.0])])
+    with pytest.raises(KeyError, match="no script for problem 'q9'"):
+        backend.generate("q9")
+
+
 def test_trace_budget_exhaustion():
     backend = ScriptedBackend([_scripted("q2", [5, 5, 5, 5, 5])])
     outcome = run_asc_instance("q2", backend, AscConfig(tau=8.0, max_iterations=4))
@@ -187,6 +193,8 @@ def test_config_validation():
         AscConfig(max_iterations=0)
     with pytest.raises(ValueError):
         AscConfig(equilibrium_mode=EquilibriumMode.CALIBRATION_ONLY)
+    with pytest.raises(ValueError, match="tau must be on the 1-10 confidence scale, got True"):
+        AscConfig(tau=True)  # True == 1.0, yet it is no confidence threshold
 
 
 # -- batch mode -----------------------------------------------------------------
@@ -389,6 +397,15 @@ def test_scenario_with_calibration_rates(tmp_path):
         (lambda d: d.update(tau=None), "tau must be a number"),
         (lambda d: d["problems"][0].update(confidences=[None, 9]), "confidences must hold numbers"),
         (lambda d: d.update(metadata=[1, 2]), "metadata must be an object"),
+        (lambda d: d["problems"].append(5), r"problems\[2\] must be an object"),
+        (lambda d: d["problems"][0].update(answers=[], confidences=[]), "at least the initial answer"),
+        (lambda d: d["problems"][0].update(correct=[2, 1]), r"correct must hold booleans .or 0/1., got 2"),
+        (lambda d: d["problems"][0].update(correct=[True]), "correct length must match answers"),
+        (lambda d: d.update(calibration_rates={"eir": 0.1}), "calibration_rates must be"),
+        (lambda d: d["problems"][0].update(id=None), r"problems\[0\].id must be a string, got None"),
+        (lambda d: d["problems"][1].update(id=1), r"problems\[1\].id must be a string, got 1"),
+        (lambda d: d.update(metadata={"seed": 7}), "metadata.seed must be a string, got 7"),
+        (lambda d: d.update(metadata={"note": None}), "metadata.note must be a string, got None"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):

@@ -3,6 +3,8 @@
 import csv
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,6 +248,30 @@ def test_asc_scenario_command(tmp_path, capsys):
     assert "histogram" in capsys.readouterr().out
 
 
+def test_asc_online_labeled_summary(tmp_path):
+    # round 1 pools eir 0/2 < ecr 2/3 and q3 stops on confidence; round 2 pools
+    # eir 3/5 >= ecr 2/4, so equilibrium stops the rest on their round-1 answers
+    labels = {"q0": [True, True, False], "q1": [False, True, False], "q2": [False, True, False],
+              "q3": [True, True], "q4": [False, False, False]}
+    doc = {
+        "format": "asc-scenario/v1",
+        "max_iterations": 2,
+        "equilibrium_mode": "online-labeled",
+        "problems": [{"id": pid, "answers": [f"{pid}.{k}" for k in range(len(correct))],
+                      "confidences": [5, 9] if pid == "q3" else [5, 5, 5], "correct": correct}
+                     for pid, correct in labels.items()],
+    }
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "asc"
+    assert main(["asc", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert (out / "asc_summary.csv").read_text() == (
+        "key,value\nn_instances,5\nrounds_executed,2\n"
+        "stopped_confidence,1\nstopped_equilibrium,4\nstopped_budget,0\n"
+        "iterations_1,5\nequilibrium_fired_round,2\npooled_eir,0.6\npooled_ecr,0.5\n"
+    )
+
+
 def test_asc_outcomes_are_quoted_csv(tmp_path):
     doc = {
         "format": "asc-scenario/v1",
@@ -314,6 +340,7 @@ def test_sc_usage_errors(tmp_path):
     ["sc", "--p", "1.5"],
     ["simulate", "--preset", "o3-mini", "--bogus", "1"],
     ["sc", "--p", "0.9", "extra"],
+    ["simulate", "--eir", "0.1", "--ecr", "0.2", "--acc0", "0.5"],  # custom rates need --iterations
 ])
 def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys, argv):
     # these are refused by the command, not by an argparse type, or are
@@ -345,6 +372,16 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage: refineloop")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, stream, first", [
+    (["--version"], EXIT_OK, "stdout", "refineloop 0.1.0"),
+    ([], EXIT_USAGE, "stderr", "usage: refineloop [-h] [--version] command ..."),
+])
+def test_python_dash_m_runs_the_cli(argv, code, stream, first):
+    done = subprocess.run([sys.executable, "-m", "refineloop", *argv], capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert getattr(done, stream).splitlines()[0] == first
 
 
 def test_pipeline_is_byte_identical(tmp_path):

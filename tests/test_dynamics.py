@@ -1,12 +1,15 @@
 """Closed-form dynamics: frozen anchor values and algebraic properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refineloop.asc import AscConfig
+from refineloop.baselines import CorrelatedSampleModel, simulate_self_consistency, theoretical_sc_accuracy
 from refineloop.dynamics import (
     EQUILIBRIUM_TOLERANCE,
     TransitionRates,
@@ -19,6 +22,10 @@ from refineloop.dynamics import (
     step_accuracy,
     stop_or_iterate,
 )
+from refineloop.estimate import wilson_interval
+from refineloop.schedule import RateSchedule
+from refineloop.simulate import SimConfig, deterministic_replay, simulate_population
+from refineloop.stats import mcnemar, paired_bootstrap_delta
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -111,6 +118,56 @@ def test_input_validation():
         closed_form_accuracy(-1, TransitionRates(0.1, 0.1), 0.5)
     with pytest.raises(ValueError):
         closed_form_accuracy(2.0, TransitionRates(0.1, 0.1), 0.5)
+    with pytest.raises(ValueError, match="eir must be a number in"):
+        TransitionRates("0.1", 0.2)
+
+
+# -- count arguments -----------------------------------------------------------
+
+_TAIL = RateSchedule.from_pairs([(0.1, 0.2)], stationary_tail=True)
+_COL = np.array([True, False, True])
+# every count argument of the package, called with the count n
+_COUNT_SITES = {
+    "asc-max-iterations": lambda n: AscConfig(max_iterations=n),
+    "vote-k": lambda n: theoretical_sc_accuracy(0.7, n),
+    "model-k": lambda n: CorrelatedSampleModel(0.7, 0.1, n),
+    "vote-n-problems": lambda n: simulate_self_consistency(CorrelatedSampleModel(0.7, 0.1, 3), n, seed=1),
+    "closed-form-k": lambda n: closed_form_accuracy(n, TransitionRates(0.1, 0.2), 0.5),
+    "rates-for": lambda n: _TAIL.rates_for(n),
+    "sim-n-problems": lambda n: simulate_population(SimConfig(n, 2, 0.5, 1, _TAIL)).log.correctness,
+    "sim-n-iterations": lambda n: simulate_population(SimConfig(4, n, 0.5, 1, _TAIL)).log.correctness,
+    "replay-n-iterations": lambda n: deterministic_replay(_TAIL, 0.5, 4, n_iterations=n).correctness,
+    "replay-n-problems": lambda n: deterministic_replay(_TAIL, 0.5, n, n_iterations=2).correctness,
+    "mcnemar-b": lambda n: mcnemar(n, 2),
+    "mcnemar-c": lambda n: mcnemar(2, n),
+    "bootstrap-resamples": lambda n: paired_bootstrap_delta(_COL, ~_COL, resamples=n),
+    "wilson-successes": lambda n: wilson_interval(n, 5),
+    "wilson-trials": lambda n: wilson_interval(1, n),
+}
+_POSITIVE = {"asc-max-iterations", "vote-k", "model-k", "vote-n-problems", "sim-n-problems",
+             "sim-n-iterations", "replay-n-iterations", "replay-n-problems", "bootstrap-resamples"}
+
+
+@pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+def test_counts_refuse_bools_floats_and_negatives(site):
+    rule = "positive" if site in _POSITIVE else "non-negative"
+    for bad in (True, False, np.bool_(True), 2.5, 3.0, np.float64(3.0), "3", -3, np.int64(-3)):
+        with pytest.raises(ValueError, match=re.escape(f"must be a {rule} int, got {bad!r}")):
+            _COUNT_SITES[site](bad)
+
+
+@pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+def test_counts_accept_numpy_integers(site):
+    want = _COUNT_SITES[site](3)
+    for n in (np.int64(3), np.uint8(3), np.int32(3)):
+        got = _COUNT_SITES[site](n)
+        assert got == want if not isinstance(want, np.ndarray) else np.array_equal(got, want)
+
+
+def test_positive_counts_refuse_zero():
+    for site in _POSITIVE:
+        with pytest.raises(ValueError, match="must be a positive int, got 0"):
+            _COUNT_SITES[site](0)
 
 
 # -- matrix-power oracle -------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,10 @@ def test_blank_lines_between_directives_are_skipped(tmp_path):
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,0,2\n", 3, "correct must be 0 or 1"),
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,zero,1\n", 3, "iteration must be an integer"),
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,-1,1\n", 3, "iteration must be >= 0"),
+        (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct,confidence\np,0,1,high\n", 3,
+         "confidence must be a number, got 'high'"),
+        (f"#{FORMAT_VERSION}\n#meta:seed=7\n", None, "no column header"),
+        (f"#{FORMAT_VERSION}\nproblem_id,iteration,confidence\np,0,1\n", 2, "record header must be a prefix"),
         (f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np,0,1\np,0,1\n", 4, "duplicate record"),
         (f"#{FORMAT_VERSION}\nproblem_id,it0,it1\np,1\n", 3, "expected 3 fields"),
         (f"#{FORMAT_VERSION}\nproblem_id,it0\n", None, "no records"),
@@ -213,6 +218,17 @@ def test_log_validation():
             correctness=np.ones((1, 2), dtype=bool),
             confidence=np.ones((1, 3)),
         )
+    # an id is a str as given, never one made by str(): 1 and "1" are not the same problem
+    for ids, bad in (([1, 2.0], "1"), (["1", 1], "1"), (["a", None], "None"), (np.arange(2), "np.int64(0)")):
+        with pytest.raises(ValueError, match=re.escape(f"problem ids must be strings, got {bad}")):
+            CorrectnessLog(problem_ids=ids, correctness=np.ones((2, 1), dtype=bool))
+
+
+def test_log_keeps_str_subclass_ids():
+    ids = np.array(["a", "b"])  # numpy str_ items are a str subclass
+    log = CorrectnessLog(problem_ids=ids, correctness=np.ones((2, 1), dtype=bool))
+    assert log.problem_ids == ["a", "b"]
+    assert all(isinstance(pid, str) for pid in log.problem_ids)
 
 
 def test_accessors():
@@ -282,7 +298,10 @@ _LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x8
     ]
     + [({"k": f"a{br}b"}, "t") for br in _LINE_BREAKS]
     + [({f"k{br}": "v"}, "t") for br in _LINE_BREAKS]
-    + [({}, f"a{br}b") for br in _LINE_BREAKS],
+    + [({}, f"a{br}b") for br in _LINE_BREAKS]
+    # anything but a str would read back as a str
+    + [({"seed": 7}, "t"), ({"x": None}, "t"), ({5: "v"}, "t"), ({"k": "v", 5: "v"}, "t"), ({}, 5),
+       ({"run_label": 5}, None)],  # the last label comes from the metadata
 )
 def test_write_refuses_unreadable_text(tmp_path, form, metadata, run_label):
     log = CorrectnessLog(problem_ids=["a"], correctness=np.array([[1, 0]]), metadata=metadata)
@@ -290,6 +309,19 @@ def test_write_refuses_unreadable_text(tmp_path, form, metadata, run_label):
     with pytest.raises(ValueError):
         write_log(log, path, form=form, run_label=run_label)
     assert not path.exists()
+
+
+def test_write_refuses_metadata_that_is_not_a_string(tmp_path):
+    log = CorrectnessLog(problem_ids=["a"], correctness=np.array([[1]]), metadata={"seed": 7, "x": None})
+    with pytest.raises(ValueError, match="metadata 'seed'=7: key and value must be one-line strings"):
+        write_log(log, tmp_path / "log.csv")
+    assert not (tmp_path / "log.csv").exists()
+
+
+def test_write_refuses_an_unknown_form(tmp_path):
+    with pytest.raises(ValueError, match="form must be 'records' or 'compact', got 'rows'"):
+        write_log(_toy_log(), tmp_path / "log.csv", form="rows")
+    assert not (tmp_path / "log.csv").exists()
 
 
 @pytest.mark.parametrize("form", ["records", "compact"])

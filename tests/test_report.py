@@ -223,7 +223,18 @@ def test_undefined_cells_render_empty_or_na():
     report = build_report({"run": log})
     artifacts = render_tables(report)
     assert "undefined" in artifacts["verdicts.csv"]
-    assert "n/a" in artifacts["report.txt"]
+    # no incorrect answer, so no pooled ecr: "n/a" takes no percent sign
+    tag = report.runs[0].classification.tag
+    assert f"run: delta +0.0 pp, pooled eir 0.0%, pooled ecr n/a -> {tag}" in artifacts["report.txt"].splitlines()
+
+
+def test_run_without_flips_renders_as_absorbing():
+    log = CorrectnessLog(problem_ids=["a", "b", "c"], correctness=np.array([[1, 1], [0, 0], [1, 1]], dtype=bool))
+    artifacts = render_tables(build_report({"run": log}))
+    assert "run: absorbing at pooled rates (no flips observed)" in artifacts["report.txt"].splitlines()
+    summary = list(csv.DictReader(io.StringIO(artifacts["summary.csv"])))
+    assert len(summary) == 1
+    assert (summary[0]["steady_accuracy"], summary[0]["eigenvalue"], summary[0]["absorbing"]) == ("", "1.0", "1")
 
 
 def test_signed_delta_never_prints_negative_zero():

@@ -97,6 +97,8 @@ def test_mcnemar_from_logs_counts():
         mcnemar_from_logs(a, b[:-1])
     with pytest.raises(ValueError):
         mcnemar_from_logs(np.array([], dtype=bool), np.array([], dtype=bool))
+    with pytest.raises(ValueError, match="columns must be 1-d"):
+        mcnemar_from_logs(a[:, None], b[:, None])
 
 
 # -- chi-square tail -----------------------------------------------------------
