@@ -53,6 +53,7 @@ from .stats import (
     paired_bootstrap_delta,
 )
 from .asc import (
+    AscBackendError,
     AscConfig,
     AscOutcome,
     BatchSummary,

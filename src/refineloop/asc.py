@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .dynamics import TransitionRates, _check_int
+from .dynamics import TransitionRates, _check_int, _check_real
 from .estimate import pooled_rates, transition_counts
 from .logs import align_rows
 from .stats import McNemarResult, BootstrapDelta, mcnemar_from_logs, paired_bootstrap_delta
@@ -73,8 +73,7 @@ class AscConfig:
     equilibrium_mode: EquilibriumMode = EquilibriumMode.DISABLED
 
     def __post_init__(self):
-        if isinstance(self.tau, bool) or not 1.0 <= self.tau <= 10.0:
-            raise ValueError(f"tau must be on the 1-10 confidence scale, got {self.tau!r}")
+        object.__setattr__(self, "tau", _check_real("tau", self.tau, 1.0, 10.0))
         _check_int("max_iterations", self.max_iterations, 1)
         if self.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY and self.calibration_rates is None:
             raise ValueError("calibration-only equilibrium mode needs calibration_rates")
@@ -146,7 +145,11 @@ class _Instance:
         else:
             answer = self._call(self.backend.generate, self.problem)
         self.answers.append(answer)
-        score = float(self._call(self.backend.confidence, self.problem, answer))
+        score = self._call(self.backend.confidence, self.problem, answer)
+        try:
+            score = _check_real("confidence", score, 1.0, 10.0)
+        except ValueError as exc:  # the partial trace ends at the answer that was scored
+            raise AscBackendError(f"backend {exc}", self.problem, self.answers, self.scores) from None
         self.scores.append(score)
         if score >= self.config.tau:
             self.stop(len(self.answers) - 1, StopReason.CONFIDENCE)
@@ -333,7 +336,7 @@ class ScriptedBackend:
     def confidence(self, problem: str, answer: Any) -> float:
         self.calls.append(("confidence", problem))
         script = self._script(problem)
-        return float(script.confidences[self._cursor[problem] - 1])
+        return script.confidences[self._cursor[problem] - 1]
 
 
 @dataclass(frozen=True)
@@ -414,12 +417,9 @@ def load_scenario(path) -> Scenario:
             rates = TransitionRates(pair["eir"], pair["ecr"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities: {exc}") from None
-    tau = doc.get("tau", 8.0)
-    if type(tau) not in (int, float):
-        raise ScenarioError(f"tau must be a number, got {tau!r}")
     try:
         config = AscConfig(
-            tau=float(tau),
+            tau=doc.get("tau", 8.0),
             max_iterations=doc.get("max_iterations", 4),
             calibration_rates=rates,
             equilibrium_mode=mode,

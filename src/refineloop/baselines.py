@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import rng
-from .dynamics import _check_int, _check_probability
+from .dynamics import _check_int, _check_real
 
 __all__ = [
     "VoteOutcome",
@@ -68,7 +68,7 @@ def theoretical_sc_accuracy(p: float, k: int) -> float:
     For k = 3 this is p**3 + 3 * p**2 * (1 - p). Odd k only, so there are
     no ties to adjudicate.
     """
-    p = _check_probability("p", p)
+    p = _check_real("p", p)
     k = _check_odd_k(k)
     q = 1.0 - p
     return sum(math.comb(k, j) * p**j * q ** (k - j) for j in range(k // 2 + 1, k + 1))
@@ -83,14 +83,14 @@ class CorrelatedSampleModel:
     k: int
 
     def __post_init__(self):
-        _check_probability("p", self.p)
-        _check_probability("rho", self.rho)
+        object.__setattr__(self, "p", _check_real("p", self.p))
+        object.__setattr__(self, "rho", _check_real("rho", self.rho))
         _check_odd_k(self.k)
 
 
 def mixture_sc_accuracy(p: float, rho: float, k: int) -> float:
     """Closed-form vote accuracy under the common-cause model."""
-    _check_probability("rho", rho)
+    p, rho = _check_real("p", p), _check_real("rho", rho)
     return rho * p + (1.0 - rho) * theoretical_sc_accuracy(p, k)
 
 
@@ -102,7 +102,7 @@ def simulate_self_consistency(model: CorrelatedSampleModel, n_problems: int, see
     the correct answer wins exactly on strict majorities.
     """
     n_problems = _check_int("n_problems", n_problems, 1)
-    rng.check_seed(seed)
+    seed = rng.check_seed(seed)
     idx = np.arange(n_problems)
     common_correct = rng.uniforms(seed, rng.VOTE_STREAM_BASE, idx) < model.p
     use_common = rng.uniforms(seed, rng.VOTE_STREAM_BASE + 1, idx) < model.rho
@@ -122,8 +122,8 @@ def fit_common_cause_weight(p: float, k: int, target_accuracy: float) -> float:
     i.i.d. value at rho=0 down to p at rho=1, so the target must lie in
     that interval.
     """
-    p = _check_probability("p", p)
-    _check_probability("target_accuracy", target_accuracy)
+    p = _check_real("p", p)
+    target_accuracy = _check_real("target_accuracy", target_accuracy)
     iid = theoretical_sc_accuracy(p, k)
     lo_acc, hi_acc = min(p, iid), max(p, iid)
     if not lo_acc <= target_accuracy <= hi_acc:

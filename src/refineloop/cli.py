@@ -165,7 +165,6 @@ def _cmd_simulate(args, parser) -> int:
         except KeyError as exc:
             raise _UsageError(str(exc.args[0]), parser) from None
         acc0 = args.acc0 if args.acc0 is not None else preset_baseline(args.preset)
-        label = args.label or args.preset
         iterations = args.iterations if args.iterations is not None else len(schedule)
         if args.stationary_tail and not schedule.stationary_tail:
             schedule = RateSchedule(schedule.transitions, schedule.name, stationary_tail=True)
@@ -180,8 +179,10 @@ def _cmd_simulate(args, parser) -> int:
         if args.acc0 is None:
             raise _UsageError("custom rates require --acc0", parser)
         acc0 = args.acc0
-        label = args.label or "run"
         iterations = args.iterations
+    label = args.label if args.label is not None else args.preset or "run"
+    if label == "" and args.form == "records":
+        raise _UsageError("--label must not be empty in record form", parser)
     try:  # an out-of-range rate, accuracy or size is a usage error too
         if args.preset is None:
             schedule = RateSchedule.from_pairs([(args.eir, args.ecr)], stationary_tail=True)

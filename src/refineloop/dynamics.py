@@ -40,17 +40,18 @@ __all__ = [
 EQUILIBRIUM_TOLERANCE = 1e-12
 
 
-def _check_probability(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+def _check_real(name: str, value, low: float = 0.0, high: float = 1.0, open: bool = False) -> float:
+    """``value`` as a float, refused unless it is a real (not a bool) in [low, high], or (low, high) if ``open``."""
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    if not (real and (low < value < high if open else low <= value <= high)):  # NaN compares False
+        bounds = f"({low:g}, {high:g})" if open else f"[{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be a number in {bounds}, got {value!r}")
     return float(value)
 
 
 def _check_int(name: str, value, low: int = 0) -> int:
     """``value`` as an int, refused unless it is an integer (not a bool) of at least ``low``, 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < low:
         raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} int, got {value!r}")
     return int(value)
 
@@ -63,8 +64,8 @@ class TransitionRates:
     ecr: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eir", _check_probability("eir", self.eir))
-        object.__setattr__(self, "ecr", _check_probability("ecr", self.ecr))
+        object.__setattr__(self, "eir", _check_real("eir", self.eir))
+        object.__setattr__(self, "ecr", _check_real("ecr", self.ecr))
 
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Row-stochastic transition matrix over (Correct, Incorrect)."""
@@ -116,18 +117,18 @@ class SteadyStateSummary:
 
 def step_accuracy(accuracy: float, rates: TransitionRates) -> float:
     """Accuracy after one refinement pass at the given rates."""
-    acc = _check_probability("accuracy", accuracy)
+    acc = _check_real("accuracy", accuracy)
     return acc * (1.0 - rates.eir) + (1.0 - acc) * rates.ecr
 
 
 def net_benefit(accuracy: float, rates: TransitionRates) -> float:
     """Accuracy change produced by one more pass (may be negative)."""
-    return step_accuracy(accuracy, rates) - accuracy
+    return step_accuracy(accuracy, rates) - _check_real("accuracy", accuracy)
 
 
 def equilibrium_ratio(accuracy: float) -> float:
     """Odds acc/(1-acc) that one more pass must beat to help; +inf at 1."""
-    acc = _check_probability("accuracy", accuracy)
+    acc = _check_real("accuracy", accuracy)
     if acc == 1.0:
         return math.inf
     return acc / (1.0 - acc)
@@ -181,7 +182,7 @@ def closed_form_accuracy(k: int, rates: TransitionRates, initial_accuracy: float
     never moves. Matches k-fold :func:`step_accuracy` to float precision.
     """
     k = _check_int("k", k)
-    acc0 = _check_probability("initial_accuracy", initial_accuracy)
+    acc0 = _check_real("initial_accuracy", initial_accuracy)
     if k == 0:
         return acc0
     summary = steady_state(rates)

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dynamics import AccuracyPoint, _check_int
+from .dynamics import AccuracyPoint, _check_int, _check_real
 from .logs import CorrectnessLog
 
 __all__ = [
@@ -110,8 +110,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     successes, n = _check_int("successes", successes), _check_int("trials", trials)
     if successes > n:
         raise ValueError(f"need successes <= trials, got {successes}/{n}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    confidence = _check_real("confidence", confidence, open=True)
     if n == 0:
         return (0.0, 1.0)
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)

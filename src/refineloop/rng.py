@@ -16,6 +16,8 @@ break and must bump the version suffix.
 
 import numpy as np
 
+from .dynamics import _check_int
+
 GENERATOR_ID = "splitmix64-counter/v1"
 
 _MASK = (1 << 64) - 1
@@ -34,10 +36,9 @@ VOTE_STREAM_BASE = 1 << 33  # + sample index
 
 
 def check_seed(seed: int) -> int:
-    """Validate that ``seed`` is a 64-bit unsigned integer and return it."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 1 << 64:
+    """``seed`` as an int, refused unless it is an integer (numpy's included) in [0, 2**64)."""
+    seed = _check_int("seed", seed)
+    if seed >= 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
@@ -75,7 +76,7 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
     they broadcast against each other. Each draw carries 53 random bits.
     The arguments are never written to.
     """
-    check_seed(seed)
+    seed = check_seed(seed)
     with np.errstate(over="ignore"):
         st = np.asarray(stream, dtype=np.uint64)
         ix = np.asarray(index, dtype=np.uint64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dynamics import AccuracyPoint, TransitionRates, step_accuracy, _check_int, _check_probability
+from .dynamics import AccuracyPoint, TransitionRates, step_accuracy, _check_int, _check_real
 from .logs import CorrectnessLog
 from .schedule import RateSchedule
 
@@ -32,8 +32,8 @@ class SimConfig:
     def __post_init__(self):
         _check_int("n_problems", self.n_problems, 1)
         _check_int("n_iterations", self.n_iterations, 1)
-        _check_probability("initial_accuracy", self.initial_accuracy)
-        rng.check_seed(self.seed)
+        object.__setattr__(self, "initial_accuracy", _check_real("initial_accuracy", self.initial_accuracy))
+        object.__setattr__(self, "seed", rng.check_seed(self.seed))
         if not isinstance(self.schedule, RateSchedule):
             raise ValueError("schedule must be a RateSchedule")
 
@@ -82,7 +82,7 @@ def simulate_population(config: SimConfig) -> SimTrajectory:
     metadata = {
         "generator": rng.GENERATOR_ID,
         "seed": str(config.seed),
-        "initial_accuracy": repr(float(config.initial_accuracy)),
+        "initial_accuracy": repr(config.initial_accuracy),
         "n_problems": str(config.n_problems),
         "n_iterations": str(config.n_iterations),
         "schedule": ";".join(f"{r.eir!r}:{r.ecr!r}" for r in rates),
@@ -99,7 +99,7 @@ def simulate_population(config: SimConfig) -> SimTrajectory:
 
 def analytic_trajectory(schedule: RateSchedule, initial_accuracy: float, n_iterations: int) -> list[AccuracyPoint]:
     """Exact population accuracy under the schedule, no sampling noise."""
-    acc = _check_probability("initial_accuracy", initial_accuracy)
+    acc = _check_real("initial_accuracy", initial_accuracy)
     points = [AccuracyPoint(iteration=0, accuracy=acc)]
     for t in range(n_iterations):
         nxt = step_accuracy(acc, schedule.rates_for(t))
@@ -119,8 +119,8 @@ def deterministic_replay(schedule: RateSchedule, initial_accuracy: float, n_prob
     """
     k = _check_int("n_iterations", len(schedule) if n_iterations is None else n_iterations, 1)
     n_problems = _check_int("n_problems", n_problems, 1)
-    _check_probability("initial_accuracy", initial_accuracy)
-    n_correct = int(round(n_problems * initial_accuracy))
+    acc = _check_real("initial_accuracy", initial_accuracy)
+    n_correct = int(round(n_problems * acc))
     state = np.zeros(n_problems, dtype=bool)
     state[:n_correct] = True
     columns = [state.copy()]
@@ -138,7 +138,7 @@ def deterministic_replay(schedule: RateSchedule, initial_accuracy: float, n_prob
         columns.append(state)
     metadata = {
         "builder": "deterministic-replay",
-        "initial_accuracy": repr(float(initial_accuracy)),
+        "initial_accuracy": repr(acc),
         "n_problems": str(n_problems),
     }
     if schedule.name:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dynamics import _check_int
+from .dynamics import _check_int, _check_real
 from .estimate import transition_counts
 
 __all__ = [
@@ -92,9 +92,7 @@ def _regularized_gamma_cf(x: float) -> float:
 
 def chi_square_survival(x: float) -> float:
     """P(X >= x) for a chi-square variable with one degree of freedom."""
-    if x < 0.0:
-        raise ValueError(f"statistic must be >= 0, got {x}")
-    half = x / 2.0
+    half = _check_real("statistic", x, 0.0, math.inf) / 2.0
     if half == 0.0:  # tested after halving: the smallest subnormal halves to 0.0
         return 1.0
     if half < _A + 1.0:
@@ -227,9 +225,8 @@ def paired_bootstrap_delta(
     """
     a, b = _paired_columns(col_a, col_b)
     resamples = _check_int("resamples", resamples, 1)
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    rng.check_seed(seed)
+    confidence = _check_real("confidence", confidence, open=True)
+    seed = rng.check_seed(seed)
     n = a.shape[0]
     diff = b.astype(np.int8) - a.astype(np.int8)  # per-problem paired contribution
     delta_pp = float(diff.mean()) * 100.0

@@ -7,6 +7,8 @@ equilibrium check, equilibrium returning the previous answer.
 """
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +186,38 @@ def test_backend_error_carries_partial_trace():
     assert "refine" in str(err.value)
 
 
+class _ScoredBy:
+    """A backend whose every answer gets the one given score."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def generate(self, problem):
+        return "first"
+
+    def refine(self, problem, previous):
+        return "next"
+
+    def confidence(self, problem, answer):
+        return self.score
+
+
+@pytest.mark.parametrize("score", ["9", 42, True, math.nan, 0.95, None, np.bool_(True), np.float64(10.5)])
+def test_backend_score_off_the_scale_is_a_backend_error(score):
+    with pytest.raises(AscBackendError, match=re.escape(f"confidence must be a number in [1, 10], got {score!r}")) as err:
+        run_asc_instance("p", _ScoredBy(score), AscConfig())
+    assert err.value.answers == ["first"]
+    assert err.value.scores == []
+
+
+def test_backend_score_may_be_any_real_on_the_scale():
+    for score in (np.float32(9.5), np.int64(9), 8):
+        outcome = run_asc_instance("p", _ScoredBy(score), AscConfig())
+        assert outcome.stop_reason is StopReason.CONFIDENCE
+        assert outcome.confidence_trace == (float(score),)
+        assert type(outcome.confidence_trace[0]) is float
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AscConfig(tau=0.5)
@@ -193,8 +227,14 @@ def test_config_validation():
         AscConfig(max_iterations=0)
     with pytest.raises(ValueError):
         AscConfig(equilibrium_mode=EquilibriumMode.CALIBRATION_ONLY)
-    with pytest.raises(ValueError, match="tau must be on the 1-10 confidence scale, got True"):
+    with pytest.raises(ValueError, match=re.escape("tau must be a number in [1, 10], got True")):
         AscConfig(tau=True)  # True == 1.0, yet it is no confidence threshold
+    for bad in ("8", None, math.nan, np.bool_(True), np.float32(10.5)):
+        with pytest.raises(ValueError, match=re.escape(f"tau must be a number in [1, 10], got {bad!r}")):
+            AscConfig(tau=bad)
+    for tau in (np.float32(8.5), np.int64(9), 7):
+        config = AscConfig(tau=tau)
+        assert type(config.tau) is float and config.tau == float(tau)
 
 
 # -- batch mode -----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end command-line tests, run in process through main()."""
 
 import csv
+import importlib
 import json
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import refineloop
 from refineloop.cli import _COMMANDS, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from refineloop.logs import read_log, read_runs
 
@@ -52,6 +55,11 @@ def test_simulate_compact_form(tmp_path):
     first = path.read_text().splitlines()
     assert first[0] == "#correctness-log/v1"
     assert any(line.startswith("problem_id,it0") for line in first)
+
+
+def test_simulate_keeps_an_empty_compact_label(tmp_path):
+    path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", "--form", "compact", "--label", "")
+    assert list(read_runs(path)) == [""]
 
 
 def test_simulate_stationary_tail_flag(tmp_path):
@@ -362,6 +370,7 @@ def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys,
     pytest.param(["report", "{log}", "--seed", "-1"], id="report-one-run-seed-negative"),
     pytest.param(["report", "{log}", "{other}", "--seed", "18446744073709551616"], id="report-seed-2-64"),
     pytest.param(["diagnose", "{log}", "--band", "1"], id="diagnose-has-no-band"),
+    pytest.param(["simulate", "--preset", "o3-mini", "--label", ""], id="simulate-empty-record-label"),
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv):
     log = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20")
@@ -382,6 +391,14 @@ def test_python_dash_m_runs_the_cli(argv, code, stream, first):
     done = subprocess.run([sys.executable, "-m", "refineloop", *argv], capture_output=True, text=True, timeout=60)
     assert done.returncode == code
     assert getattr(done, stream).splitlines()[0] == first
+
+
+def test_package_reexports_every_public_name():
+    for info in pkgutil.iter_modules(refineloop.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"refineloop.{info.name}")
+            missing = [name for name in getattr(module, "__all__", ()) if not hasattr(refineloop, name)]
+            assert not missing, (info.name, missing)
 
 
 def test_pipeline_is_byte_identical(tmp_path):

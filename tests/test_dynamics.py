@@ -2,14 +2,22 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refineloop import rng
 from refineloop.asc import AscConfig
-from refineloop.baselines import CorrelatedSampleModel, simulate_self_consistency, theoretical_sc_accuracy
+from refineloop.baselines import (
+    CorrelatedSampleModel,
+    fit_common_cause_weight,
+    mixture_sc_accuracy,
+    simulate_self_consistency,
+    theoretical_sc_accuracy,
+)
 from refineloop.dynamics import (
     EQUILIBRIUM_TOLERANCE,
     TransitionRates,
@@ -24,7 +32,7 @@ from refineloop.dynamics import (
 )
 from refineloop.estimate import wilson_interval
 from refineloop.schedule import RateSchedule
-from refineloop.simulate import SimConfig, deterministic_replay, simulate_population
+from refineloop.simulate import SimConfig, analytic_trajectory, deterministic_replay, simulate_population
 from refineloop.stats import mcnemar, paired_bootstrap_delta
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -168,6 +176,99 @@ def test_positive_counts_refuse_zero():
     for site in _POSITIVE:
         with pytest.raises(ValueError, match="must be a positive int, got 0"):
             _COUNT_SITES[site](0)
+
+
+# -- probability and seed arguments --------------------------------------------
+
+_RATES = TransitionRates(0.1, 0.2)
+
+
+def _log_state(log):
+    return log.correctness.tobytes(), log.metadata, tuple(log.problem_ids)
+
+
+# every probability argument of the package: the name its message gives, and a call with the probability x
+_PROBABILITY_SITES = {
+    "eir": ("eir", lambda x: TransitionRates(x, 0.2)),
+    "ecr": ("ecr", lambda x: TransitionRates(0.1, x)),
+    "step-accuracy": ("accuracy", lambda x: step_accuracy(x, _RATES)),
+    "net-benefit": ("accuracy", lambda x: net_benefit(x, _RATES)),
+    "equilibrium-ratio": ("accuracy", equilibrium_ratio),
+    "stop-or-iterate": ("accuracy", lambda x: stop_or_iterate(x, _RATES)),
+    "closed-form": ("initial_accuracy", lambda x: closed_form_accuracy(3, _RATES, x)),
+    "sim": ("initial_accuracy", lambda x: _log_state(simulate_population(SimConfig(9, 2, x, 1, _TAIL)).log)),
+    "analytic": ("initial_accuracy", lambda x: analytic_trajectory(_TAIL, x, 2)),
+    "replay": ("initial_accuracy", lambda x: _log_state(deterministic_replay(_TAIL, x, 9, 2))),
+    "vote-p": ("p", lambda x: theoretical_sc_accuracy(x, 3)),
+    "model-p": ("p", lambda x: CorrelatedSampleModel(x, 0.1, 3)),
+    "model-rho": ("rho", lambda x: CorrelatedSampleModel(0.7, x, 3)),
+    "vote-sim-p": ("p", lambda x: simulate_self_consistency(CorrelatedSampleModel(x, 0.1, 3), 50, 1)),
+    "mixture-p": ("p", lambda x: mixture_sc_accuracy(x, 0.1, 3)),
+    "mixture-rho": ("rho", lambda x: mixture_sc_accuracy(0.7, x, 3)),
+    "fit-p": ("p", lambda x: fit_common_cause_weight(x, 3, 0.75)),
+    "fit-target": ("target_accuracy", lambda x: fit_common_cause_weight(0.7, 3, x)),
+}
+# the fit has an attainable range narrower than [0, 1]; the bounds are tested in test_baselines
+_RANGE_LIMITED = {"fit-p", "fit-target"}
+
+
+@pytest.mark.parametrize("site", sorted(_PROBABILITY_SITES))
+def test_probabilities_refuse_bools_non_numbers_nan_and_out_of_range(site):
+    name, call = _PROBABILITY_SITES[site]
+    for bad in (True, False, np.bool_(False), "0.5", None, math.nan, np.float64("nan"),
+                -0.1, 1.5, math.inf, np.float32(1.5), np.int64(2), np.int8(-1)):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number in [0, 1], got {bad!r}")):
+            call(bad)
+
+
+@pytest.mark.parametrize("site", sorted(set(_PROBABILITY_SITES) - _RANGE_LIMITED))
+def test_probabilities_accept_numpy_and_python_reals(site):
+    call = _PROBABILITY_SITES[site][1]
+    for x in (np.float32(0.3), np.float16(0.6), np.float64(0.7), np.int64(0), np.uint8(1), Fraction(1, 3)):
+        want, got = call(float(x)), call(x)
+        assert got == want and type(got) is type(want), (x, got, want)
+
+
+def test_range_limited_probabilities_accept_numpy_reals():
+    want = fit_common_cause_weight(float(np.float32(0.7)), 3, 0.75)
+    assert fit_common_cause_weight(np.float32(0.7), 3, np.float16(0.75)) == want
+
+
+def _sim_with_seed(seed):
+    trajectory = simulate_population(SimConfig(9, 2, 0.5, seed, _TAIL))
+    return _log_state(trajectory.log), type(trajectory.config.seed)
+
+
+def _bootstrap_with_seed(seed):
+    col = np.array([True, False, True, True, False, False, True, False])
+    delta = paired_bootstrap_delta(col, col[::-1], resamples=40, seed=seed)
+    return delta, type(delta.seed)
+
+
+# every seed argument of the package, called with the seed s; a kept seed is an int
+_SEED_SITES = {
+    "uniforms": lambda s: rng.uniforms(s, 3, np.arange(6)).tobytes(),
+    "sim": _sim_with_seed,
+    "vote": lambda s: simulate_self_consistency(CorrelatedSampleModel(0.7, 0.1, 3), 50, s),
+    "bootstrap": _bootstrap_with_seed,
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SEED_SITES))
+def test_seeds_accept_numpy_integers_with_identical_results(site):
+    want = _SEED_SITES[site](7)
+    for s in (np.int64(7), np.uint64(7), np.uint8(7)):
+        assert _SEED_SITES[site](s) == want
+
+
+def test_seeds_refuse_bools_floats_and_out_of_range():
+    for bad in (True, np.bool_(True), 7.0, np.float64(7.0), "7", -1, np.int64(-1)):
+        for site in _SEED_SITES:
+            with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative int, got {bad!r}")):
+                _SEED_SITES[site](bad)
+    for site in _SEED_SITES:
+        with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2**64), got 18446744073709551616")):
+            _SEED_SITES[site](1 << 64)
 
 
 # -- matrix-power oracle -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Rate estimation: exact counting identities and interval behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +172,10 @@ def test_wilson_degenerate_and_bounds():
         wilson_interval(-1, 2)
     with pytest.raises(ValueError):
         wilson_interval(1, 2, confidence=1.0)
+    for bad in (None, "0.9", float("nan"), True, np.bool_(True), 0):
+        with pytest.raises(ValueError, match=re.escape(f"confidence must be a number in (0, 1), got {bad!r}")):
+            wilson_interval(1, 3, confidence=bad)
+    assert wilson_interval(1, 3, np.float32(0.9)) == wilson_interval(1, 3, float(np.float32(0.9)))
 
 
 @given(

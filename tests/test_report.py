@@ -143,6 +143,9 @@ def test_confidence_reaches_the_paired_bootstrap():
     assert report.paired.final_bootstrap.confidence == 0.8
     assert "80% CI" in render_tables(report)["report.txt"]
     assert "95% CI" in render_tables(build_report(runs, resamples=300))["report.txt"]
+    for bad in ("x", None, float("nan"), True, 1.0):
+        with pytest.raises(ValueError, match="confidence must be a number in"):
+            build_report(runs, resamples=300, confidence=bad)
 
 
 def test_three_runs_no_automatic_pair():

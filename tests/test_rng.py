@@ -134,6 +134,11 @@ def test_seed_validation():
         rng.check_seed(True)
     assert rng.check_seed(0) == 0
     assert rng.check_seed(2**64 - 1) == 2**64 - 1
+    for bad in (np.bool_(True), np.float64(3.0), "3", np.int64(-1)):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            rng.check_seed(bad)
+    for seed in (np.int64(3), np.uint64(2**64 - 1), np.uint8(0)):
+        assert rng.check_seed(seed) == seed and type(rng.check_seed(seed)) is int
 
 
 def test_stream_blocks_do_not_collide():

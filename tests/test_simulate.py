@@ -193,3 +193,7 @@ def test_config_validation():
         SimConfig(n_problems=5, n_iterations=1, initial_accuracy=0.5, seed=-1, schedule=schedule)
     with pytest.raises(ValueError):
         SimConfig(n_problems=5, n_iterations=1, initial_accuracy=0.5, seed=0, schedule="nope")
+    config = SimConfig(n_problems=5, n_iterations=1, initial_accuracy=np.float32(0.5), seed=np.uint64(3),
+                       schedule=schedule)
+    assert (config.initial_accuracy, config.seed) == (0.5, 3)
+    assert (type(config.initial_accuracy), type(config.seed)) == (float, int)

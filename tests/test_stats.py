@@ -1,6 +1,7 @@
 """Paired tests: frozen reference rows, tail-function oracles, bootstrap."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -140,6 +141,11 @@ def test_chi_square_monotone_decreasing(x):
 def test_chi_square_validation():
     with pytest.raises(ValueError):
         chi_square_survival(-0.1)
+    for bad in ("1", None, math.nan, True, np.bool_(False), np.float32(-1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"statistic must be a number in [0, inf], got {bad!r}")):
+            chi_square_survival(bad)
+    for x in (np.float32(2.5), np.int64(4), 3):
+        assert chi_square_survival(x) == chi_square_survival(float(x))
 
 
 # -- paired bootstrap ----------------------------------------------------------
@@ -360,3 +366,9 @@ def test_bootstrap_validation():
         paired_bootstrap_delta(col, col, confidence=1.0)
     with pytest.raises(ValueError):
         paired_bootstrap_delta(col, col, seed=-2)
+    for bad in ("0.9", None, math.nan, True, np.bool_(True), 0):
+        with pytest.raises(ValueError, match=re.escape(f"confidence must be a number in (0, 1), got {bad!r}")):
+            paired_bootstrap_delta(col, col, confidence=bad)
+    got = paired_bootstrap_delta(col, ~col, resamples=50, confidence=np.float32(0.9))
+    assert got == paired_bootstrap_delta(col, ~col, resamples=50, confidence=float(np.float32(0.9)))
+    assert type(got.confidence) is float
