@@ -56,12 +56,14 @@ from .asc import (
     AscBackendError,
     AscConfig,
     AscOutcome,
+    AscOutcomes,
     BatchSummary,
     ConfidenceTaxReport,
     EquilibriumMode,
     RefinementBackend,
     Scenario,
     ScenarioError,
+    ScenarioReplay,
     ScriptedBackend,
     StopReason,
     confidence_tax_report,

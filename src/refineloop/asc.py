@@ -14,16 +14,20 @@ the rates come from is explicit: a calibration pair fixed up front, a
 live labeled estimate (online-labeled mode), or nothing (criterion
 disabled).
 
-One lockstep loop runs every instance; a single problem is a batch of
-one. With labels the batch pools transition counts across instances
-after every round and applies one shared equilibrium decision to the
-still-active instances.
+One lockstep loop runs every instance, on arrays: the active mask, the
+kept-answer index and the stop code of each instance. A round source
+gives it the scores of the active instances: a backend asked one
+instance at a time, or a slice of a scenario's confidence column. A
+single problem is a batch of one. With labels the batch pools transition
+counts across instances after every round and applies one shared
+equilibrium decision to the still-active instances.
 """
 
 import json
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -40,12 +44,14 @@ __all__ = [
     "RefinementBackend",
     "AscBackendError",
     "AscOutcome",
+    "AscOutcomes",
     "BatchSummary",
     "run_asc_instance",
     "run_asc_batch",
     "ScriptedBackend",
     "ScenarioError",
     "Scenario",
+    "ScenarioReplay",
     "load_scenario",
     "run_scenario",
     "ConfidenceTaxReport",
@@ -107,90 +113,106 @@ class AscOutcome:
     confidence_trace: tuple[float, ...]
 
 
-class _Instance:
-    """State machine for one problem; driven one round at a time."""
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
+class AscOutcomes:
+    """Every instance's outcome of one lockstep run, as columns in instance order."""
 
-    def __init__(self, problem: Any, backend: RefinementBackend, config: AscConfig):
-        self.problem = problem
-        self.backend = backend
-        self.config = config
-        self.answers: list[Any] = []
-        self.scores: list[float] = []
-        self.outcome: AscOutcome | None = None
-
-    @property
-    def active(self) -> bool:
-        return self.outcome is None
-
-    def _call(self, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise AscBackendError(
-                f"backend failed during {fn.__name__}: {exc}", self.problem, self.answers, self.scores
-            ) from exc
-
-    def stop(self, index: int, reason: StopReason) -> None:
-        self.outcome = AscOutcome(
-            final_answer=self.answers[index],
-            iterations_used=index,
-            stop_reason=reason,
-            confidence_trace=tuple(self.scores),
-        )
-
-    def round(self) -> None:
-        """Generate the first answer, or refine the latest; stop if confident."""
-        if self.answers:
-            answer = self._call(self.backend.refine, self.problem, self.answers[-1])
-        else:
-            answer = self._call(self.backend.generate, self.problem)
-        self.answers.append(answer)
-        score = self._call(self.backend.confidence, self.problem, answer)
-        try:
-            score = _check_real("confidence", score, 1.0, 10.0)
-        except ValueError as exc:  # the partial trace ends at the answer that was scored
-            raise AscBackendError(f"backend {exc}", self.problem, self.answers, self.scores) from None
-        self.scores.append(score)
-        if score >= self.config.tau:
-            self.stop(len(self.answers) - 1, StopReason.CONFIDENCE)
+    iterations_used: np.ndarray  # int64: the index k of the kept answer r^(k)
+    stop_codes: np.ndarray  # int8: the position of the stop reason in ``StopReason``
+    answers_asked: np.ndarray  # int64: answers generated, one score each
 
 
-def _run_rounds(instances: list[_Instance], config: AscConfig, labeled_rates) -> tuple[int, int | None]:
-    """Drive ``instances`` in lockstep rounds to completion.
+_REASONS = tuple(StopReason)  # a stop code is a position here
+_CONFIDENCE, _EQUILIBRIUM, _BUDGET = map(_REASONS.index, (StopReason.CONFIDENCE, StopReason.EQUILIBRIUM,
+                                                          StopReason.BUDGET))
 
-    Round 0 generates; round k >= 1 refines every active instance, then
-    takes the rates that decide it -- ``labeled_rates(k, refining)`` in
-    online-labeled mode, the calibration pair in calibration-only mode,
-    none when disabled. Returns (refinement rounds run, first round in
-    which equilibrium stopped an instance, or None).
+
+def _run_rounds(n: int, config: AscConfig, scores, online_rates) -> tuple[AscOutcomes, int, int | None]:
+    """Drive ``n`` instances in lockstep rounds to completion.
+
+    Round 0 generates; round k >= 1 refines. Each round
+    ``scores(k, idx)`` returns the score of the k-th answer of every
+    active instance ``idx`` (ascending). After a refinement round the
+    rates that decide it are ``online_rates(k, idx, rest)`` in
+    online-labeled mode, where ``rest`` are the instances the confidence
+    stop left running, the calibration pair in calibration-only mode,
+    none when disabled. Returns (outcomes, refinement rounds run, first
+    round in which equilibrium stopped an instance, or None).
     """
     mode = config.equilibrium_mode
     fixed = config.calibration_rates if mode is EquilibriumMode.CALIBRATION_ONLY else None
+    active = np.ones(n, dtype=bool)
+    kept = np.full(n, config.max_iterations, dtype=np.int64)  # what the budget stop keeps
+    stop = np.full(n, _BUDGET, dtype=np.int8)
+    asked = np.zeros(n, dtype=np.int64)
     rounds, fired_round = 0, None
     for k in range(config.max_iterations + 1):
-        refining = [inst for inst in instances if inst.active]
-        if not refining:
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        for inst in refining:
-            inst.round()
+        confident = scores(k, idx) >= config.tau
+        asked[idx] = k + 1
+        done = idx[confident]
+        kept[done], stop[done], active[done] = k, _CONFIDENCE, False
         if k == 0:
             continue
         rounds = k
-        rates = labeled_rates(k, refining) if mode is EquilibriumMode.ONLINE_LABELED else fixed
+        rest = idx[~confident]
+        rates = online_rates(k, idx, rest) if mode is EquilibriumMode.ONLINE_LABELED else fixed
         # Ties stop: once introductions keep pace with corrections the
         # expected net benefit is not positive. The answer produced by the
         # round that triggered the stop is discarded in favor of its
         # predecessor.
         if rates is not None and rates.eir >= rates.ecr:
-            stopping = [inst for inst in refining if inst.active]
-            for inst in stopping:
-                inst.stop(len(inst.answers) - 2, StopReason.EQUILIBRIUM)
-            if stopping and fired_round is None:
+            kept[rest], stop[rest], active[rest] = k - 1, _EQUILIBRIUM, False
+            if rest.size and fired_round is None:
                 fired_round = k
-    for inst in instances:
-        if inst.active:
-            inst.stop(len(inst.answers) - 1, StopReason.BUDGET)
-    return rounds, fired_round
+    return AscOutcomes(kept, stop, asked), rounds, fired_round
+
+
+class _BackendRounds:
+    """Round source that asks a backend, one instance at a time in index order."""
+
+    def __init__(self, problems: Sequence[Any], backend: RefinementBackend):
+        self.problems = problems
+        self.backend = backend
+        self.answers: list[list] = [[] for _ in problems]
+        self.scores: list[list[float]] = [[] for _ in problems]
+
+    def _call(self, i: int, fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            raise AscBackendError(
+                f"backend failed during {fn.__name__}: {exc}", self.problems[i], self.answers[i], self.scores[i]
+            ) from exc
+
+    def __call__(self, k: int, idx: np.ndarray) -> np.ndarray:
+        """Generate the first answer, or refine the latest, and score it, for each instance in ``idx``."""
+        out = np.empty(idx.size)
+        for j, i in enumerate(idx.tolist()):
+            problem, answers, scores = self.problems[i], self.answers[i], self.scores[i]
+            if answers:
+                answer = self._call(i, self.backend.refine, problem, answers[-1])
+            else:
+                answer = self._call(i, self.backend.generate, problem)
+            answers.append(answer)
+            score = self._call(i, self.backend.confidence, problem, answer)
+            try:
+                score = _check_real("confidence", score, 1.0, 10.0)
+            except ValueError as exc:  # the partial trace ends at the answer that was scored
+                raise AscBackendError(f"backend {exc}", problem, answers, scores) from None
+            scores.append(score)
+            out[j] = score
+        return out
+
+    def outcomes(self, columns: AscOutcomes) -> list[AscOutcome]:
+        return [
+            AscOutcome(answers[k], k, _REASONS[code], tuple(scores))
+            for answers, scores, k, code in zip(
+                self.answers, self.scores, columns.iterations_used.tolist(), columns.stop_codes.tolist()
+            )
+        ]
 
 
 def run_asc_instance(
@@ -206,9 +228,9 @@ def run_asc_instance(
     """
     if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and equilibrium_feed is None:
         raise ValueError("online-labeled equilibrium mode needs an equilibrium_feed")
-    inst = _Instance(problem, backend, config)
-    _run_rounds([inst], config, lambda k, refining: equilibrium_feed() if inst.active else None)
-    return inst.outcome
+    source = _BackendRounds([problem], backend)
+    columns, _, _ = _run_rounds(1, config, source, lambda k, idx, rest: equilibrium_feed() if rest.size else None)
+    return source.outcomes(columns)[0]
 
 
 @dataclass(frozen=True)
@@ -228,6 +250,38 @@ def _equilibrium_rates(flows: np.ndarray) -> TransitionRates | None:
     if eir is None or ecr is None:
         return None
     return TransitionRates(eir=eir, ecr=ecr)
+
+
+def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcomes, BatchSummary]:
+    """Run ``n`` instances under one shared stop rule and summarise them.
+
+    In online-labeled mode ``labels_at(k, idx)`` gives the correctness of
+    the iteration k-1 and k answers of the instances ``idx`` as an
+    (len(idx), 2) array; rates are re-pooled after every round from all
+    transitions executed so far.
+    """
+    flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
+
+    def pooled_after(k: int, idx: np.ndarray, rest: np.ndarray) -> TransitionRates | None:
+        # Every instance that refined this round contributes its observed
+        # transition, including ones that just stopped on confidence; their
+        # labels are data like any other.
+        flows[:] += transition_counts(labels_at(k, idx))
+        return _equilibrium_rates(flows)
+
+    columns, rounds, fired_round = _run_rounds(n, config, scores, pooled_after)
+    iterations, per_iteration = np.unique(columns.iterations_used, return_counts=True)
+    codes, first, per_code = np.unique(columns.stop_codes, return_index=True, return_counts=True)
+    order = np.argsort(first)  # reasons in the order instances first show them
+    return columns, BatchSummary(
+        n_instances=n,
+        rounds_executed=rounds,
+        iterations_histogram=dict(zip(iterations.tolist(), per_iteration.tolist())),
+        stop_reasons={_REASONS[c]: m for c, m in zip(codes[order].tolist(), per_code[order].tolist())},
+        equilibrium_fired_round=fired_round,
+        final_pooled_rates=_equilibrium_rates(flows) if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED
+        else None,
+    )
 
 
 def _label_lookup(labels, problem: Any, iteration: int) -> bool:
@@ -252,34 +306,20 @@ def run_asc_batch(
     after every round from all transitions executed so far, and one
     equilibrium decision is applied to every still-active instance.
     """
-    online = config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED
-    if online:
+    if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED:
         if labels is None:
             raise ValueError("online-labeled equilibrium mode needs labels for every problem")
         for problem in problems:
             _label_lookup(labels, problem, 0)
-    flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
 
-    def pooled_after(k: int, refining: list[_Instance]) -> TransitionRates | None:
-        # Every instance that refined this round contributes its observed
-        # transition, including ones that just stopped on confidence; their
-        # labels are data like any other.
-        was = [_label_lookup(labels, inst.problem, k - 1) for inst in refining]
-        now = [_label_lookup(labels, inst.problem, k) for inst in refining]
-        flows[:] += transition_counts(np.column_stack([was, now]))
-        return _equilibrium_rates(flows)
+    def labels_at(k: int, idx: np.ndarray) -> np.ndarray:
+        was = [_label_lookup(labels, problems[i], k - 1) for i in idx.tolist()]
+        now = [_label_lookup(labels, problems[i], k) for i in idx.tolist()]
+        return np.column_stack([was, now])
 
-    instances = [_Instance(p, backend, config) for p in problems]
-    rounds, fired_round = _run_rounds(instances, config, pooled_after)
-    outcomes = [inst.outcome for inst in instances]
-    return outcomes, BatchSummary(
-        n_instances=len(outcomes),
-        rounds_executed=rounds,
-        iterations_histogram=dict(sorted(Counter(o.iterations_used for o in outcomes).items())),
-        stop_reasons=dict(Counter(o.stop_reason for o in outcomes)),
-        equilibrium_fired_round=fired_round,
-        final_pooled_rates=_equilibrium_rates(flows) if online else None,
-    )
+    source = _BackendRounds(problems, backend)
+    columns, summary = _run_batch(len(problems), config, source, labels_at)
+    return source.outcomes(columns), summary
 
 
 # -- scripted scenarios -------------------------------------------------------
@@ -296,7 +336,6 @@ class ScriptedProblem:
     problem_id: str
     answers: tuple[Any, ...]  # r^(0), r^(1), ...
     confidences: tuple[float, ...]
-    correct: tuple[bool, ...] | None = None
 
 
 class ScriptedBackend:
@@ -339,60 +378,98 @@ class ScriptedBackend:
         return script.confidences[self._cursor[problem] - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class Scenario:
+    """A scripted scenario held as columns, one row per problem in file order."""
+
     config: AscConfig
-    problems: tuple[ScriptedProblem, ...]
+    ids: list[str]
+    answers: list[list]  # each problem's answers r^(0), r^(1), ... as parsed
+    confidences: np.ndarray  # float (n, width): the scores, NaN past a problem's answers
+    counts: np.ndarray  # int64: answers per problem
+    labels: np.ndarray | None  # bool (n, width), False past a problem's answers; None unless every problem is labeled
     metadata: dict[str, str]
 
-    def labels(self) -> dict[str, tuple[bool, ...]] | None:
-        if any(p.correct is None for p in self.problems):
-            return None
-        return {p.problem_id: p.correct for p in self.problems}
+
+class ScenarioReplay:
+    """The calls a ``ScriptedBackend`` would have recorded replaying a scenario run.
+
+    ``calls`` lists (method, problem_id) tuples in invocation order; it is
+    built on first access.
+    """
+
+    def __init__(self, ids: list[str], answers_asked: np.ndarray):
+        self._ids = ids
+        self._asked = answers_asked
+
+    @cached_property
+    def calls(self) -> list[tuple[str, str]]:
+        calls: list[tuple[str, str]] = []
+        for k in range(int(self._asked.max(initial=0))):
+            method = "refine" if k else "generate"
+            for i in np.flatnonzero(self._asked > k).tolist():
+                calls += ((method, self._ids[i]), ("confidence", self._ids[i]))
+        return calls
 
 
-def _scenario_array(entry: dict, field: str, index: int, types=None, rule: str = "") -> tuple:
-    """``entry[field]`` as a tuple, refused unless it is a JSON array whose items' types are in ``types``."""
+def _scenario_array(entry: dict, field: str, index: int, types=None, rule: str = "") -> list:
+    """``entry[field]``, refused unless it is a JSON array whose items' types are in ``types``."""
     value = entry[field]
     if not isinstance(value, list):
         raise ScenarioError(f"problems[{index}].{field} must be an array, got {value!r}")
     if types is not None and not set(map(type, value)) <= types:  # bool is not int here
         bad = next(item for item in value if type(item) not in types)
         raise ScenarioError(f"problems[{index}].{field} must hold {rule}, got {bad!r}")
-    return tuple(value)
+    return value
 
 
-def _scenario_problem(entry, index: int) -> ScriptedProblem:
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"problems[{index}] must be an object")
-    try:
-        pid = entry["id"]
-        answers = _scenario_array(entry, "answers", index)
-        confidences = tuple(map(float, _scenario_array(entry, "confidences", index, {int, float}, "numbers")))
-    except KeyError as exc:
-        raise ScenarioError(f"problems[{index}] missing field {exc}") from None
-    if not isinstance(pid, str):
-        raise ScenarioError(f"problems[{index}].id must be a string, got {pid!r}")
-    if len(answers) != len(confidences):
-        raise ScenarioError(
-            f"problems[{index}]: {len(answers)} answers vs {len(confidences)} confidences"
-        )
-    if not answers:
-        raise ScenarioError(f"problems[{index}]: needs at least the initial answer")
-    for g in confidences:
-        if not 1.0 <= g <= 10.0:
-            raise ScenarioError(f"problems[{index}]: confidence {g} outside the 1-10 scale")
-    correct = None
-    if "correct" in entry:
-        rule = "booleans (or 0/1)"
-        labels = _scenario_array(entry, "correct", index, {bool, int}, rule)
-        if not set(labels) <= {0, 1}:  # False == 0 and True == 1
-            bad = next(c for c in labels if c not in (0, 1))
-            raise ScenarioError(f"problems[{index}].correct must hold {rule}, got {bad!r}")
-        correct = tuple(map(bool, labels))
-        if len(correct) != len(answers):
-            raise ScenarioError(f"problems[{index}]: correct length must match answers")
-    return ScriptedProblem(problem_id=pid, answers=answers, confidences=confidences, correct=correct)
+def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray | None]:
+    """One validation pass over the parsed problems: (ids, answers, confidences, counts, labels)."""
+    ids, answers_column, counts, flat_scores, flat_labels = [], [], [], [], []
+    labeled = True
+    rule = "booleans (or 0/1)"
+    for index, entry in enumerate(raw_problems):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"problems[{index}] must be an object")
+        try:
+            pid = entry["id"]
+            answers = _scenario_array(entry, "answers", index)
+            scores = _scenario_array(entry, "confidences", index, {int, float}, "numbers")
+        except KeyError as exc:
+            raise ScenarioError(f"problems[{index}] missing field {exc}") from None
+        if not isinstance(pid, str):
+            raise ScenarioError(f"problems[{index}].id must be a string, got {pid!r}")
+        if len(answers) != len(scores):
+            raise ScenarioError(f"problems[{index}]: {len(answers)} answers vs {len(scores)} confidences")
+        if not answers:
+            raise ScenarioError(f"problems[{index}]: needs at least the initial answer")
+        for g in scores:  # the raw value: an int past the float range must not reach float()
+            if not 1 <= g <= 10:
+                shown = g if type(g) is int and abs(g) > sys.float_info.max else float(g)
+                raise ScenarioError(f"problems[{index}]: confidence {shown} outside the 1-10 scale")
+        if "correct" in entry:
+            labels = _scenario_array(entry, "correct", index, {bool, int}, rule)
+            if not set(labels) <= {0, 1}:  # False == 0 and True == 1
+                bad = next(c for c in labels if c not in (0, 1))
+                raise ScenarioError(f"problems[{index}].correct must hold {rule}, got {bad!r}")
+            if len(labels) != len(answers):
+                raise ScenarioError(f"problems[{index}]: correct length must match answers")
+            flat_labels += labels
+        else:
+            labeled = False
+        ids.append(pid)
+        answers_column.append(answers)
+        counts.append(len(answers))
+        flat_scores += scores
+    counts = np.array(counts, dtype=np.int64)
+    filled = np.arange(counts.max()) < counts[:, None]  # row-major, as the flat lists run
+    confidences = np.full(filled.shape, np.nan)
+    confidences[filled] = flat_scores
+    labels = None
+    if labeled:
+        labels = np.zeros(filled.shape, dtype=bool)
+        labels[filled] = flat_labels
+    return ids, answers_column, confidences, counts, labels
 
 
 def load_scenario(path) -> Scenario:
@@ -429,8 +506,8 @@ def load_scenario(path) -> Scenario:
     raw_problems = doc.get("problems")
     if not isinstance(raw_problems, list) or not raw_problems:
         raise ScenarioError("scenario needs a non-empty problems list")
-    problems = tuple(_scenario_problem(entry, i) for i, entry in enumerate(raw_problems))
-    if len({p.problem_id for p in problems}) != len(problems):
+    ids, answers, confidences, counts, labels = _scenario_columns(raw_problems)
+    if len(set(ids)) != len(ids):
         raise ScenarioError("problem ids must be unique")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -438,24 +515,28 @@ def load_scenario(path) -> Scenario:
     for key, value in metadata.items():  # a JSON object's keys are strings already
         if not isinstance(value, str):
             raise ScenarioError(f"metadata.{key} must be a string, got {value!r}")
-    return Scenario(config=config, problems=problems, metadata=dict(metadata))
+    return Scenario(config=config, ids=ids, answers=answers, confidences=confidences, counts=counts,
+                    labels=labels, metadata=dict(metadata))
 
 
-def run_scenario(scenario: Scenario) -> tuple[list[AscOutcome], BatchSummary, ScriptedBackend]:
-    """Run a scripted scenario through the lockstep batch controller."""
-    labels = scenario.labels()
-    if scenario.config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and labels is None:
+def run_scenario(scenario: Scenario) -> tuple[AscOutcomes, BatchSummary, ScenarioReplay]:
+    """Run a scripted scenario through the lockstep batch controller, on its columns."""
+    config, labels = scenario.config, scenario.labels
+    if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and labels is None:
         raise ScenarioError("online-labeled scenarios must label every problem")
-    backend = ScriptedBackend(scenario.problems)
-    try:
-        outcomes, summary = run_asc_batch(
-            [p.problem_id for p in scenario.problems], backend, scenario.config, labels=labels
-        )
-    except AscBackendError as exc:  # a scripted backend fails only when a script runs out
-        n = scenario.config.max_iterations
-        raise ScenarioError(f"answers of problem {exc.problem!r} ran out after {len(exc.answers)}; "
-                            f"max_iterations {n} can ask for up to {n + 1}") from exc
-    return outcomes, summary, backend
+
+    def scores(k: int, idx: np.ndarray) -> np.ndarray:
+        short = scenario.counts[idx] <= k
+        if short.any():
+            n = config.max_iterations
+            raise ScenarioError(f"answers of problem {scenario.ids[idx[short.argmax()]]!r} ran out after {k}; "
+                                f"max_iterations {n} can ask for up to {n + 1}")
+        return scenario.confidences[idx, k]
+
+    outcomes, summary = _run_batch(
+        len(scenario.ids), config, scores, lambda k, idx: labels[idx, k - 1 : k + 1]
+    )
+    return outcomes, summary, ScenarioReplay(scenario.ids, outcomes.answers_asked)
 
 
 # -- confidence tax -----------------------------------------------------------

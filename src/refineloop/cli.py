@@ -29,7 +29,7 @@ from .baselines import (
     simulate_self_consistency,
     theoretical_sc_accuracy,
 )
-from .logs import read_runs, write_log
+from .logs import _check_label, read_runs, write_log
 from .report import build_report, diagnose_runs, render_tables
 from .schedule import RateSchedule, preset, preset_baseline, preset_names
 from .simulate import SimConfig, simulate_population
@@ -181,9 +181,8 @@ def _cmd_simulate(args, parser) -> int:
         acc0 = args.acc0
         iterations = args.iterations
     label = args.label if args.label is not None else args.preset or "run"
-    if label == "" and args.form == "records":
-        raise _UsageError("--label must not be empty in record form", parser)
-    try:  # an out-of-range rate, accuracy or size is a usage error too
+    try:  # a label the log cannot hold, or an out-of-range rate, accuracy or size, is a usage error
+        _check_label(label, args.form)
         if args.preset is None:
             schedule = RateSchedule.from_pairs([(args.eir, args.ecr)], stationary_tail=True)
         config = SimConfig(
@@ -239,12 +238,14 @@ def _cmd_asc(args, parser) -> int:
     scenario = load_scenario(args.scenario)
     outcomes, summary, _ = run_scenario(scenario)
     out = _out_dir(args)
+    reasons = [reason.value for reason in StopReason]  # indexed by stop code
     with open(out / "outcomes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["problem_id", "iterations_used", "stop_reason", "answer_index", "final_answer"])
         writer.writerows(  # answer_index is iterations_used; str keeps a None answer as "None"
-            [p.problem_id, o.iterations_used, o.stop_reason.value, o.iterations_used, str(o.final_answer)]
-            for p, o in zip(scenario.problems, outcomes)
+            [pid, k, reasons[code], k, str(answers[k])]
+            for pid, answers, k, code in zip(scenario.ids, scenario.answers, outcomes.iterations_used.tolist(),
+                                             outcomes.stop_codes.tolist())
         )
     srows = ["key,value", f"n_instances,{summary.n_instances}", f"rounds_executed,{summary.rounds_executed}"]
     for reason in StopReason:

@@ -43,10 +43,13 @@ EQUILIBRIUM_TOLERANCE = 1e-12
 def _check_real(name: str, value, low: float = 0.0, high: float = 1.0, open: bool = False) -> float:
     """``value`` as a float, refused unless it is a real (not a bool) in [low, high], or (low, high) if ``open``."""
     real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
-    if not (real and (low < value < high if open else low <= value <= high)):  # NaN compares False
-        bounds = f"({low:g}, {high:g})" if open else f"[{low:g}, {high:g}]"
-        raise ValueError(f"{name} must be a number in {bounds}, got {value!r}")
-    return float(value)
+    if real and (low < value < high if open else low <= value <= high):  # NaN compares False
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range, let in by an infinite bound
+            pass
+    bounds = f"({low:g}, {high:g})" if open else f"[{low:g}, {high:g}]"
+    raise ValueError(f"{name} must be a number in {bounds}, got {value!r}")
 
 
 def _check_int(name: str, value, low: int = 0) -> int:

@@ -341,6 +341,12 @@ def _one_line(text) -> bool:
     return isinstance(text, str) and "".join(text.splitlines()) == text
 
 
+def _check_label(label, form: str) -> None:
+    """Refuse a run label that ``read_runs`` would not give back from a log in ``form``."""
+    if not _one_line(label) or (form == "records" and not label):
+        raise ValueError(f"run label must be a one-line string, non-empty in record form, got {label!r}")
+
+
 def _quote(text: str) -> str:
     """``text`` as ``csv.writer`` writes a field (QUOTE_MINIMAL; line breaks are refused earlier)."""
     return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
@@ -367,8 +373,7 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
     if not _one_line(joined):
         bad = next(pid for pid in ids if not _one_line(pid))
         raise ValueError(f"problem id {bad!r} contains a line break")
-    if not _one_line(label) or (form == "records" and not label):
-        raise ValueError(f"run label must be a one-line string, non-empty in record form, got {label!r}")
+    _check_label(label, form)
     limit = csv.field_size_limit()
     if max(map(len, ids)) > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")

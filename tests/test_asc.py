@@ -9,13 +9,18 @@ equilibrium check, equilibrium returning the previous answer.
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refineloop.asc import (
     AscBackendError,
     AscConfig,
+    AscOutcome,
+    BatchSummary,
     EquilibriumMode,
     Scenario,
     ScenarioError,
@@ -394,15 +399,23 @@ def test_load_and_run_scenario(tmp_path):
     scenario = load_scenario(path)
     assert scenario.config.tau == 8.0
     assert scenario.metadata == {"note": "fixture"}
+    assert scenario.ids == ["p0", "p1"]
+    assert scenario.answers == [["a", "b"], ["x"]]
+    assert scenario.counts.tolist() == [2, 1]
+    np.testing.assert_array_equal(scenario.confidences, [[5.0, 9.0], [10.0, np.nan]])
+    assert scenario.labels is None
     outcomes, summary, backend = run_scenario(scenario)
-    assert outcomes[0].final_answer == "b"
-    assert outcomes[0].iterations_used == 1
-    assert outcomes[1].iterations_used == 0
+    assert outcomes.iterations_used.tolist() == [1, 0]
+    assert [scenario.answers[i][k] for i, k in enumerate(outcomes.iterations_used)] == ["b", "x"]
+    assert outcomes.stop_codes.tolist() == [list(StopReason).index(StopReason.CONFIDENCE)] * 2
+    assert outcomes.answers_asked.tolist() == [2, 1]
     assert summary.n_instances == 2
+    assert backend.calls == [("generate", "p0"), ("confidence", "p0"), ("generate", "p1"),
+                             ("confidence", "p1"), ("refine", "p0"), ("confidence", "p0")]
     # byte-identical traces on a second run
     again, _, backend2 = run_scenario(scenario)
     assert backend2.calls == backend.calls
-    assert [o.final_answer for o in again] == [o.final_answer for o in outcomes]
+    assert again.iterations_used.tolist() == outcomes.iterations_used.tolist()
 
 
 def test_scenario_with_calibration_rates(tmp_path):
@@ -412,9 +425,10 @@ def test_scenario_with_calibration_rates(tmp_path):
     doc["problems"] = [{"id": "p0", "answers": ["a", "b"], "confidences": [5, 5]}]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    outcomes, _, _ = run_scenario(load_scenario(path))
-    assert outcomes[0].stop_reason is StopReason.EQUILIBRIUM
-    assert outcomes[0].final_answer == "a"
+    outcomes, summary, _ = run_scenario(load_scenario(path))
+    assert outcomes.stop_codes.tolist() == [list(StopReason).index(StopReason.EQUILIBRIUM)]
+    assert outcomes.iterations_used.tolist() == [0]  # the answer "a"
+    assert summary.stop_reasons == {StopReason.EQUILIBRIUM: 1}
 
 
 @pytest.mark.parametrize(
@@ -446,6 +460,8 @@ def test_scenario_with_calibration_rates(tmp_path):
         (lambda d: d["problems"][1].update(id=1), r"problems\[1\].id must be a string, got 1"),
         (lambda d: d.update(metadata={"seed": 7}), "metadata.seed must be a string, got 7"),
         (lambda d: d.update(metadata={"note": None}), "metadata.note must be a string, got None"),
+        (lambda d: d["problems"][1].update(confidences=[10**400]),
+         r"problems\[1\]: confidence 10{400} outside the 1-10 scale"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):
@@ -463,7 +479,9 @@ def test_scenario_accepts_zero_one_labels(tmp_path):
     doc["problems"][1]["correct"] = [True]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    assert load_scenario(path).labels() == {"p0": (False, True), "p1": (True,)}
+    labels = load_scenario(path).labels
+    assert labels.dtype == bool
+    assert labels.tolist() == [[False, True], [True, False]]  # False past p1's one answer
 
 
 def test_scenario_rejects_bad_json(tmp_path):
@@ -471,6 +489,21 @@ def test_scenario_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(path)
+
+
+def test_scenario_whose_answers_run_out_names_the_first_problem(tmp_path):
+    doc = _scenario_doc()
+    doc["problems"][0].update(confidences=[5, 5])  # not confident, so round 2 asks for a third answer
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=re.escape(
+            "answers of problem 'p0' ran out after 2; max_iterations 4 can ask for up to 5")):
+        run_scenario(load_scenario(path))
+    # a script that runs out in an earlier round is named first, whatever its place
+    doc["problems"].append({"id": "p2", "answers": ["z"], "confidences": [5]})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="answers of problem 'p2' ran out after 1;"):
+        run_scenario(load_scenario(path))
 
 
 def test_online_scenario_requires_correct_fields(tmp_path):
@@ -481,6 +514,145 @@ def test_online_scenario_requires_correct_fields(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match="label"):
         run_scenario(load_scenario(path))
+
+
+# -- columns against one state machine per problem ---------------------------------
+
+
+class _RanOut(Exception):
+    def __init__(self, problem, k):
+        super().__init__(problem, k)
+        self.problem, self.k = problem, k
+
+
+def _reference_rates(flows):
+    n_cc, n_ci, n_ic, n_ii = flows
+    if n_cc + n_ci and n_ic + n_ii:
+        return TransitionRates(n_ci / (n_cc + n_ci), n_ic / (n_ic + n_ii))
+    return None
+
+
+def _reference_run(scripts, config):
+    """The controller as a plain loop with one state machine per problem.
+
+    ``scripts`` maps each id to (answers, confidences, labels). Returns
+    (outcomes in script order, summary, backend calls); raises
+    ``_RanOut`` for the first answer a script lacks.
+    """
+    answers = {pid: [] for pid in scripts}
+    scores = {pid: [] for pid in scripts}
+    stopped = {}  # pid -> (kept index, reason)
+    calls = []
+    flows = [0, 0, 0, 0]  # n_cc, n_ci, n_ic, n_ii
+    rounds, fired = 0, None
+    for k in range(config.max_iterations + 1):
+        refining = [pid for pid in scripts if pid not in stopped]
+        if not refining:
+            break
+        for pid in refining:
+            script_answers, script_scores, _ = scripts[pid]
+            calls.append(("refine" if k else "generate", pid))
+            if k >= len(script_answers):
+                raise _RanOut(pid, k)
+            answers[pid].append(script_answers[k])
+            calls.append(("confidence", pid))
+            scores[pid].append(float(script_scores[k]))
+            if scores[pid][-1] >= config.tau:
+                stopped[pid] = (k, StopReason.CONFIDENCE)
+        if k == 0:
+            continue
+        rounds = k
+        rates = None
+        if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED:
+            for pid in refining:
+                was, now = scripts[pid][2][k - 1], scripts[pid][2][k]
+                flows[2 * (not was) + (not now)] += 1
+            rates = _reference_rates(flows)
+        elif config.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY:
+            rates = config.calibration_rates
+        if rates is not None and rates.eir >= rates.ecr:
+            stopping = [pid for pid in refining if pid not in stopped]
+            for pid in stopping:
+                stopped[pid] = (k - 1, StopReason.EQUILIBRIUM)
+            if stopping and fired is None:
+                fired = k
+    outcomes = []
+    for pid in scripts:
+        k, reason = stopped.get(pid, (len(answers[pid]) - 1, StopReason.BUDGET))
+        outcomes.append(AscOutcome(answers[pid][k], k, reason, tuple(scores[pid])))
+    online = config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED
+    summary = BatchSummary(
+        n_instances=len(outcomes),
+        rounds_executed=rounds,
+        iterations_histogram=dict(sorted(Counter(o.iterations_used for o in outcomes).items())),
+        stop_reasons=dict(Counter(o.stop_reason for o in outcomes)),
+        equilibrium_fired_round=fired,
+        final_pooled_rates=_reference_rates(flows) if online else None,
+    )
+    return outcomes, summary, calls
+
+
+@st.composite
+def _scenarios(draw):
+    max_iterations = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    scripts = {}
+    for i in range(n):
+        length = draw(st.integers(1, max_iterations + 2))  # ragged: a script may run out, or hold spares
+        scores = draw(st.lists(st.integers(1, 10) | st.floats(1.0, 10.0), min_size=length, max_size=length))
+        labels = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+        scripts[f"q{i}"] = ([f"q{i}-r{k}" for k in range(length)], scores, labels)
+    mode = draw(st.sampled_from(EquilibriumMode))
+    rates = None
+    if mode is EquilibriumMode.CALIBRATION_ONLY:
+        rates = TransitionRates(draw(st.sampled_from([0.0, 0.1, 0.3])), draw(st.sampled_from([0.0, 0.1, 0.3])))
+    config = AscConfig(tau=draw(st.integers(1, 10) | st.floats(1.0, 10.0)), max_iterations=max_iterations,
+                       calibration_rates=rates, equilibrium_mode=mode)
+    return scripts, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenarios())
+def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
+    scripts, config = drawn
+    try:
+        want, want_summary, want_calls = _reference_run(scripts, config)
+        ran_out = None
+    except _RanOut as exc:
+        ran_out = exc
+    doc = {
+        "format": "asc-scenario/v1",
+        "tau": config.tau,
+        "max_iterations": config.max_iterations,
+        "equilibrium_mode": config.equilibrium_mode.value,
+        "problems": [{"id": pid, "answers": a, "confidences": g, "correct": c} for pid, (a, g, c) in scripts.items()],
+    }
+    if config.calibration_rates is not None:
+        doc["calibration_rates"] = {"eir": config.calibration_rates.eir, "ecr": config.calibration_rates.ecr}
+    path = tmp_path_factory.getbasetemp() / "columns-property.json"
+    path.write_text(json.dumps(doc))
+    scenario = load_scenario(path)
+    backend = ScriptedBackend([ScriptedProblem(pid, tuple(a), tuple(map(float, g)))
+                               for pid, (a, g, _) in scripts.items()])
+    labels = {pid: tuple(c) for pid, (_, _, c) in scripts.items()}
+    if ran_out is not None:
+        message = f"answers of problem {ran_out.problem!r} ran out after {ran_out.k};"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(scenario)
+        with pytest.raises(AscBackendError) as err:
+            run_asc_batch(list(scripts), backend, config, labels=labels)
+        assert (err.value.problem, len(err.value.answers)) == (ran_out.problem, ran_out.k)
+        return
+    outcomes, summary, replay = run_scenario(scenario)
+    assert outcomes.iterations_used.tolist() == [o.iterations_used for o in want]
+    assert [list(StopReason)[c] for c in outcomes.stop_codes.tolist()] == [o.stop_reason for o in want]
+    assert outcomes.answers_asked.tolist() == [len(o.confidence_trace) for o in want]
+    assert summary == want_summary and list(summary.stop_reasons) == list(want_summary.stop_reasons)
+    assert replay.calls == want_calls
+    batch, batch_summary = run_asc_batch(list(scripts), backend, config, labels=labels)
+    assert batch == want
+    assert batch_summary == want_summary
+    assert backend.calls == want_calls
 
 
 # -- confidence tax -------------------------------------------------------------

@@ -371,6 +371,9 @@ def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys,
     pytest.param(["report", "{log}", "{other}", "--seed", "18446744073709551616"], id="report-seed-2-64"),
     pytest.param(["diagnose", "{log}", "--band", "1"], id="diagnose-has-no-band"),
     pytest.param(["simulate", "--preset", "o3-mini", "--label", ""], id="simulate-empty-record-label"),
+    pytest.param(["simulate", "--preset", "o3-mini", "--label", "a\nb"], id="simulate-multiline-label"),
+    pytest.param(["simulate", "--preset", "o3-mini", "--form", "compact", "--label", "a\rb"],
+                 id="simulate-multiline-compact-label"),
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv):
     log = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20")

@@ -33,7 +33,7 @@ from refineloop.dynamics import (
 from refineloop.estimate import wilson_interval
 from refineloop.schedule import RateSchedule
 from refineloop.simulate import SimConfig, analytic_trajectory, deterministic_replay, simulate_population
-from refineloop.stats import mcnemar, paired_bootstrap_delta
+from refineloop.stats import chi_square_survival, mcnemar, paired_bootstrap_delta
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -232,6 +232,14 @@ def test_probabilities_accept_numpy_and_python_reals(site):
 def test_range_limited_probabilities_accept_numpy_reals():
     want = fit_common_cause_weight(float(np.float32(0.7)), 3, 0.75)
     assert fit_common_cause_weight(np.float32(0.7), 3, np.float16(0.75)) == want
+
+
+def test_reals_past_the_float_range_are_refused_not_overflowed():
+    # [0, inf] lets in an int of any size, and float() of one past 1.8e308 overflows
+    for bad in (10**400, -(10**400), 2**1024, Fraction(10**400)):
+        with pytest.raises(ValueError, match=re.escape(f"statistic must be a number in [0, inf], got {bad!r}")):
+            chi_square_survival(bad)
+    assert chi_square_survival(10**308) == 0.0  # an int the float range holds still converts
 
 
 def _sim_with_seed(seed):
