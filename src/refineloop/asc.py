@@ -25,6 +25,7 @@ equilibrium decision to the still-active instances.
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -80,9 +81,14 @@ class AscConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _check_real("tau", self.tau, 1.0, 10.0))
-        _check_int("max_iterations", self.max_iterations, 1)
-        if self.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY and self.calibration_rates is None:
+        # the driver counts answers, up to max_iterations + 1, in int64 columns
+        _check_int("max_iterations", self.max_iterations, 1, np.iinfo(np.int64).max)
+        calibrated = self.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY
+        if calibrated and self.calibration_rates is None:
             raise ValueError("calibration-only equilibrium mode needs calibration_rates")
+        if not calibrated and self.calibration_rates is not None:
+            raise ValueError(f"calibration_rates are used only in calibration-only equilibrium mode, "
+                             f"not {self.equilibrium_mode.value}")
 
 
 class RefinementBackend(Protocol):
@@ -472,11 +478,20 @@ def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.nd
     return ids, answers_column, confidences, counts, labels
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refused if a key repeats (JSON would keep the last silently)."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ScenarioError(f"key {repeated!r} appears more than once in one object")
+    return doc
+
+
 def load_scenario(path) -> Scenario:
     """Parse a declarative scenario file (JSON, versioned)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != SCENARIO_VERSION:

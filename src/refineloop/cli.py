@@ -15,13 +15,14 @@ invariant breach. ``REFINELOOP_SEED`` supplies the default seed.
 """
 
 import argparse
-import csv
+import itertools
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .asc import StopReason, load_scenario, run_scenario
+from .asc import _REASONS, load_scenario, run_scenario
 from .baselines import (
     CorrelatedSampleModel,
     fit_common_cause_weight,
@@ -29,8 +30,10 @@ from .baselines import (
     simulate_self_consistency,
     theoretical_sc_accuracy,
 )
+from .dynamics import _check_int, _check_real
 from .logs import _check_label, read_runs, write_log
-from .report import build_report, diagnose_runs, render_tables
+from .report import _csv, build_report, diagnose_runs, render_tables
+from .rng import check_seed
 from .schedule import RateSchedule, preset, preset_baseline, preset_names
 from .simulate import SimConfig, simulate_population
 
@@ -55,20 +58,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _checked(kind, ok, rule: str):
-    """An argparse type: ``kind(text)``, refused as a usage error unless ``ok``."""
+def _checked(kind, check):
+    """An argparse type: ``kind(text)``, then the library's own ``check``, whose refusal is a usage error."""
     def parse(text: str):
         value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value: ..."
     return parse
 
 
-_open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-_seed = _checked(int, lambda v: 0 <= v < 1 << 64, "in [0, 2**64)")
+# each flag is checked by the rule of the library argument it feeds
+_confidence = _checked(float, partial(_check_real, "confidence", open=True))
+_resamples = _checked(int, partial(_check_int, "resamples", low=1))
+_n_problems = _checked(int, partial(_check_int, "n_problems", low=1))
+_seed = _checked(int, check_seed)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -107,7 +113,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p = commands[name] = sub.add_parser(name, help=text)
         p.add_argument("logs", nargs="+", metavar="LOG")
         if name == "analyze":  # diagnose writes no interval
-            p.add_argument("--confidence", type=_open_unit, default=0.95)
+            p.add_argument("--confidence", type=_confidence, default=0.95)
         p.add_argument("--out", default=".")
 
     asc_p = commands["asc"] = sub.add_parser("asc", help="run a scripted adaptive-stopping scenario")
@@ -118,7 +124,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sc_p.add_argument("--p", type=float, required=True, help="per-sample accuracy")
     sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
     sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
-    sc_p.add_argument("--n", type=_positive_int, default=100_000, help="simulated problems (default 100000)")
+    sc_p.add_argument("--n", type=_n_problems, default=100_000, help="simulated problems (default 100000)")
     sc_p.add_argument("--seed", type=_seed, default=default_seed)
     sc_p.add_argument("--fit-target", type=float,
                       help="also fit the rho whose closed-form accuracy hits this value")
@@ -129,8 +135,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
                      help="paired comparison (default: automatic when exactly two runs)")
     rep.add_argument("--seed", type=_seed, default=default_seed)
-    rep.add_argument("--resamples", type=_positive_int, default=10_000)
-    rep.add_argument("--confidence", type=_open_unit, default=0.95)
+    rep.add_argument("--resamples", type=_resamples, default=10_000)
+    rep.add_argument("--confidence", type=_confidence, default=0.95)
     rep.add_argument("--out", default=".")
     return parser, commands
 
@@ -238,26 +244,22 @@ def _cmd_asc(args, parser) -> int:
     scenario = load_scenario(args.scenario)
     outcomes, summary, _ = run_scenario(scenario)
     out = _out_dir(args)
-    reasons = [reason.value for reason in StopReason]  # indexed by stop code
-    with open(out / "outcomes.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["problem_id", "iterations_used", "stop_reason", "answer_index", "final_answer"])
-        writer.writerows(  # answer_index is iterations_used; str keeps a None answer as "None"
-            [pid, k, reasons[code], k, str(answers[k])]
-            for pid, answers, k, code in zip(scenario.ids, scenario.answers, outcomes.iterations_used.tolist(),
-                                             outcomes.stop_codes.tolist())
-        )
-    srows = ["key,value", f"n_instances,{summary.n_instances}", f"rounds_executed,{summary.rounds_executed}"]
-    for reason in StopReason:
-        srows.append(f"stopped_{reason.value},{summary.stop_reasons.get(reason, 0)}")
-    for k, n in summary.iterations_histogram.items():
-        srows.append(f"iterations_{k},{n}")
+    reasons = [reason.value for reason in _REASONS]  # indexed by stop code
+    header = ["problem_id", "iterations_used", "stop_reason", "answer_index", "final_answer"]
+    rows = (  # answer_index is iterations_used; str keeps a None answer as "None"
+        [pid, k, reasons[code], k, str(answers[k])]
+        for pid, answers, k, code in zip(scenario.ids, scenario.answers, outcomes.iterations_used.tolist(),
+                                         outcomes.stop_codes.tolist())
+    )
+    _write(out / "outcomes.csv", _csv(itertools.chain([header], rows)))
+    srows = [["key", "value"], ["n_instances", summary.n_instances], ["rounds_executed", summary.rounds_executed]]
+    srows += [[f"stopped_{reason.value}", summary.stop_reasons.get(reason, 0)] for reason in _REASONS]
+    srows += [[f"iterations_{k}", n] for k, n in summary.iterations_histogram.items()]
     if summary.equilibrium_fired_round is not None:
-        srows.append(f"equilibrium_fired_round,{summary.equilibrium_fired_round}")
+        srows.append(["equilibrium_fired_round", summary.equilibrium_fired_round])
     if summary.final_pooled_rates is not None:
-        srows.append(f"pooled_eir,{summary.final_pooled_rates.eir!r}")
-        srows.append(f"pooled_ecr,{summary.final_pooled_rates.ecr!r}")
-    _write(out / "asc_summary.csv", "\n".join(srows) + "\n")
+        srows += [["pooled_eir", summary.final_pooled_rates.eir], ["pooled_ecr", summary.final_pooled_rates.ecr]]
+    _write(out / "asc_summary.csv", _csv(srows))
     hist = ", ".join(f"{k}:{n}" for k, n in summary.iterations_histogram.items())
     print(f"{summary.n_instances} instances, iterations histogram {{{hist}}}")
     print(f"wrote {out / 'outcomes.csv'}, {out / 'asc_summary.csv'}")
@@ -273,15 +275,9 @@ def _cmd_sc(args, parser) -> int:
     mixture = mixture_sc_accuracy(args.p, args.rho, args.k)
     empirical = simulate_self_consistency(model, args.n, args.seed)
     rows = [
-        "key,value",
-        f"p,{args.p!r}",
-        f"k,{args.k}",
-        f"rho,{args.rho!r}",
-        f"theoretical_iid_accuracy,{iid!r}",
-        f"mixture_accuracy,{mixture!r}",
-        f"empirical_accuracy,{empirical!r}",
-        f"n_problems,{args.n}",
-        f"seed,{args.seed}",
+        ["key", "value"], ["p", args.p], ["k", args.k], ["rho", args.rho],
+        ["theoretical_iid_accuracy", iid], ["mixture_accuracy", mixture], ["empirical_accuracy", empirical],
+        ["n_problems", args.n], ["seed", args.seed],
     ]
     print(f"i.i.d. closed form {iid * 100.0:.2f}%, mixture {mixture * 100.0:.2f}%, "
           f"empirical {empirical * 100.0:.2f}% (n={args.n}, seed {args.seed})")
@@ -290,11 +286,10 @@ def _cmd_sc(args, parser) -> int:
             rho = fit_common_cause_weight(args.p, args.k, args.fit_target)
         except ValueError as exc:
             raise _UsageError(str(exc), parser) from None
-        rows.append(f"fitted_rho,{rho!r}")
-        rows.append(f"fit_target,{args.fit_target!r}")
+        rows += [["fitted_rho", rho], ["fit_target", args.fit_target]]
         print(f"fitted rho {rho:.4f} for target {args.fit_target * 100.0:.1f}%")
     out = _out_dir(args)
-    _write(out / "self_consistency.csv", "\n".join(rows) + "\n")
+    _write(out / "self_consistency.csv", _csv(rows))
     print(f"wrote {out / 'self_consistency.csv'}")
     return EXIT_OK
 

@@ -52,10 +52,12 @@ def _check_real(name: str, value, low: float = 0.0, high: float = 1.0, open: boo
     raise ValueError(f"{name} must be a number in {bounds}, got {value!r}")
 
 
-def _check_int(name: str, value, low: int = 0) -> int:
-    """``value`` as an int, refused unless it is an integer (not a bool) of at least ``low``, 0 or 1."""
+def _check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int, refused unless it is an integer (not a bool) in [``low``, ``high``); ``low`` is 0 or 1."""
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < low:
         raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} int, got {value!r}")
+    if high is not None and value >= high:
+        raise ValueError(f"{name} must be below {high}, got {value!r}")
     return int(value)
 
 

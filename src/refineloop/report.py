@@ -181,17 +181,6 @@ def build_report(
 # -- rendering ----------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    """Full-precision machine cell; None -> empty, floats via repr."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _pct(value: float) -> str:
     return f"{value * 100.0:.1f}"
 
@@ -202,6 +191,7 @@ def _signed_pp(value: float) -> str:
 
 
 def _csv(rows) -> str:
+    """Machine-readable rows at full precision: ``csv`` writes None as empty and a float as its repr."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -211,7 +201,7 @@ def _accuracy_csv(report: DiagnosticReport) -> str:
     rows = [["run", "iteration", "accuracy", "net_benefit"]]
     for run in report.runs:
         for point in run.estimates.accuracy_series:
-            rows.append([run.label, point.iteration, _cell(point.accuracy), _cell(point.net_benefit)])
+            rows.append([run.label, point.iteration, point.accuracy, point.net_benefit])
     return _csv(rows)
 
 
@@ -227,8 +217,7 @@ def _rates_csv(report: DiagnosticReport) -> str:
             c = item.counts
             rows.append([
                 run.label, t, c.n_cc, c.n_ci, c.n_ic, c.n_ii,
-                _cell(item.eir), _cell(eir_lo), _cell(eir_hi),
-                _cell(item.ecr), _cell(ecr_lo), _cell(ecr_hi),
+                item.eir, eir_lo, eir_hi, item.ecr, ecr_lo, ecr_hi,
             ])
     return _csv(rows)
 
@@ -240,11 +229,8 @@ def _verdicts_csv(report: DiagnosticReport) -> str:
             if verdict is None:
                 rows.append([run.label, t, "undefined", "", "", ""])
             else:
-                rows.append([
-                    run.label, t, verdict.verdict.value,
-                    _cell(verdict.rate_ratio), _cell(verdict.accuracy_odds),
-                    _cell(verdict.net_benefit),
-                ])
+                rows.append([run.label, t, verdict.verdict.value,
+                             verdict.rate_ratio, verdict.accuracy_odds, verdict.net_benefit])
     return _csv(rows)
 
 
@@ -254,7 +240,7 @@ def _tests_csv(report: DiagnosticReport) -> str:
         for t, test in enumerate(run.transition_tests):
             rows.append([
                 run.label, f"it{t}->it{t + 1}", test.b, test.c,
-                _cell(test.statistic), _cell(test.p_value), _cell(test.significant),
+                test.statistic, test.p_value, int(test.significant),
             ])
     return _csv(rows)
 
@@ -268,12 +254,12 @@ def _summary_csv(report: DiagnosticReport) -> str:
         steady = run.steady
         rows.append([
             run.label,
-            _cell(run.classification.delta_pp),
-            _cell(run.estimates.pooled_eir),
-            _cell(run.estimates.pooled_ecr),
-            _cell(None if steady is None or math.isnan(steady.accuracy) else steady.accuracy),
-            _cell(None if steady is None else steady.eigenvalue),
-            _cell(None if steady is None else steady.absorbing),
+            run.classification.delta_pp,
+            run.estimates.pooled_eir,
+            run.estimates.pooled_ecr,
+            None if steady is None or math.isnan(steady.accuracy) else steady.accuracy,
+            None if steady is None else steady.eigenvalue,
+            None if steady is None else int(steady.absorbing),
             run.classification.tag,
         ])
     return _csv(rows)
@@ -286,13 +272,10 @@ def _paired_csv(paired: PairedComparison) -> str:
     ]]
     rows.append([
         paired.label_a, paired.label_b,
-        _cell(paired.final_bootstrap.delta_pp),
-        _cell(paired.final_bootstrap.ci_lo),
-        _cell(paired.final_bootstrap.ci_hi),
-        paired.final_bootstrap.resamples,
-        paired.final_bootstrap.seed,
+        paired.final_bootstrap.delta_pp, paired.final_bootstrap.ci_lo, paired.final_bootstrap.ci_hi,
+        paired.final_bootstrap.resamples, paired.final_bootstrap.seed,
         paired.final_mcnemar.b, paired.final_mcnemar.c,
-        _cell(paired.final_mcnemar.statistic), _cell(paired.final_mcnemar.p_value),
+        paired.final_mcnemar.statistic, paired.final_mcnemar.p_value,
     ])
     return _csv(rows)
 

@@ -240,6 +240,19 @@ def test_config_validation():
     for tau in (np.float32(8.5), np.int64(9), 7):
         config = AscConfig(tau=tau)
         assert type(config.tau) is float and config.tau == float(tau)
+    # the driver's int64 columns hold up to max_iterations + 1 answers
+    int64_max = 2**63 - 1
+    for bad in (int64_max, 10**20):
+        with pytest.raises(ValueError, match=f"max_iterations must be below {int64_max}, got {bad}"):
+            AscConfig(max_iterations=bad)
+    outcome = run_asc_instance("p", ScriptedBackend([ScriptedProblem("p", ("a",), (9.0,))]),
+                               AscConfig(max_iterations=int64_max - 1))
+    assert (outcome.final_answer, outcome.stop_reason) == ("a", StopReason.CONFIDENCE)
+    # calibration rates are read in calibration-only mode alone, so no other mode takes them
+    for mode in (EquilibriumMode.DISABLED, EquilibriumMode.ONLINE_LABELED):
+        with pytest.raises(ValueError, match=f"calibration_rates are used only in calibration-only "
+                                             f"equilibrium mode, not {mode.value}"):
+            AscConfig(calibration_rates=TransitionRates(0.02, 0.01), equilibrium_mode=mode)
 
 
 # -- batch mode -----------------------------------------------------------------
@@ -462,6 +475,12 @@ def test_scenario_with_calibration_rates(tmp_path):
         (lambda d: d.update(metadata={"note": None}), "metadata.note must be a string, got None"),
         (lambda d: d["problems"][1].update(confidences=[10**400]),
          r"problems\[1\]: confidence 10{400} outside the 1-10 scale"),
+        (lambda d: d.update(max_iterations=10**20),
+         "max_iterations must be below 9223372036854775807, got 10{20}"),
+        (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}),
+         "calibration_rates are used only in calibration-only equilibrium mode, not disabled"),
+        (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}, equilibrium_mode="online-labeled"),
+         "calibration_rates are used only in calibration-only equilibrium mode, not online-labeled"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):
@@ -590,6 +609,21 @@ def _reference_run(scripts, config):
         final_pooled_rates=_reference_rates(flows) if online else None,
     )
     return outcomes, summary, calls
+
+
+@pytest.mark.parametrize("text, key", [
+    ('"tau": 1, "tau": 9', "tau"),
+    ('"metadata": {"note": "a", "note": "b"}', "note"),
+    ('"problems": [{"id": "p0", "answers": ["a"], "confidences": [9], "id": "p1"}]', "id"),
+])
+def test_scenario_refuses_a_repeated_key(tmp_path, text, key):
+    # JSON would keep the last value of a repeated key; a scenario names the key instead
+    doc = _scenario_doc()
+    head = json.dumps(doc)[:-1]  # the document without its closing brace
+    path = tmp_path / "scenario.json"
+    path.write_text(f"{head}, {text}}}")
+    with pytest.raises(ScenarioError, match=f"key '{key}' appears more than once in one object"):
+        load_scenario(path)
 
 
 @st.composite

@@ -358,31 +358,53 @@ def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys,
     assert first.startswith(f"usage: refineloop {argv[0]} [-h]"), first
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["report", "{log}", "--confidence", "1.5"], id="report-confidence-1.5"),
-    pytest.param(["report", "{log}", "--confidence", "0"], id="report-confidence-0"),
-    pytest.param(["analyze", "{log}", "--confidence", "1.5"], id="analyze-confidence-1.5"),
-    pytest.param(["report", "{log}", "{other}", "--resamples", "0"], id="report-resamples-0"),
-    pytest.param(["report", "{log}", "--resamples", "many"], id="report-resamples-many"),
-    pytest.param(["diagnose", "{log}", "--confidence", "0.9"], id="diagnose-has-no-confidence"),
-    pytest.param(["sc", "--p", "0.9", "--n", "0"], id="sc-n-0"),
-    pytest.param(["sc", "--p", "0.9", "--seed", "-1"], id="sc-seed-negative"),
-    pytest.param(["report", "{log}", "--seed", "-1"], id="report-one-run-seed-negative"),
-    pytest.param(["report", "{log}", "{other}", "--seed", "18446744073709551616"], id="report-seed-2-64"),
-    pytest.param(["diagnose", "{log}", "--band", "1"], id="diagnose-has-no-band"),
-    pytest.param(["simulate", "--preset", "o3-mini", "--label", ""], id="simulate-empty-record-label"),
-    pytest.param(["simulate", "--preset", "o3-mini", "--label", "a\nb"], id="simulate-multiline-label"),
+@pytest.mark.parametrize("argv, last", [
+    pytest.param(["report", "{log}", "--confidence", "1.5"],
+                 "argument --confidence: confidence must be a number in (0, 1), got 1.5", id="report-confidence-1.5"),
+    pytest.param(["report", "{log}", "--confidence", "0"],
+                 "argument --confidence: confidence must be a number in (0, 1), got 0.0", id="report-confidence-0"),
+    pytest.param(["analyze", "{log}", "--confidence", "1.5"],
+                 "argument --confidence: confidence must be a number in (0, 1), got 1.5", id="analyze-confidence-1.5"),
+    pytest.param(["analyze", "{log}", "--confidence", "nan"],
+                 "argument --confidence: confidence must be a number in (0, 1), got nan", id="analyze-confidence-nan"),
+    pytest.param(["report", "{log}", "{other}", "--resamples", "0"],
+                 "argument --resamples: resamples must be a positive int, got 0", id="report-resamples-0"),
+    pytest.param(["report", "{log}", "--resamples", "many"],
+                 "argument --resamples: invalid int value: 'many'", id="report-resamples-many"),
+    pytest.param(["report", "{log}", "--resamples", "1.5"],
+                 "argument --resamples: invalid int value: '1.5'", id="report-resamples-1.5"),
+    pytest.param(["diagnose", "{log}", "--confidence", "0.9"],
+                 "unrecognized arguments: --confidence 0.9", id="diagnose-has-no-confidence"),
+    pytest.param(["sc", "--p", "0.9", "--n", "0"],
+                 "argument --n: n_problems must be a positive int, got 0", id="sc-n-0"),
+    pytest.param(["sc", "--p", "0.9", "--seed", "-1"],
+                 "argument --seed: seed must be a non-negative int, got -1", id="sc-seed-negative"),
+    pytest.param(["report", "{log}", "--seed", "-1"],
+                 "argument --seed: seed must be a non-negative int, got -1", id="report-one-run-seed-negative"),
+    pytest.param(["report", "{log}", "{other}", "--seed", "18446744073709551616"],
+                 "argument --seed: seed must be in [0, 2**64), got 18446744073709551616", id="report-seed-2-64"),
+    pytest.param(["diagnose", "{log}", "--band", "1"], "unrecognized arguments: --band 1", id="diagnose-has-no-band"),
+    pytest.param(["simulate", "--preset", "o3-mini", "--label", ""],
+                 "run label must be a one-line string, non-empty in record form, got ''",
+                 id="simulate-empty-record-label"),
+    pytest.param(["simulate", "--preset", "o3-mini", "--label", "a\nb"],
+                 "run label must be a one-line string, non-empty in record form, got 'a\\nb'",
+                 id="simulate-multiline-label"),
     pytest.param(["simulate", "--preset", "o3-mini", "--form", "compact", "--label", "a\rb"],
+                 "run label must be a one-line string, non-empty in record form, got 'a\\rb'",
                  id="simulate-multiline-compact-label"),
 ])
-def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv):
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, last):
+    # exit 1, the subcommand's usage line, then a message that names the flag or value
     log = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20")
     other = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", "--label", "other", out="other")
     capsys.readouterr()
     out = tmp_path / "out"
     argv = [arg.format(log=log, other=other) for arg in argv] + ["--out", str(out)]
     assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage: refineloop")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: refineloop {argv[0]} [-h]")
+    assert err.splitlines()[-1] == f"refineloop: error: {last}"
     assert not out.exists()
 
 
@@ -402,6 +424,17 @@ def test_package_reexports_every_public_name():
             module = importlib.import_module(f"refineloop.{info.name}")
             missing = [name for name in getattr(module, "__all__", ()) if not hasattr(refineloop, name)]
             assert not missing, (info.name, missing)
+
+
+def test_module_public_names_are_disjoint():
+    # the package root star-imports every module, so a name in two lists would be shadowed silently
+    owner = {}
+    for info in pkgutil.iter_modules(refineloop.__path__):
+        if info.name != "__main__":
+            for name in getattr(importlib.import_module(f"refineloop.{info.name}"), "__all__", ()):
+                assert name not in owner, (name, owner.get(name), info.name)
+                owner[name] = info.name
+    assert owner  # the modules do declare their public names
 
 
 def test_pipeline_is_byte_identical(tmp_path):
