@@ -5,22 +5,26 @@ stop. Otherwise refine up to ``max_iterations`` times, and after each
 refinement stop on the first of two criteria, checked in this order:
 
 * confidence: the new answer's score reaches ``tau`` -- keep it;
-* equilibrium: the running error-introduction rate has caught up with the
-  error-correction rate (``eir >= ecr``, ties stop) -- the loop is no
-  longer expected to help, so keep the *previous* answer.
+* equilibrium: another pass is not expected to help -- keep the
+  *previous* answer.
 
-If neither fires, the budget runs out and the last answer stands. Where
-the rates come from is explicit: a calibration pair fixed up front, a
-live labeled estimate (online-labeled mode), or nothing (criterion
-disabled).
+If neither fires, the budget runs out and the last answer stands. The
+equilibrium stop is the paper's threshold: iterate only while
+ECR/EIR > Acc/(1 - Acc); ties stop. Online-labeled mode pools every
+round's labeled transitions, so rates and accuracy come from one set of
+counts and the rule is exactly n_ic > n_ci (``verdict_from_counts``),
+checked once both pools are filled. Calibration-only mode holds an
+(eir, ecr) pair but no accuracy, so it takes the threshold at
+Acc = 1/2: stop when ``eir >= ecr``. The paper's abstract calls ASC
+"adaptive self-consistency", the name of Aggarwal et al. (EMNLP 2023),
+and states no stop rule.
 
 One lockstep loop runs every instance, on arrays: the active mask, the
 kept-answer index and the stop code of each instance. A round source
 gives it the scores of the active instances: a backend asked one
 instance at a time, or a slice of a scenario's confidence column. A
-single problem is a batch of one. With labels the batch pools transition
-counts across instances after every round and applies one shared
-equilibrium decision to the still-active instances.
+single problem is a batch of one; one equilibrium decision per round
+applies to every still-active instance.
 """
 
 import json
@@ -29,14 +33,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .dynamics import TransitionRates, _check_int, _check_real
+from .dynamics import TransitionRates, Verdict, _check_int, _check_real, verdict_from_counts
 from .estimate import pooled_rates, transition_counts
-from .logs import align_rows
-from .stats import McNemarResult, BootstrapDelta, mcnemar_from_logs, paired_bootstrap_delta
 
 __all__ = [
     "StopReason",
@@ -55,8 +57,6 @@ __all__ = [
     "ScenarioReplay",
     "load_scenario",
     "run_scenario",
-    "ConfidenceTaxReport",
-    "confidence_tax_report",
 ]
 
 
@@ -81,6 +81,10 @@ class AscConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _check_real("tau", self.tau, 1.0, 10.0))
+        if not isinstance(self.equilibrium_mode, EquilibriumMode):
+            raise ValueError(f"equilibrium_mode must be an EquilibriumMode, got {self.equilibrium_mode!r}")
+        if not isinstance(self.calibration_rates, (TransitionRates, type(None))):
+            raise ValueError(f"calibration_rates must be TransitionRates, got {self.calibration_rates!r}")
         # the driver counts answers, up to max_iterations + 1, in int64 columns
         _check_int("max_iterations", self.max_iterations, 1, np.iinfo(np.int64).max)
         calibrated = self.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY
@@ -133,20 +137,17 @@ _CONFIDENCE, _EQUILIBRIUM, _BUDGET = map(_REASONS.index, (StopReason.CONFIDENCE,
                                                           StopReason.BUDGET))
 
 
-def _run_rounds(n: int, config: AscConfig, scores, online_rates) -> tuple[AscOutcomes, int, int | None]:
+def _run_rounds(n: int, config: AscConfig, scores, equilibrium) -> tuple[AscOutcomes, int, int | None]:
     """Drive ``n`` instances in lockstep rounds to completion.
 
     Round 0 generates; round k >= 1 refines. Each round
     ``scores(k, idx)`` returns the score of the k-th answer of every
-    active instance ``idx`` (ascending). After a refinement round the
-    rates that decide it are ``online_rates(k, idx, rest)`` in
-    online-labeled mode, where ``rest`` are the instances the confidence
-    stop left running, the calibration pair in calibration-only mode,
-    none when disabled. Returns (outcomes, refinement rounds run, first
-    round in which equilibrium stopped an instance, or None).
+    active instance ``idx`` (ascending). After a refinement round
+    ``equilibrium(k, idx)`` says whether the equilibrium stop fires for
+    the instances the confidence stop left running. Returns (outcomes,
+    refinement rounds run, first round in which equilibrium stopped an
+    instance, or None).
     """
-    mode = config.equilibrium_mode
-    fixed = config.calibration_rates if mode is EquilibriumMode.CALIBRATION_ONLY else None
     active = np.ones(n, dtype=bool)
     kept = np.full(n, config.max_iterations, dtype=np.int64)  # what the budget stop keeps
     stop = np.full(n, _BUDGET, dtype=np.int8)
@@ -163,13 +164,10 @@ def _run_rounds(n: int, config: AscConfig, scores, online_rates) -> tuple[AscOut
         if k == 0:
             continue
         rounds = k
-        rest = idx[~confident]
-        rates = online_rates(k, idx, rest) if mode is EquilibriumMode.ONLINE_LABELED else fixed
-        # Ties stop: once introductions keep pace with corrections the
-        # expected net benefit is not positive. The answer produced by the
-        # round that triggered the stop is discarded in favor of its
-        # predecessor.
-        if rates is not None and rates.eir >= rates.ecr:
+        # The answer produced by the round that triggered the stop is
+        # discarded in favor of its predecessor.
+        if equilibrium(k, idx):
+            rest = idx[~confident]
             kept[rest], stop[rest], active[rest] = k - 1, _EQUILIBRIUM, False
             if rest.size and fired_round is None:
                 fired_round = k
@@ -221,24 +219,6 @@ class _BackendRounds:
         ]
 
 
-def run_asc_instance(
-    problem: Any,
-    backend: RefinementBackend,
-    config: AscConfig,
-    equilibrium_feed: Callable[[], TransitionRates | None] | None = None,
-) -> AscOutcome:
-    """Run the controller to completion for a single problem: a batch of one.
-
-    In online-labeled mode ``equilibrium_feed()`` gives the rates after
-    each refinement that leaves the instance running.
-    """
-    if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and equilibrium_feed is None:
-        raise ValueError("online-labeled equilibrium mode needs an equilibrium_feed")
-    source = _BackendRounds([problem], backend)
-    columns, _, _ = _run_rounds(1, config, source, lambda k, idx, rest: equilibrium_feed() if rest.size else None)
-    return source.outcomes(columns)[0]
-
-
 @dataclass(frozen=True)
 class BatchSummary:
     n_instances: int
@@ -249,44 +229,38 @@ class BatchSummary:
     final_pooled_rates: TransitionRates | None
 
 
-def _equilibrium_rates(flows: np.ndarray) -> TransitionRates | None:
-    # Both pools must be populated before the criterion can compare the
-    # two estimates; otherwise it is skipped for the round.
-    eir, ecr = pooled_rates(flows)
-    if eir is None or ecr is None:
-        return None
-    return TransitionRates(eir=eir, ecr=ecr)
-
-
 def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcomes, BatchSummary]:
     """Run ``n`` instances under one shared stop rule and summarise them.
 
     In online-labeled mode ``labels_at(k, idx)`` gives the correctness of
     the iteration k-1 and k answers of the instances ``idx`` as an
-    (len(idx), 2) array; rates are re-pooled after every round from all
-    transitions executed so far.
+    (len(idx), 2) array; the counts are re-pooled after every round from
+    all transitions executed so far.
     """
+    rates = config.calibration_rates  # set in calibration-only mode alone
     flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
 
-    def pooled_after(k: int, idx: np.ndarray, rest: np.ndarray) -> TransitionRates | None:
+    def equilibrium(k: int, idx: np.ndarray) -> bool:
+        if config.equilibrium_mode is not EquilibriumMode.ONLINE_LABELED:
+            return rates is not None and rates.eir >= rates.ecr  # the threshold at Acc = 1/2
         # Every instance that refined this round contributes its observed
         # transition, including ones that just stopped on confidence; their
         # labels are data like any other.
         flows[:] += transition_counts(labels_at(k, idx))
-        return _equilibrium_rates(flows)
+        return verdict_from_counts(*flows[0].tolist()) in (Verdict.STOP, Verdict.AT_EQUILIBRIUM)  # None waits
 
-    columns, rounds, fired_round = _run_rounds(n, config, scores, pooled_after)
+    columns, rounds, fired_round = _run_rounds(n, config, scores, equilibrium)
     iterations, per_iteration = np.unique(columns.iterations_used, return_counts=True)
     codes, first, per_code = np.unique(columns.stop_codes, return_index=True, return_counts=True)
     order = np.argsort(first)  # reasons in the order instances first show them
+    eir, ecr = pooled_rates(flows)
     return columns, BatchSummary(
         n_instances=n,
         rounds_executed=rounds,
         iterations_histogram=dict(zip(iterations.tolist(), per_iteration.tolist())),
         stop_reasons={_REASONS[c]: m for c, m in zip(codes[order].tolist(), per_code[order].tolist())},
         equilibrium_fired_round=fired_round,
-        final_pooled_rates=_equilibrium_rates(flows) if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED
-        else None,
+        final_pooled_rates=TransitionRates(eir, ecr) if eir is not None and ecr is not None else None,
     )
 
 
@@ -308,9 +282,10 @@ def run_asc_batch(
     """Run many instances in lockstep rounds under one shared stop rule.
 
     In online-labeled mode ``labels[problem][k]`` must give the
-    correctness of that problem's iteration-k answer; rates are re-pooled
-    after every round from all transitions executed so far, and one
-    equilibrium decision is applied to every still-active instance.
+    correctness of that problem's iteration-k answer; the transition
+    counts are re-pooled after every round from all transitions executed
+    so far, and one equilibrium decision is applied to every still-active
+    instance.
     """
     if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED:
         if labels is None:
@@ -326,6 +301,17 @@ def run_asc_batch(
     source = _BackendRounds(problems, backend)
     columns, summary = _run_batch(len(problems), config, source, labels_at)
     return source.outcomes(columns), summary
+
+
+def run_asc_instance(
+    problem: Any,
+    backend: RefinementBackend,
+    config: AscConfig,
+    labels: Mapping[Any, Sequence[bool]] | None = None,
+) -> AscOutcome:
+    """Run the controller to completion for a single problem: ``run_asc_batch`` on a batch of one."""
+    outcomes, _ = run_asc_batch([problem], backend, config, labels)
+    return outcomes[0]
 
 
 # -- scripted scenarios -------------------------------------------------------
@@ -418,6 +404,16 @@ class ScenarioReplay:
         return calls
 
 
+_SCENARIO_KEYS = {"format", "tau", "max_iterations", "equilibrium_mode", "calibration_rates", "problems", "metadata"}
+_PROBLEM_KEYS = {"id", "answers", "confidences", "correct"}
+_RATE_KEYS = {"eir", "ecr"}
+
+
+def _unknown_key(obj: dict, known: set, where: str) -> ScenarioError:
+    """The refusal naming the first key of ``obj`` not in ``known``, built once a check has failed."""
+    return ScenarioError(f"{where} has unknown key {next(key for key in obj if key not in known)!r}")
+
+
 def _scenario_array(entry: dict, field: str, index: int, types=None, rule: str = "") -> list:
     """``entry[field]``, refused unless it is a JSON array whose items' types are in ``types``."""
     value = entry[field]
@@ -437,6 +433,8 @@ def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.nd
     for index, entry in enumerate(raw_problems):
         if not isinstance(entry, dict):
             raise ScenarioError(f"problems[{index}] must be an object")
+        if not _PROBLEM_KEYS.issuperset(entry):
+            raise _unknown_key(entry, _PROBLEM_KEYS, f"problems[{index}]")
         try:
             pid = entry["id"]
             answers = _scenario_array(entry, "answers", index)
@@ -496,6 +494,8 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != SCENARIO_VERSION:
         raise ScenarioError(f"expected a JSON object with format={SCENARIO_VERSION!r}")
+    if not _SCENARIO_KEYS.issuperset(doc):
+        raise _unknown_key(doc, _SCENARIO_KEYS, "scenario")
     try:
         mode = EquilibriumMode(doc.get("equilibrium_mode", "disabled"))
     except ValueError:
@@ -505,6 +505,8 @@ def load_scenario(path) -> Scenario:
     rates = None
     if "calibration_rates" in doc:
         pair = doc["calibration_rates"]
+        if isinstance(pair, dict) and not _RATE_KEYS.issuperset(pair):
+            raise _unknown_key(pair, _RATE_KEYS, "calibration_rates")
         try:
             rates = TransitionRates(pair["eir"], pair["ecr"])
         except (TypeError, KeyError, ValueError) as exc:
@@ -552,34 +554,3 @@ def run_scenario(scenario: Scenario) -> tuple[AscOutcomes, BatchSummary, Scenari
         len(scenario.ids), config, scores, lambda k, idx: labels[idx, k - 1 : k + 1]
     )
     return outcomes, summary, ScenarioReplay(scenario.ids, outcomes.answers_asked)
-
-
-# -- confidence tax -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConfidenceTaxReport:
-    """Iteration-0 cost of confidence elicitation, with paired tests."""
-
-    accuracy_with: float
-    accuracy_without: float
-    delta_pp: float  # with-elicitation minus without
-    test: McNemarResult
-    bootstrap: BootstrapDelta
-
-
-def confidence_tax_report(log_with, log_without, resamples: int = 10_000, seed: int = 0) -> ConfidenceTaxReport:
-    """Compare iteration-0 accuracy with vs without confidence elicitation.
-
-    Both logs must cover the same problems; rows are aligned by id.
-    """
-    col_without = align_rows(log_with, log_without)[:, 0]
-    col_with = log_with.correctness[:, 0]
-    n = log_with.n_problems
-    return ConfidenceTaxReport(
-        accuracy_with=float(col_with.sum()) / n,
-        accuracy_without=float(col_without.sum()) / n,
-        delta_pp=float(col_with.sum() - col_without.sum()) / n * 100.0,
-        test=mcnemar_from_logs(col_without, col_with),
-        bootstrap=paired_bootstrap_delta(col_without, col_with, resamples=resamples, seed=seed),
-    )

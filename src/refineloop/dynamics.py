@@ -11,7 +11,11 @@ obeys the linear recurrence
 and everything of interest has an exact expression: the net benefit of
 one more pass, the break-even condition ``ecr/eir = acc/(1-acc)``, the
 long-run accuracy ``ecr/(eir+ecr)``, and the geometric rate
-``1 - eir - ecr`` at which it is approached.
+``1 - eir - ecr`` at which it is approached. On measured counts the
+break-even test is n_ic > n_ci (``verdict_from_counts``, used by
+``report`` and the ASC controller). The package's argument rules live
+here: ``_check_int`` for every count and seed, ``_check_real`` for every
+bounded real.
 """
 
 import math
@@ -31,6 +35,7 @@ __all__ = [
     "equilibrium_ratio",
     "rate_ratio",
     "stop_or_iterate",
+    "verdict_from_counts",
     "steady_state",
     "closed_form_accuracy",
 ]
@@ -152,7 +157,8 @@ def stop_or_iterate(accuracy: float, rates: TransitionRates) -> EquilibriumVerdi
     The verdict is driven by the sign of the net benefit, with values
     inside ``EQUILIBRIUM_TOLERANCE`` reported as AT_EQUILIBRIUM. The
     degenerate absorbing case eir == ecr == 0 lands there as well, since
-    no pass can then change anything.
+    no pass can then change anything. On counts, :func:`verdict_from_counts`
+    decides without a tolerance.
     """
     nb = net_benefit(accuracy, rates)
     if abs(nb) <= EQUILIBRIUM_TOLERANCE:
@@ -167,6 +173,19 @@ def stop_or_iterate(accuracy: float, rates: TransitionRates) -> EquilibriumVerdi
         accuracy_odds=equilibrium_ratio(accuracy),
         net_benefit=nb,
     )
+
+
+def verdict_from_counts(n_cc: int, n_ci: int, n_ic: int, n_ii: int) -> Verdict | None:
+    """Stop-or-iterate from a transition's (or a pool's) counts; None if either pool is empty.
+
+    With Acc*EIR = n_ci/n and (1-Acc)*ECR = n_ic/n from these counts,
+    ``ecr/eir > acc/(1-acc)`` is exactly n_ic > n_ci: iterate iff more
+    answers were fixed than broken.
+    """
+    n_cc, n_ci, n_ic, n_ii = map(_check_int, ("n_cc", "n_ci", "n_ic", "n_ii"), (n_cc, n_ci, n_ic, n_ii))
+    if not (n_cc + n_ci and n_ic + n_ii):
+        return None
+    return Verdict.ITERATE if n_ic > n_ci else Verdict.STOP if n_ic < n_ci else Verdict.AT_EQUILIBRIUM
 
 
 def steady_state(rates: TransitionRates) -> SteadyStateSummary:

@@ -1,9 +1,10 @@
 """Diagnostic reports over correctness logs.
 
 A report bundles, per run: the accuracy trajectory, per-transition rate
-estimates with intervals, a stop-or-iterate verdict wherever both rates
-are defined, the steady state implied by the pooled rates, adjacent-
-iteration McNemar tests, and a three-way classification of the loop:
+estimates with intervals, a stop-or-iterate verdict from each
+transition's counts wherever both rates are defined, the steady state
+implied by the pooled rates, adjacent-iteration McNemar tests, and a
+three-way classification of the loop:
 
 * ``tier-1 non-degrading``: final-minus-initial accuracy within a fixed
   band (``BAND_PP``, 0.5 pp) and pooled eir at most ``EIR_THRESHOLD`` (0.5%);
@@ -13,7 +14,9 @@ iteration McNemar tests, and a three-way classification of the loop:
 The band is checked first, so a flat-but-controlled loop is not promoted
 to beneficial on rounding noise. When the report covers exactly two runs
 (or a pair is requested) it adds a paired final-iteration comparison:
-McNemar plus a seeded percentile bootstrap for the accuracy difference.
+McNemar plus a seeded percentile bootstrap for the accuracy difference;
+on iteration-0 logs with and without confidence elicitation, the
+confidence tax.
 
 Rendering produces plain-text tables (percentages at one decimal, the
 published print style) plus machine-readable CSVs carrying full float
@@ -31,8 +34,11 @@ from .dynamics import (
     EquilibriumVerdict,
     SteadyStateSummary,
     TransitionRates,
+    equilibrium_ratio,
+    net_benefit,
+    rate_ratio,
     steady_state,
-    stop_or_iterate,
+    verdict_from_counts,
 )
 from .estimate import RateEstimates, estimate_rates
 from .logs import CorrectnessLog, align_rows
@@ -106,11 +112,14 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float) -> RunDiag
     est = estimate_rates(log, confidence=confidence)
     verdicts = []
     for t, item in enumerate(est.per_transition):
-        if item.eir is None or item.ecr is None:
+        c = item.counts
+        verdict = verdict_from_counts(c.n_cc, c.n_ci, c.n_ic, c.n_ii)  # None iff a rate is undefined
+        if verdict is None:
             verdicts.append(None)
         else:
-            acc_before = est.accuracy_series[t].accuracy
-            verdicts.append(stop_or_iterate(acc_before, TransitionRates(item.eir, item.ecr)))
+            acc_before, rates = est.accuracy_series[t].accuracy, TransitionRates(item.eir, item.ecr)
+            verdicts.append(EquilibriumVerdict(verdict, rate_ratio(rates), equilibrium_ratio(acc_before),
+                                               net_benefit(acc_before, rates)))
     steady = None
     if est.pooled_eir is not None and est.pooled_ecr is not None:
         steady = steady_state(TransitionRates(est.pooled_eir, est.pooled_ecr))

@@ -27,15 +27,15 @@ from refineloop.asc import (
     ScriptedBackend,
     ScriptedProblem,
     StopReason,
-    confidence_tax_report,
     load_scenario,
     run_asc_batch,
     run_asc_instance,
     run_scenario,
 )
-from refineloop.dynamics import TransitionRates
-from refineloop.estimate import pooled_rates, transition_counts
+from refineloop.dynamics import TransitionRates, Verdict, verdict_from_counts
+from refineloop.estimate import transition_counts
 from refineloop.logs import CorrectnessLog
+from refineloop.report import build_report
 from refineloop.schedule import preset, preset_baseline
 from refineloop.simulate import deterministic_replay
 
@@ -156,20 +156,21 @@ def test_equilibrium_tie_stops():
     assert outcome.stop_reason is StopReason.EQUILIBRIUM
 
 
-def test_equilibrium_feed_consulted_each_round():
-    feeds = [None, TransitionRates(0.1, 0.0)]
+def test_pooled_labels_consulted_each_round():
+    # round 1 breaks the answer with no incorrect pool yet, so the check is
+    # skipped; round 2 fills that pool and the one break outweighs no fix
     backend = ScriptedBackend([_scripted("q6", [5, 5, 5])])
     config = AscConfig(equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
-    outcome = run_asc_instance("q6", backend, config, equilibrium_feed=lambda: feeds.pop(0))
+    outcome = run_asc_instance("q6", backend, config, labels={"q6": (True, False, False)})
     assert outcome.stop_reason is StopReason.EQUILIBRIUM
     assert outcome.iterations_used == 1
     assert outcome.final_answer == "q6-r1"
 
 
-def test_online_mode_without_feed_rejected():
+def test_online_mode_without_labels_rejected():
     backend = ScriptedBackend([_scripted("q7", [5, 5])])
     config = AscConfig(equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
-    with pytest.raises(ValueError, match="equilibrium_feed"):
+    with pytest.raises(ValueError, match="online-labeled equilibrium mode needs labels"):
         run_asc_instance("q7", backend, config)
 
 
@@ -253,6 +254,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"calibration_rates are used only in calibration-only "
                                              f"equilibrium mode, not {mode.value}"):
             AscConfig(calibration_rates=TransitionRates(0.02, 0.01), equilibrium_mode=mode)
+    # a mode's value or a bare pair is refused, not coerced
+    with pytest.raises(ValueError, match="equilibrium_mode must be an EquilibriumMode, got 'online-labeled'"):
+        AscConfig(equilibrium_mode="online-labeled")
+    with pytest.raises(ValueError, match=re.escape("calibration_rates must be TransitionRates, got (0.1, 0.2)")):
+        AscConfig(calibration_rates=(0.1, 0.2), equilibrium_mode=EquilibriumMode.CALIBRATION_ONLY)
 
 
 # -- batch mode -----------------------------------------------------------------
@@ -309,6 +315,45 @@ def test_batch_online_labeled_never_fires_for_pure_corrector():
     assert summary.rounds_executed == 4
 
 
+# Each of these passes breaks at least as many answers as it fixes, yet its
+# rates keep eir below ecr, so a stop on ``eir >= ecr`` would run on through it.
+_COSTLY_PASSES = [("gpt-5", 0), ("gpt-5", 1), ("gpt-5", 3), ("claude-sonnet-4", 0), ("claude-sonnet-4", 2),
+                  ("gpt-4o-mini", 1), ("claude-opus-4.6", 2), ("gpt-4.1", 0), ("o4-mini", 0)]
+
+
+@pytest.mark.parametrize("preset_name, t", _COSTLY_PASSES)
+def test_batch_online_labeled_stops_a_pass_that_fixes_no_more_than_it_breaks(preset_name, t):
+    log = deterministic_replay(preset(preset_name), preset_baseline(preset_name), 500)
+    columns = log.correctness[:, t : t + 2]
+    n_cc, n_ci, n_ic, n_ii = transition_counts(columns)[0].tolist()
+    assert n_ci >= n_ic and n_ci / (n_cc + n_ci) < n_ic / (n_ic + n_ii)
+    labels = {pid: tuple(row) for pid, row in zip(log.problem_ids, columns.tolist())}
+    backend = ScriptedBackend([_scripted(pid, [5, 5]) for pid in labels])
+    config = AscConfig(max_iterations=1, equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
+    outcomes, summary = run_asc_batch(list(labels), backend, config, labels=labels)
+    assert summary.stop_reasons == {StopReason.EQUILIBRIUM: 500}
+    assert all(o.final_answer.endswith("-r0") for o in outcomes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(0, 40)] * 4))
+def test_batch_online_labeled_stops_iff_the_count_verdict_is_not_iterate(counts):
+    # one refinement round over problems labeled by their transition
+    n_cc, n_ci, n_ic, n_ii = counts
+    pairs = [(True, True)] * n_cc + [(True, False)] * n_ci + [(False, True)] * n_ic + [(False, False)] * n_ii
+    labels = {f"p{i}": pair for i, pair in enumerate(pairs)}
+    backend = ScriptedBackend([_scripted(pid, [5, 5]) for pid in labels])
+    config = AscConfig(max_iterations=1, equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
+    _, summary = run_asc_batch(list(labels), backend, config, labels=labels)
+    verdict = verdict_from_counts(*counts)
+    stopped = verdict is not None and verdict is not Verdict.ITERATE
+    # the check waits for both pools; ties stop
+    assert stopped == bool(n_cc + n_ci and n_ic + n_ii and n_ci >= n_ic)
+    reason = StopReason.EQUILIBRIUM if stopped else StopReason.BUDGET
+    assert summary.stop_reasons == ({reason: len(pairs)} if pairs else {})
+    assert summary.equilibrium_fired_round == (1 if stopped else None)
+
+
 def test_batch_skips_round_with_undefined_pool():
     # all problems stay correct through it1, so the incorrect pool is
     # empty for two rounds and the criterion must not fire on 0/0; once
@@ -354,16 +399,6 @@ def test_batch_mixed_stop_reasons():
     assert summary.n_instances == 3
 
 
-def _labeled_feed(correct):
-    """The rates a one-problem online-labeled batch pools after each round."""
-    flows = transition_counts(np.array([correct]))
-    feeds = []
-    for k in range(1, len(correct)):
-        eir, ecr = pooled_rates(flows[:k])
-        feeds.append(None if eir is None or ecr is None else TransitionRates(eir, ecr))
-    return iter(feeds).__next__
-
-
 @pytest.mark.parametrize(
     "confidences, correct",
     [
@@ -380,10 +415,10 @@ def test_instance_is_a_batch_of_one(confidences, correct):
         equilibrium_mode=EquilibriumMode.CALIBRATION_ONLY, calibration_rates=TransitionRates(0.03, 0.03)
     )
     online = AscConfig(equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
-    for config, feed in ((AscConfig(), None), (calibrated, None), (online, _labeled_feed(correct))):
+    for config in (AscConfig(), calibrated, online):
         script = [_scripted("q", confidences, n_answers=5)]
         alone, batch = ScriptedBackend(script), ScriptedBackend(script)
-        outcome = run_asc_instance("q", alone, config, equilibrium_feed=feed)
+        outcome = run_asc_instance("q", alone, config, labels={"q": correct})
         outcomes, _ = run_asc_batch(["q"], batch, config, labels={"q": correct})
         assert outcomes == [outcome]
         assert alone.calls == batch.calls
@@ -481,6 +516,10 @@ def test_scenario_with_calibration_rates(tmp_path):
          "calibration_rates are used only in calibration-only equilibrium mode, not disabled"),
         (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}, equilibrium_mode="online-labeled"),
          "calibration_rates are used only in calibration-only equilibrium mode, not online-labeled"),
+        (lambda d: d.update(max_iteratons=1), "scenario has unknown key 'max_iteratons'"),
+        (lambda d: d["problems"][1].update(corect=[True]), r"problems\[1\] has unknown key 'corect'"),
+        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.1, "ecr": 0.2, "ecrr": 0}),
+         "calibration_rates has unknown key 'ecrr'"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):
@@ -581,15 +620,16 @@ def _reference_run(scripts, config):
         if k == 0:
             continue
         rounds = k
-        rates = None
+        halt = False
         if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED:
             for pid in refining:
                 was, now = scripts[pid][2][k - 1], scripts[pid][2][k]
                 flows[2 * (not was) + (not now)] += 1
-            rates = _reference_rates(flows)
+            n_cc, n_ci, n_ic, n_ii = flows  # both pools filled, and no more fixed than broken
+            halt = bool(n_cc + n_ci and n_ic + n_ii and n_ci >= n_ic)
         elif config.equilibrium_mode is EquilibriumMode.CALIBRATION_ONLY:
-            rates = config.calibration_rates
-        if rates is not None and rates.eir >= rates.ecr:
+            halt = config.calibration_rates.eir >= config.calibration_rates.ecr
+        if halt:
             stopping = [pid for pid in refining if pid not in stopped]
             for pid in stopping:
                 stopped[pid] = (k - 1, StopReason.EQUILIBRIUM)
@@ -689,7 +729,7 @@ def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
     assert backend.calls == want_calls
 
 
-# -- confidence tax -------------------------------------------------------------
+# -- confidence tax: build_report's paired comparison at iteration 0 ------------
 
 
 def _column_log(n_correct, n, prefix="p"):
@@ -698,46 +738,50 @@ def _column_log(n_correct, n, prefix="p"):
     return CorrectnessLog(problem_ids=[f"{prefix}{i}" for i in range(n)], correctness=bits)
 
 
+def _tax(with_prompt, without, **kwargs):
+    """Iteration-0 accuracy with minus without confidence elicitation, paired by id."""
+    return build_report({"without": without, "with": with_prompt}, **kwargs).paired
+
+
 def test_confidence_tax_identical_logs():
     log = _column_log(400, 500)
-    report = confidence_tax_report(log, log, resamples=200)
-    assert report.delta_pp == 0.0
-    assert report.test.no_discordance
-    assert report.bootstrap.ci_lo == report.bootstrap.ci_hi == 0.0
+    tax = _tax(log, log, resamples=200)
+    assert tax.final_bootstrap.delta_pp == 0.0
+    assert tax.final_mcnemar.no_discordance
+    assert tax.final_bootstrap.ci_lo == tax.final_bootstrap.ci_hi == 0.0
 
 
 def test_confidence_tax_published_magnitude():
     with_prompt = _column_log(437, 500)  # 87.4%
     without = _column_log(456, 500)  # 91.2%
-    report = confidence_tax_report(with_prompt, without, resamples=2000, seed=1)
-    assert report.accuracy_with == pytest.approx(0.874)
-    assert report.accuracy_without == pytest.approx(0.912)
-    assert report.delta_pp == pytest.approx(-3.8, abs=1e-9)
-    assert report.test.b == 19  # correct without, spoiled with
-    assert report.test.c == 0
-    assert report.bootstrap.ci_hi < 0.0
+    report = build_report({"without": without, "with": with_prompt}, seed=1, resamples=2000)
+    assert [run.estimates.accuracy_series[0].accuracy for run in report.runs] == [0.912, 0.874]
+    tax = report.paired
+    assert tax.delta_pp_by_iteration[0] == pytest.approx(-3.8, abs=1e-9)
+    assert tax.final_bootstrap.delta_pp == pytest.approx(-3.8, abs=1e-9)
+    assert tax.final_mcnemar.b == 19  # correct without, spoiled with
+    assert tax.final_mcnemar.c == 0
+    assert (tax.final_bootstrap.ci_lo, tax.final_bootstrap.ci_hi) == pytest.approx((-5.6, -2.2), abs=1e-9)
 
 
 def test_confidence_tax_degenerate_single_problem():
     a = CorrectnessLog(problem_ids=["p0"], correctness=np.array([[True]]))
     b = CorrectnessLog(problem_ids=["p0"], correctness=np.array([[False]]))
-    report = confidence_tax_report(a, b, resamples=50)
-    assert report.delta_pp == 100.0
-    report = confidence_tax_report(b, a, resamples=50)
-    assert report.delta_pp == -100.0
+    assert _tax(a, b, resamples=50).final_bootstrap.delta_pp == 100.0
+    assert _tax(b, a, resamples=50).final_bootstrap.delta_pp == -100.0
 
 
 def test_confidence_tax_requires_same_problems():
     a = _column_log(1, 2, prefix="a")
     b = _column_log(1, 2, prefix="b")
     with pytest.raises(ValueError, match="different problem sets"):
-        confidence_tax_report(a, b)
+        _tax(a, b)
 
 
 def test_confidence_tax_aligns_by_id():
     # same underlying outcomes, rows permuted; delta must be zero
     a = CorrectnessLog(problem_ids=["x", "y"], correctness=np.array([[1], [0]], dtype=bool))
     b = CorrectnessLog(problem_ids=["y", "x"], correctness=np.array([[0], [1]], dtype=bool))
-    report = confidence_tax_report(a, b, resamples=50)
-    assert report.delta_pp == 0.0
-    assert report.test.no_discordance
+    tax = _tax(a, b, resamples=50)
+    assert tax.final_bootstrap.delta_pp == 0.0
+    assert tax.final_mcnemar.no_discordance

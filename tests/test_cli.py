@@ -257,8 +257,9 @@ def test_asc_scenario_command(tmp_path, capsys):
 
 
 def test_asc_online_labeled_summary(tmp_path):
-    # round 1 pools eir 0/2 < ecr 2/3 and q3 stops on confidence; round 2 pools
-    # eir 3/5 >= ecr 2/4, so equilibrium stops the rest on their round-1 answers
+    # round 1 pools 0 broken answers against 2 fixed and q3 stops on confidence;
+    # round 2 pools 3 broken against 2 fixed, so equilibrium stops the rest on
+    # their round-1 answers
     labels = {"q0": [True, True, False], "q1": [False, True, False], "q2": [False, True, False],
               "q3": [True, True], "q4": [False, False, False]}
     doc = {
@@ -283,7 +284,8 @@ def test_asc_online_labeled_summary(tmp_path):
 def test_asc_outcomes_are_quoted_csv(tmp_path):
     doc = {
         "format": "asc-scenario/v1",
-        "problems": [{"id": "p,1", "answers": ["x, y"], "confidences": [9]}],
+        "problems": [{"id": "p,1", "answers": ["x, y"], "confidences": [9]},
+                     {"id": "null", "answers": [None], "confidences": [9]}],
     }
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))
@@ -292,6 +294,7 @@ def test_asc_outcomes_are_quoted_csv(tmp_path):
     with open(out / "outcomes.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1] == ["p,1", "0", "confidence", "0", "x, y"]
+    assert rows[2] == ["null", "0", "confidence", "0", "None"]  # a kept null answer
 
 
 def test_asc_rejects_bad_scenario(tmp_path):

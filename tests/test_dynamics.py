@@ -29,6 +29,7 @@ from refineloop.dynamics import (
     steady_state,
     step_accuracy,
     stop_or_iterate,
+    verdict_from_counts,
 )
 from refineloop.estimate import wilson_interval
 from refineloop.schedule import RateSchedule
@@ -86,6 +87,14 @@ def test_stationary_point_is_at_equilibrium():
     # acc equal to ecr/(eir+ecr) zeroes the net benefit
     verdict = stop_or_iterate(0.75, TransitionRates(0.05, 0.15))
     assert verdict.verdict is Verdict.AT_EQUILIBRIUM
+
+
+def test_verdict_from_counts_anchors():
+    assert verdict_from_counts(472, 9, 2, 17) is Verdict.STOP  # gpt-5's first pass: 9 broken, 2 fixed
+    assert verdict_from_counts(466, 0, 15, 19) is Verdict.ITERATE  # o3-mini's: none broken, 15 fixed
+    assert verdict_from_counts(483, 1, 1, 15) is Verdict.AT_EQUILIBRIUM  # o4-mini's: one of each
+    assert verdict_from_counts(0, 0, 3, 4) is None  # no correct answer to break
+    assert verdict_from_counts(5, 1, 0, 0) is None  # no incorrect answer to fix
 
 
 def test_steady_state_values():
@@ -151,6 +160,10 @@ _COUNT_SITES = {
     "bootstrap-resamples": lambda n: paired_bootstrap_delta(_COL, ~_COL, resamples=n),
     "wilson-successes": lambda n: wilson_interval(n, 5),
     "wilson-trials": lambda n: wilson_interval(1, n),
+    "verdict-n-cc": lambda n: verdict_from_counts(n, 2, 1, 1),
+    "verdict-n-ci": lambda n: verdict_from_counts(2, n, 1, 1),
+    "verdict-n-ic": lambda n: verdict_from_counts(2, 1, n, 1),
+    "verdict-n-ii": lambda n: verdict_from_counts(2, 1, 1, n),
 }
 _POSITIVE = {"asc-max-iterations", "vote-k", "model-k", "vote-n-problems", "sim-n-problems",
              "sim-n-iterations", "replay-n-iterations", "replay-n-problems", "bootstrap-resamples"}

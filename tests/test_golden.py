@@ -5,8 +5,8 @@ temporary root. Every file written there, and the stdout transcript with
 the root written as ``OUT``, must equal ``tests/golden/`` byte for byte.
 The session covers both log forms, a two-run report whose tables hold
 true and false flags and empty cells, ``sc --fit-target``, and ASC
-scenarios in online-labeled and calibration-only mode, one of which
-keeps a ``null`` answer.
+scenarios in online-labeled and calibration-only mode, each scripting a
+``null`` answer.
 
 After a deliberate, versioned format change, regenerate the pins with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.

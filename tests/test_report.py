@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from refineloop.dynamics import TransitionRates, Verdict, stop_or_iterate
+from refineloop.dynamics import TransitionRates, Verdict, stop_or_iterate, verdict_from_counts
 from refineloop.logs import CorrectnessLog
 from refineloop.report import (
     CLASS_HARMFUL,
@@ -294,6 +294,7 @@ def test_verdict_is_the_sign_of_the_discordant_counts(correct, incorrect):
     accuracy = n_correct / (n_correct + n_incorrect)
     rates = TransitionRates(n_ci / n_correct, n_ic / n_incorrect)
     assert stop_or_iterate(accuracy, rates).verdict is _sign_verdict(n_ci, n_ic)
+    assert verdict_from_counts(n_correct - n_ci, n_ci, n_ic, n_incorrect - n_ic) is _sign_verdict(n_ci, n_ic)
 
 
 @given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(2, 6))))
