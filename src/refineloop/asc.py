@@ -266,11 +266,16 @@ def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcome
 
 def _label_lookup(labels, problem: Any, iteration: int) -> bool:
     try:
-        return bool(labels[problem][iteration])
+        label = labels[problem][iteration]
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(
             f"online-labeled mode: no label for problem {problem!r}, iteration {iteration}"
         ) from exc
+    if not isinstance(label, (bool, np.bool_)):  # bool("false") is True
+        raise ValueError(
+            f"online-labeled mode: label for problem {problem!r}, iteration {iteration} must be a bool, got {label!r}"
+        )
+    return bool(label)
 
 
 def run_asc_batch(
@@ -505,11 +510,16 @@ def load_scenario(path) -> Scenario:
     rates = None
     if "calibration_rates" in doc:
         pair = doc["calibration_rates"]
-        if isinstance(pair, dict) and not _RATE_KEYS.issuperset(pair):
+        if not isinstance(pair, dict):
+            raise ScenarioError(f"calibration_rates must be an object {{eir, ecr}}, got {pair!r}")
+        if not _RATE_KEYS.issuperset(pair):
             raise _unknown_key(pair, _RATE_KEYS, "calibration_rates")
+        if not _RATE_KEYS.issubset(pair):
+            missing = min(_RATE_KEYS.difference(pair))
+            raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities, missing {missing!r}")
         try:
             rates = TransitionRates(pair["eir"], pair["ecr"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities: {exc}") from None
     try:
         config = AscConfig(

@@ -22,8 +22,10 @@ compact form (one row per problem)::
 hold several runs distinguished by ``run_label``; the compact form always
 holds one. Confidence values are optional per record. Parsers fail with
 the offending line number rather than guessing. A file byte for byte as
-``write_log`` writes it is read through numpy and checked by encoding the
-result again; any other file is read with ``csv``, with the same result.
+``write_log`` writes it, quoted ids and labels and filled confidences
+included, is read through numpy and checked by encoding the result
+again; any other file (a ``\r``, a blank line, rows out of order, a hand
+edit) is read with ``csv``, with the same result.
 """
 
 import csv
@@ -274,20 +276,28 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf[body:] == ord("\n")) + body  # where each line's "\n" is
     starts = np.concatenate(([body], ends[:-1] + 1))
+    confidence = None
     if head[-1] == ",".join(_RECORD_HEADER):
         form = "records"
-        first = data[body : ends[0]]  # "pid,0,b,,label"
-        tag = first.split(b",")[4]
-        label = tag.decode("utf-8")
-        prefix = first[: first.index(b",") + 1]
+        first = next(csv.reader([data[body : ends[0]].decode("utf-8")]))  # pid,0,b,conf,label
+        label = first[4]
+        tag = _quote(label).encode("utf-8")
+        if not data.endswith(tag, body, ends[0]):  # else a slice below could reach past its line
+            raise ValueError("the first row does not end with its label as write_log quotes it")
+        prefix = (_quote(first[0]) + ",").encode("utf-8")
         width = 1
         while width < len(starts) and data.startswith(prefix, starts[width]):
             width += 1
-        cells = ends - len(tag)  # each line ends "b,,label"; a confidence would fill the ",,"
-        if not ((buf[cells - 2] == ord(",")) & (buf[cells - 1] == ord(","))).all():
-            raise ValueError("a confidence cell is filled")
-        matrix = (buf[cells - 3] == ord("1")).reshape(-1, width)
-        starts, id_ends = starts[::width], ends[::width] - len(tag) - 6
+        cells = ends - len(tag) - 1  # each line ends "b,conf,label": where conf starts if empty, the "," before label
+        filled = np.flatnonzero(buf[cells - 1] != ord(","))  # not ",,"
+        if len(filled):  # the one loop per line, over filled cells only
+            stops = cells[filled].tolist()
+            cells[filled] = found = [data.rindex(b",", s, e) + 1 for s, e in zip(starts[filled].tolist(), stops)]
+            confidence = np.full(len(ends), np.nan)
+            confidence[filled] = [float(data[s:e]) for s, e in zip(found, stops)]
+            confidence = confidence.reshape(-1, width)
+        matrix = (buf[cells - 2] == ord("1")).reshape(-1, width)
+        starts, id_ends = starts[::width], cells[::width] - 5  # the k = 0 line: "pid,0,b,conf"
     else:  # compact: "pid,b0,...,bK"
         form = "compact"
         width = head[-1].count(",")
@@ -296,20 +306,23 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
             raise ValueError("rows shorter than the header")
         matrix = buf[ends[:, None] + np.arange(1 - 2 * width, 0, 2)] == ord("1")
         id_ends = ends - 2 * width
-    ids = b"\n".join([data[s:e] for s, e in zip(starts.tolist(), id_ends.tolist())])
-    log = CorrectnessLog(problem_ids=ids.decode("utf-8").split("\n"), correctness=matrix, metadata=metadata)
+    text = b"\n".join([data[s:e] for s, e in zip(starts.tolist(), id_ends.tolist())]).decode("utf-8")
+    ids = text.split("\n")
+    if '"' in text:  # undo _quote
+        ids = [pid[1:-1].replace('""', '"') if pid.startswith('"') else pid for pid in ids]
+    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=confidence)
     return log, form, label
 
 
 def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
     """The run in ``data`` if ``data`` is byte for byte what ``write_log`` writes for it, else None."""
-    if b'"' in data or b"\r" in data:  # quoted fields and "\r" are left to csv
+    if b"\r" in data:  # write_log writes no "\r"; csv and str.splitlines read it as a line break
         return None
     try:
         log, form, label = _canonical_candidate(data)
         if _encode(log, form, label) == data:
             return {label: log}
-    except (ValueError, IndexError):  # not canonical; _read_csv names the fault, if any
+    except (ValueError, IndexError, csv.Error):  # not canonical; _read_csv names the fault, if any
         pass
     return None
 

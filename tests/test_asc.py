@@ -317,8 +317,9 @@ def test_batch_online_labeled_never_fires_for_pure_corrector():
 
 # Each of these passes breaks at least as many answers as it fixes, yet its
 # rates keep eir below ecr, so a stop on ``eir >= ecr`` would run on through it.
-_COSTLY_PASSES = [("gpt-5", 0), ("gpt-5", 1), ("gpt-5", 3), ("claude-sonnet-4", 0), ("claude-sonnet-4", 2),
-                  ("gpt-4o-mini", 1), ("claude-opus-4.6", 2), ("gpt-4.1", 0), ("o4-mini", 0)]
+_COSTLY_PASSES = [("gpt-5", 0), ("gpt-5", 1), ("gpt-5", 3), ("claude-sonnet-4", 0), ("claude-sonnet-4", 1),
+                  ("claude-sonnet-4", 2), ("claude-sonnet-4", 3), ("gpt-4o-mini", 1), ("gpt-4o-mini", 2),
+                  ("claude-opus-4.6", 2), ("gpt-4.1", 0), ("o4-mini", 0)]
 
 
 @pytest.mark.parametrize("preset_name, t", _COSTLY_PASSES)
@@ -333,6 +334,20 @@ def test_batch_online_labeled_stops_a_pass_that_fixes_no_more_than_it_breaks(pre
     outcomes, summary = run_asc_batch(list(labels), backend, config, labels=labels)
     assert summary.stop_reasons == {StopReason.EQUILIBRIUM: 500}
     assert all(o.final_answer.endswith("-r0") for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "preset_name, t, counts, verdict",
+    [
+        ("gpt-4o-mini", 2, [431, 17, 2, 50], Verdict.STOP),
+        ("claude-sonnet-4", 1, [480, 1, 1, 18], Verdict.AT_EQUILIBRIUM),
+        ("claude-sonnet-4", 3, [476, 2, 2, 20], Verdict.AT_EQUILIBRIUM),
+    ],
+)
+def test_replay_passes_pinned_to_their_count_verdicts(preset_name, t, counts, verdict):
+    log = deterministic_replay(preset(preset_name), preset_baseline(preset_name), 500, 4)
+    assert transition_counts(log.correctness)[t].tolist() == counts
+    assert verdict_from_counts(*counts) is verdict
 
 
 @settings(max_examples=200, deadline=None)
@@ -376,6 +391,25 @@ def test_batch_online_requires_labels():
         run_asc_batch(["p0"], backend, config)
     with pytest.raises(ValueError, match="no label"):
         run_asc_batch(["p0"], backend, config, labels={"other": (True,)})
+
+
+@pytest.mark.parametrize("label", ["false", 1, None], ids=repr)
+def test_online_labels_must_be_bools(label):
+    # bool("false") is True: a label that is not a bool would count as whatever its truth value is
+    config = AscConfig(equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
+    labels = {"a": (label, True), "b": (False, False)}
+    message = re.escape(f"label for problem 'a', iteration 0 must be a bool, got {label!r}")
+    with pytest.raises(ValueError, match=message):
+        run_asc_batch(["a", "b"], ScriptedBackend([_scripted("a", [5, 5]), _scripted("b", [5, 5])]), config,
+                      labels=labels)
+    with pytest.raises(ValueError, match=message):
+        run_asc_instance("a", ScriptedBackend([_scripted("a", [5, 5])]), config, labels=labels)
+    late = {"a": (True, label)}  # refused when the round reaches it, too
+    with pytest.raises(ValueError, match=re.escape(f"problem 'a', iteration 1 must be a bool, got {label!r}")):
+        run_asc_instance("a", ScriptedBackend([_scripted("a", [5, 5])]), config, labels=late)
+    numpy_labels = {"a": tuple(np.array([True, False, False]))}  # numpy bools are accepted
+    outcome = run_asc_instance("a", ScriptedBackend([_scripted("a", [5, 5, 5])]), config, labels=numpy_labels)
+    assert (outcome.stop_reason, outcome.iterations_used) == (StopReason.EQUILIBRIUM, 1)
 
 
 def test_batch_mixed_stop_reasons():
@@ -520,6 +554,10 @@ def test_scenario_with_calibration_rates(tmp_path):
         (lambda d: d["problems"][1].update(corect=[True]), r"problems\[1\] has unknown key 'corect'"),
         (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.1, "ecr": 0.2, "ecrr": 0}),
          "calibration_rates has unknown key 'ecrr'"),
+        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates=[0.02, 0.01]),
+         re.escape("calibration_rates must be an object {eir, ecr}, got [0.02, 0.01]")),
+        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.02}),
+         re.escape("calibration_rates must be {eir, ecr} probabilities, missing 'ecr'")),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):

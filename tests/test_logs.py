@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ _FIELD_LIMIT = csv.field_size_limit()
 _CONFIDENCES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310]), st.floats()
 )
+
+
+def _no_csv(data):
+    raise AssertionError("read_runs took the csv path")
 
 
 def _toy_log(with_confidence=False):
@@ -263,14 +268,15 @@ def test_record_read_memory_stays_streaming(tmp_path):
 
 
 def test_csv_path_read_memory_stays_streaming(tmp_path):
-    # the file above takes the fast path; quoted ids send this one through csv, which must
-    # keep one list of lines and the parsed cells, not a list of every line's fields
+    # the file above takes the fast path; "\r\n" line endings send this one through csv, which
+    # must keep one list of lines and the parsed cells, not a list of every line's fields
     log = CorrectnessLog(
         problem_ids=[f"p,{i:05d}" for i in range(5_000)],
         correctness=np.arange(25_000).reshape(5_000, 5) % 3 == 0,
     )
     path = tmp_path / "log.csv"
-    write_log(log, path, form="records")
+    path.write_bytes(logs._encode(log, "records", "run").replace(b"\n", b"\r\n"))
+    assert logs._read_canonical(path.read_bytes()) is None
     tracemalloc.start()
     try:
         back = read_log(path)
@@ -371,7 +377,8 @@ def test_fields_at_the_limit_read_back(tmp_path, form):
     run_label=st.one_of(st.none(), st.text(max_size=6)),
 )
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_accepted_logs_read_back_equal(tmp_path, form, ids, width, bits, metadata, run_label):
+def test_accepted_logs_read_back_equal(tmp_path, monkeypatch, form, ids, width, bits, metadata, run_label):
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)  # every file write_log writes takes the fast path
     matrix = bits.draw(arrays(bool, (len(ids), width)))
     conf = None
     if form == "records":
@@ -517,40 +524,46 @@ def test_fast_and_csv_paths_agree_on_mutated_files(tmp_path, form, ids, width, d
     assert _outcome(lambda: read_runs(path)) == _outcome(lambda: logs._read_csv(path.read_bytes()))
 
 
-def _no_csv(data):
-    raise AssertionError("read_runs took the csv path")
-
-
-@pytest.mark.parametrize("form", ["records", "compact"])
-def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form):
-    monkeypatch.setattr(logs, "_read_csv", _no_csv)
-    log = CorrectnessLog(problem_ids=[f"p{i}" for i in range(300)],
-                         correctness=np.arange(1500).reshape(300, 5) % 7 < 3, metadata={"seed": "3"})
-    path = tmp_path / "log.csv"
-    write_log(log, path, form=form, run_label="fast")
-    back = read_runs(path)["fast"]
-    assert back.problem_ids == log.problem_ids
-    assert np.array_equal(back.correctness, log.correctness)
-    assert back.metadata == {"seed": "3"}
+_FAST_IDS = [f"p{i}" for i in range(300)]
+_QUOTED_IDS = ["a,1", 'say "hi"', '"', ","] + _FAST_IDS[4:]
+# a third of the cells filled, among them a small exponent, a signed zero and a 17-digit repr
+_FILLED = np.where(np.arange(1500).reshape(300, 5) % 3 == 0, np.linspace(0, 10, 1500).reshape(300, 5), np.nan)
+_FILLED[0, 0], _FILLED[3, 3], _FILLED[6, 1] = 1e-05, -0.0, 0.1 + 0.2
 
 
 @pytest.mark.parametrize(
-    "form,ids,with_confidence",
-    [("compact", ["a,1", "b"], False), ("records", ['say "hi"', "b"], False), ("records", ["a", "b"], True)],
-    ids=["compact-quoted-id", "records-quoted-id", "records-confidence"],
+    "form,ids,label,conf",
+    [
+        pytest.param("records", _FAST_IDS, "fast", None, id="records"),
+        pytest.param("compact", _FAST_IDS, "fast", None, id="compact"),
+        pytest.param("compact", _QUOTED_IDS, "fast", None, id="compact-quoted-id"),
+        pytest.param("records", _QUOTED_IDS, "fast", None, id="records-quoted-id"),
+        pytest.param("records", _FAST_IDS, 'a "fast", run', None, id="records-quoted-label"),
+        pytest.param("records", _QUOTED_IDS, "fast", _FILLED, id="records-confidence"),
+    ],
 )
-def test_quoted_ids_and_confidences_take_the_csv_path(tmp_path, monkeypatch, form, ids, with_confidence):
-    calls = []
-    read_csv = logs._read_csv
-    monkeypatch.setattr(logs, "_read_csv", lambda data: calls.append(data) or read_csv(data))
-    conf = np.array([[0.5, math.nan], [math.nan, 2.0]]) if with_confidence else None
-    log = CorrectnessLog(problem_ids=ids, correctness=np.array([[1, 0], [0, 1]]), confidence=conf)
+def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, label, conf):
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    log = CorrectnessLog(problem_ids=ids, correctness=np.arange(1500).reshape(300, 5) % 7 < 3,
+                         metadata={"seed": "3"}, confidence=conf)
     path = tmp_path / "log.csv"
-    write_log(log, path, form=form)
-    back = read_log(path)
-    assert calls == [path.read_bytes()]
-    assert back.problem_ids == ids
-    assert (back.confidence is None) == (conf is None)
+    write_log(log, path, form=form, run_label=label)
+    back = read_runs(path)[label]
+    assert back.problem_ids == log.problem_ids
+    assert np.array_equal(back.correctness, log.correctness)
+    assert back.metadata == {"seed": "3"}
+    if conf is None:
+        assert back.confidence is None
+    else:
+        assert repr(back.confidence.tolist()) == repr(conf.tolist())  # nan where empty, each float's bits
+
+
+def test_golden_logs_take_the_fast_path(monkeypatch):
+    paths = sorted((Path(__file__).resolve().parent / "golden").rglob("log.csv"))
+    assert len(paths) == 3
+    expected = [_outcome(lambda: logs._read_csv(path.read_bytes())) for path in paths]
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    assert [_outcome(lambda: read_runs(path)) for path in paths] == expected
 
 
 # -- row alignment ---------------------------------------------------------------------
