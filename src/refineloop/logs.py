@@ -25,7 +25,11 @@ the offending line number rather than guessing. A file byte for byte as
 ``write_log`` writes it, quoted ids and labels and filled confidences
 included, is read through numpy and checked by encoding the result
 again; any other file (a ``\r``, a blank line, rows out of order, a hand
-edit) is read with ``csv``, with the same result.
+edit) is read with ``csv``, with the same result. When every id, as
+written, is ASCII of one width and no confidence is filled (every log
+``simulate`` writes), the file is built as one byte matrix and its ids
+are read back as one byte grid; any other log takes one ``join`` per row
+and one slice per id.
 """
 
 import csv
@@ -34,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["FORMAT_VERSION", "LogFormatError", "CorrectnessLog", "align_rows", "read_log", "read_runs", "write_log"]
 
@@ -260,6 +265,11 @@ def _read_csv(data: bytes) -> dict[str, CorrectnessLog]:
     )
 
 
+def _sliced_ids(data: bytes, starts: np.ndarray, ends: np.ndarray) -> str:
+    """The ids at ``data[starts[i]:ends[i]]``, one slice per row, joined by "\\n"."""
+    return b"\n".join([data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]).decode("utf-8")
+
+
 def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
     """(log, form, label) read from ``data`` on the guess that ``write_log`` wrote it.
 
@@ -274,7 +284,8 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
     metadata, _ = _parse_directives(head)
     label = metadata.pop("run_label", _DEFAULT_RUN)
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf[body:] == ord("\n")) + body  # where each line's "\n" is
+    ends = np.flatnonzero(buf[body:] == ord("\n"))
+    ends += body  # where each line's "\n" is
     starts = np.concatenate(([body], ends[:-1] + 1))
     confidence = None
     if head[-1] == ",".join(_RECORD_HEADER):
@@ -297,7 +308,8 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
             confidence[filled] = [float(data[s:e]) for s, e in zip(found, stops)]
             confidence = confidence.reshape(-1, width)
         matrix = (buf[cells - 2] == ord("1")).reshape(-1, width)
-        starts, id_ends = starts[::width], cells[::width] - 5  # the k = 0 line: "pid,0,b,conf"
+        starts, id_ends = starts[::width].copy(), cells[::width] - 5  # the k = 0 line: "pid,0,b,conf"
+        del cells  # a per-line array, dropped like ends below
     else:  # compact: "pid,b0,...,bK"
         form = "compact"
         width = head[-1].count(",")
@@ -306,7 +318,16 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
             raise ValueError("rows shorter than the header")
         matrix = buf[ends[:, None] + np.arange(1 - 2 * width, 0, 2)] == ord("1")
         id_ends = ends - 2 * width
-    text = b"\n".join([data[s:e] for s, e in zip(starts.tolist(), id_ends.tolist())]).decode("utf-8")
+    del ends  # no array per line outlives the parse: the ids are built next
+    spans = id_ends - starts
+    if spans.size and spans.min() == spans.max() >= 0:  # every id one width: gather them as one byte grid
+        id_width = int(spans[0])
+        grid = np.empty((len(spans), id_width + 1), dtype=np.uint8)
+        grid[:, :id_width] = sliding_window_view(buf, id_width)[starts]
+        grid[:, id_width] = ord("\n")
+        text = grid.tobytes()[:-1].decode("utf-8")
+    else:
+        text = _sliced_ids(data, starts, id_ends)
     ids = text.split("\n")
     if '"' in text:  # undo _quote
         ids = [pid[1:-1].replace('""', '"') if pid.startswith('"') else pid for pid in ids]
@@ -377,8 +398,12 @@ def _directives(metadata) -> str:
     return "".join(lines)
 
 
-def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
-    """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged."""
+def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
+    """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged.
+
+    Ids of one width in ASCII, with no confidence filled, are written as
+    one byte matrix (``_matrix_file``); any other log one ``join`` per row.
+    """
     if form not in ("records", "compact"):
         raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
     ids = log.problem_ids
@@ -388,7 +413,8 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
         raise ValueError(f"problem id {bad!r} contains a line break")
     _check_label(label, form)
     limit = csv.field_size_limit()
-    if max(map(len, ids)) > limit or (form == "records" and len(label) > limit):
+    lengths = set(map(len, ids))
+    if max(lengths) > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
     conf = log.confidence
     filled = None if conf is None else ~np.isnan(conf)
@@ -402,7 +428,55 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
         header = ",".join(["problem_id"] + [f"it{k}" for k in range(matrix.shape[1])])
     else:
         header = ",".join(_RECORD_HEADER)
-    # a row's lines are the parts of one pattern of bits joined by its quoted id
+    head = _directives(meta) + header + "\n"
+    if "," in joined or '"' in joined:  # from here on the ids as written
+        ids = [_quote(pid) for pid in ids]
+        joined, lengths = "".join(ids), set(map(len, ids))
+    # str.isascii reads a flag; an ASCII id takes one byte per character
+    if len(lengths) == 1 and joined.isascii() and (filled is None or not filled.any()):
+        return _matrix_file(head, joined, matrix, form, tag)
+    rows = _joined_rows(ids, matrix, form, tag, conf, filled)
+    return "".join([head, *rows]).encode("utf-8")  # an unencodable id fails here
+
+
+def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -> bytearray:
+    """The file for quoted ids of one width, ``ids`` their ASCII concatenation, built as one byte matrix.
+
+    A template row holds every line of one problem, with "0" in its id
+    columns and at its bits; each row of the matrix is that template,
+    with the problem's id written into each line's id columns and its
+    bits added at their columns.
+    """
+    n, width = matrix.shape
+    w = len(ids) // n
+    if form == "compact":
+        suffixes, bit_at = [b",0" * width + b"\n"], [range(1, 2 * width, 2)]
+    else:  # the digits of k widen at k = 10, so each line has its own template
+        tag_bytes = tag.encode("utf-8")
+        suffixes = [b",%d,0,,%s\n" % (k, tag_bytes) for k in range(width)]
+        bit_at = [[len(str(k)) + 2] for k in range(width)]
+    template, id_cols, bit_cols = b"", [], []
+    for suffix, bits in zip(suffixes, bit_at):
+        id_cols.append(len(template))
+        bit_cols += [len(template) + w + b for b in bits]
+        template += b"0" * w + suffix
+    head_bytes = head.encode("utf-8")
+    out = bytearray(len(head_bytes) + n * len(template))  # filled in place: no copy to bytes
+    out[: len(head_bytes)] = head_bytes
+    body = np.frombuffer(out, dtype=np.uint8, offset=len(head_bytes)).reshape(n, len(template))
+    body[:] = np.frombuffer(template, dtype=np.uint8)
+    if w:  # one V{w} item per id: each is copied as one unit
+        id_items = np.frombuffer(ids.encode("ascii"), dtype=f"V{w}")
+        for col in id_cols:
+            body[:, col : col + w].view(f"V{w}")[:, 0] = id_items
+    bits = matrix.view(np.uint8)
+    for k, col in enumerate(bit_cols):
+        body[:, col] += bits[:, k]  # "0" + 1 is "1"
+    return out
+
+
+def _joined_rows(quoted, matrix, form, tag, conf, filled) -> list[str]:
+    """One string per problem: the parts of its lines, shared by every row of its bits, joined by its id."""
     packed = np.packbits(matrix, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()  # one bytes per row
     patterns = {}
@@ -420,9 +494,7 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes:
             if i != copied:  # the row's parts are shared with every row of its pattern until copied
                 rows[i], copied = list(rows[i]), i
             rows[i][k + 1] = f",{k},{1 if bit else 0},{value!r},{tag}\n"
-    quoted = ids if "," not in joined and '"' not in joined else [_quote(pid) for pid in ids]
-    body = [pid.join(parts) for pid, parts in zip(quoted, rows)]
-    return "".join([_directives(meta), header, "\n", *body]).encode("utf-8")  # an unencodable id fails here
+    return [pid.join(parts) for pid, parts in zip(quoted, rows)]
 
 
 def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str | None = None) -> None:

@@ -169,6 +169,8 @@ def build_report(
     for label in (a_label, b_label):
         if label not in runs:
             raise ValueError(f"cannot pair unknown run {label!r}")
+    if a_label == b_label:  # a run paired with itself gives a zero delta that reads like a measurement
+        raise ValueError(f"cannot pair run {a_label!r} with itself")
     mat_a, mat_b = runs[a_label].correctness, align_rows(runs[a_label], runs[b_label])
     if mat_a.shape != mat_b.shape:
         raise ValueError("paired runs have different iteration counts")

@@ -47,8 +47,15 @@ class SimTrajectory:
 
 
 def _problem_ids(n: int) -> list[str]:
-    fmt = f"p%0{len(str(n - 1))}d"
-    return [fmt % i for i in range(n)]
+    """``p`` and i zero-padded to the width of n - 1, for i < n; built as one byte grid, split once."""
+    width = len(str(n - 1))
+    grid = np.empty((n, width + 2), dtype=np.uint8)
+    grid[:, 0], grid[:, -1] = ord("p"), ord("\n")
+    index = np.arange(n)
+    for col in range(width, 0, -1):  # the last digit first
+        index, grid[:, col] = np.divmod(index, 10)
+    grid[:, 1:-1] += ord("0")
+    return grid.tobytes()[:-1].decode("ascii").split("\n")
 
 
 def _resolve_schedule(config: SimConfig) -> list[TransitionRates]:

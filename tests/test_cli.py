@@ -186,6 +186,16 @@ def test_report_explicit_pair_flag(tmp_path):
     assert first_row.startswith("b,a,")
 
 
+def test_report_refuses_to_pair_a_run_with_itself(tmp_path, capsys):
+    log_a = _simulate(tmp_path, "--preset", "gpt-4o-mini", "--label", "a", out="a")
+    log_b = _simulate(tmp_path, "--preset", "o3-mini", "--label", "b", out="b")
+    out = tmp_path / "rep"
+    code = main(["report", str(log_a), str(log_b), "--pair", "a", "a", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "cannot pair run 'a' with itself" in capsys.readouterr().err
+    assert not (out / "paired.csv").exists()
+
+
 def test_duplicate_run_labels_rejected(tmp_path):
     log_a = _simulate(tmp_path, "--preset", "o3-mini", "--label", "same", out="a")
     log_b = _simulate(tmp_path, "--preset", "gpt-5", "--label", "same", out="b")

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from refineloop import logs
+from refineloop import SimConfig, logs, preset, simulate_population
 from refineloop.logs import (
     FORMAT_VERSION,
     CorrectnessLog,
@@ -464,6 +465,43 @@ def test_encode_matches_the_csv_writer(form, ids, width, data, metadata, label):
     assert encoded == _csv_writer_bytes(log, form, label)
 
 
+# ids of one width: plain ASCII; all quoted (a comma, or a comma and a quote, in every id); and
+# non-ASCII of one character width, which takes the row-by-row join unless it draws only "a"
+_ONE_WIDTH_IDS = {
+    "ascii": lambda w: st.text("ab0 #", min_size=w, max_size=w),
+    "comma": lambda w: st.text("ab", min_size=w, max_size=w).map(lambda s: s + ",1"),
+    "quote": lambda w: st.text("ab", min_size=w, max_size=w).map(lambda s: s + ',"'),
+    "non-ascii": lambda w: st.text("a\u00e9\u2603", min_size=w, max_size=w),
+}
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("kind", sorted(_ONE_WIDTH_IDS))
+@given(
+    width=st.integers(0, 4),
+    columns=st.integers(1, 13),  # past k = 10, where a record line's iteration widens
+    data=st.data(),
+    label=st.sampled_from(["run", 'say "hi", run', ",", "\u00e9"]) | st.text(max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_encode_of_one_width_ids_matches_the_csv_writer(form, kind, width, columns, data, label):
+    ids = data.draw(st.lists(_ONE_WIDTH_IDS[kind](width), min_size=1, max_size=5, unique=True))
+    matrix = data.draw(arrays(bool, (len(ids), columns)))
+    conf = None
+    if form == "records":
+        conf = data.draw(st.none() | st.just(np.full(matrix.shape, math.nan))
+                         | arrays(float, matrix.shape, elements=_CONFIDENCES))
+    log = CorrectnessLog(problem_ids=ids, correctness=matrix, confidence=conf)
+    with mock.patch.object(logs, "_matrix_file", wraps=logs._matrix_file) as matrix_file:
+        try:
+            encoded = logs._encode(log, form, label)
+        except ValueError:
+            return
+    assert encoded == _csv_writer_bytes(log, form, label)
+    filled = conf is not None and not np.isnan(conf).all()
+    assert matrix_file.called == ("".join(ids).isascii() and not filled)
+
+
 def _outcome(read):
     """What a read gives: each run's contents, or the error's type, message and line."""
     try:
@@ -564,6 +602,39 @@ def test_golden_logs_take_the_fast_path(monkeypatch):
     expected = [_outcome(lambda: logs._read_csv(path.read_bytes())) for path in paths]
     monkeypatch.setattr(logs, "_read_csv", _no_csv)
     assert [_outcome(lambda: read_runs(path)) for path in paths] == expected
+
+
+def _no_per_row(*args):
+    raise AssertionError("a log of one-width ids took a per-row path")
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
+    log = simulate_population(SimConfig(n_problems=1001, n_iterations=11, initial_accuracy=0.6, seed=4,
+                                        schedule=preset("o4-mini"))).log
+    for name, spy in (("_read_csv", _no_csv), ("_joined_rows", _no_per_row), ("_sliced_ids", _no_per_row)):
+        monkeypatch.setattr(logs, name, spy)
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form, run_label="sim")
+    back = read_runs(path)["sim"]
+    assert back.problem_ids == log.problem_ids
+    assert np.array_equal(back.correctness, log.correctness)
+    assert back.metadata == log.metadata
+
+
+def test_one_width_write_memory_stays_near_the_file_size(tmp_path):
+    # the byte matrix is the file: no list of rows, no joined string, no copy to bytes
+    log = CorrectnessLog(problem_ids=[f"p{i:05d}" for i in range(50_000)],
+                         correctness=np.arange(350_000).reshape(50_000, 7) % 3 == 0)
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        write_log(log, path, form="records")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 2 * size, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"
 
 
 # -- row alignment ---------------------------------------------------------------------

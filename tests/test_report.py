@@ -135,6 +135,8 @@ def test_explicit_pair_selection():
     assert report.paired.label_b == "a"
     with pytest.raises(ValueError, match="unknown run"):
         build_report(runs, pair=("a", "zz"), resamples=300)
+    with pytest.raises(ValueError, match="cannot pair run 'a' with itself"):
+        build_report(runs, pair=("a", "a"), resamples=300)
 
 
 def test_confidence_reaches_the_paired_bootstrap():

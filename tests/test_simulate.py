@@ -137,7 +137,7 @@ def test_problem_ids_are_zero_padded_and_unique():
     assert len(set(ids)) == 120
 
 
-@pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 1000, 1001, 100001])
 def test_problem_ids_match_the_nested_format_spec(n):
     width = len(str(n - 1))
     assert _problem_ids(n) == [f"p{i:0{width}d}" for i in range(n)]
