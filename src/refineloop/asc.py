@@ -19,12 +19,14 @@ Acc = 1/2: stop when ``eir >= ecr``. The paper's abstract calls ASC
 "adaptive self-consistency", the name of Aggarwal et al. (EMNLP 2023),
 and states no stop rule.
 
-One lockstep loop runs every instance, on arrays: the active mask, the
-kept-answer index and the stop code of each instance. A round source
-gives it the scores of the active instances: a backend asked one
-instance at a time, or a slice of a scenario's confidence column. A
-single problem is a batch of one; one equilibrium decision per round
-applies to every still-active instance.
+One lockstep loop runs every instance on two columns: the kept-answer
+index and the stop code of each instance, which reads budget while the
+instance runs. A round source gives it the scores of the running
+instances: a backend asked one instance at a time, or a slice of a
+scenario's confidence column. A single problem is a batch of one; one
+equilibrium decision per round applies to every running instance.
+Answers asked, rounds run and the first equilibrium round are derived
+from the two columns once the loop ends.
 """
 
 import json
@@ -137,43 +139,6 @@ _CONFIDENCE, _EQUILIBRIUM, _BUDGET = map(_REASONS.index, (StopReason.CONFIDENCE,
                                                           StopReason.BUDGET))
 
 
-def _run_rounds(n: int, config: AscConfig, scores, equilibrium) -> tuple[AscOutcomes, int, int | None]:
-    """Drive ``n`` instances in lockstep rounds to completion.
-
-    Round 0 generates; round k >= 1 refines. Each round
-    ``scores(k, idx)`` returns the score of the k-th answer of every
-    active instance ``idx`` (ascending). After a refinement round
-    ``equilibrium(k, idx)`` says whether the equilibrium stop fires for
-    the instances the confidence stop left running. Returns (outcomes,
-    refinement rounds run, first round in which equilibrium stopped an
-    instance, or None).
-    """
-    active = np.ones(n, dtype=bool)
-    kept = np.full(n, config.max_iterations, dtype=np.int64)  # what the budget stop keeps
-    stop = np.full(n, _BUDGET, dtype=np.int8)
-    asked = np.zeros(n, dtype=np.int64)
-    rounds, fired_round = 0, None
-    for k in range(config.max_iterations + 1):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        confident = scores(k, idx) >= config.tau
-        asked[idx] = k + 1
-        done = idx[confident]
-        kept[done], stop[done], active[done] = k, _CONFIDENCE, False
-        if k == 0:
-            continue
-        rounds = k
-        # The answer produced by the round that triggered the stop is
-        # discarded in favor of its predecessor.
-        if equilibrium(k, idx):
-            rest = idx[~confident]
-            kept[rest], stop[rest], active[rest] = k - 1, _EQUILIBRIUM, False
-            if rest.size and fired_round is None:
-                fired_round = k
-    return AscOutcomes(kept, stop, asked), rounds, fired_round
-
-
 class _BackendRounds:
     """Round source that asks a backend, one instance at a time in index order."""
 
@@ -230,36 +195,58 @@ class BatchSummary:
 
 
 def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcomes, BatchSummary]:
-    """Run ``n`` instances under one shared stop rule and summarise them.
+    """Drive ``n`` instances in lockstep rounds under one shared stop rule and summarise them.
 
-    In online-labeled mode ``labels_at(k, idx)`` gives the correctness of
-    the iteration k-1 and k answers of the instances ``idx`` as an
-    (len(idx), 2) array; the counts are re-pooled after every round from
-    all transitions executed so far.
+    Round 0 generates; round k >= 1 refines. Each round ``scores(k, idx)``
+    returns the score of the k-th answer of every running instance
+    ``idx`` (ascending). In online-labeled mode ``labels_at(k, idx)``
+    gives the correctness of those instances' k-th answers: column 0 of
+    every instance is read before round 0, and each later column once, in
+    the round that produced it.
     """
-    rates = config.calibration_rates  # set in calibration-only mode alone
+    kept = np.full(n, config.max_iterations, dtype=np.int64)  # what the budget stop keeps
+    stop = np.full(n, _BUDGET, dtype=np.int8)  # an instance runs while its code reads budget
     flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
-
-    def equilibrium(k: int, idx: np.ndarray) -> bool:
-        if config.equilibrium_mode is not EquilibriumMode.ONLINE_LABELED:
-            return rates is not None and rates.eir >= rates.ecr  # the threshold at Acc = 1/2
-        # Every instance that refined this round contributes its observed
-        # transition, including ones that just stopped on confidence; their
-        # labels are data like any other.
-        flows[:] += transition_counts(labels_at(k, idx))
-        return verdict_from_counts(*flows[0].tolist()) in (Verdict.STOP, Verdict.AT_EQUILIBRIUM)  # None waits
-
-    columns, rounds, fired_round = _run_rounds(n, config, scores, equilibrium)
-    iterations, per_iteration = np.unique(columns.iterations_used, return_counts=True)
-    codes, first, per_code = np.unique(columns.stop_codes, return_index=True, return_counts=True)
+    online = config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED
+    rates = config.calibration_rates  # set in calibration-only mode alone
+    if online:
+        previous = labels_at(0, np.arange(n))  # a copy: the driver writes into it
+    for k in range(config.max_iterations + 1):
+        idx = np.flatnonzero(stop == _BUDGET)
+        if not idx.size:
+            break
+        confident = scores(k, idx) >= config.tau
+        done = idx[confident]
+        kept[done], stop[done] = k, _CONFIDENCE
+        if k == 0:
+            continue
+        if online:
+            # Every instance that refined this round contributes its observed
+            # transition, including ones that just stopped on confidence; their
+            # labels are data like any other.
+            current = labels_at(k, idx)
+            flows[:] += transition_counts(np.column_stack([previous[idx], current]))
+            previous[idx] = current
+            halt = verdict_from_counts(*flows[0].tolist()) in (Verdict.STOP, Verdict.AT_EQUILIBRIUM)  # None waits
+        else:
+            halt = rates is not None and rates.eir >= rates.ecr  # the threshold at Acc = 1/2
+        if halt:
+            # The answer produced by the round that triggered the stop is
+            # discarded in favor of its predecessor.
+            rest = idx[~confident]
+            kept[rest], stop[rest] = k - 1, _EQUILIBRIUM
+    equilibrium = stop == _EQUILIBRIUM
+    asked = kept + 1 + equilibrium  # an equilibrium stop in round k asked for answer k and kept k - 1
+    iterations, per_iteration = np.unique(kept, return_counts=True)
+    codes, first, per_code = np.unique(stop, return_index=True, return_counts=True)
     order = np.argsort(first)  # reasons in the order instances first show them
     eir, ecr = pooled_rates(flows)
-    return columns, BatchSummary(
+    return AscOutcomes(kept, stop, asked), BatchSummary(
         n_instances=n,
-        rounds_executed=rounds,
+        rounds_executed=int(asked.max(initial=1)) - 1,
         iterations_histogram=dict(zip(iterations.tolist(), per_iteration.tolist())),
         stop_reasons={_REASONS[c]: m for c, m in zip(codes[order].tolist(), per_code[order].tolist())},
-        equilibrium_fired_round=fired_round,
+        equilibrium_fired_round=int(kept[equilibrium].min()) + 1 if equilibrium.any() else None,
         final_pooled_rates=TransitionRates(eir, ecr) if eir is not None and ecr is not None else None,
     )
 
@@ -289,19 +276,14 @@ def run_asc_batch(
     In online-labeled mode ``labels[problem][k]`` must give the
     correctness of that problem's iteration-k answer; the transition
     counts are re-pooled after every round from all transitions executed
-    so far, and one equilibrium decision is applied to every still-active
+    so far, and one equilibrium decision is applied to every running
     instance.
     """
-    if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED:
-        if labels is None:
-            raise ValueError("online-labeled equilibrium mode needs labels for every problem")
-        for problem in problems:
-            _label_lookup(labels, problem, 0)
+    if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and labels is None:
+        raise ValueError("online-labeled equilibrium mode needs labels for every problem")
 
     def labels_at(k: int, idx: np.ndarray) -> np.ndarray:
-        was = [_label_lookup(labels, problems[i], k - 1) for i in idx.tolist()]
-        now = [_label_lookup(labels, problems[i], k) for i in idx.tolist()]
-        return np.column_stack([was, now])
+        return np.array([_label_lookup(labels, problems[i], k) for i in idx.tolist()], dtype=bool)
 
     source = _BackendRounds(problems, backend)
     columns, summary = _run_batch(len(problems), config, source, labels_at)
@@ -497,6 +479,8 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"not UTF-8: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != SCENARIO_VERSION:
         raise ScenarioError(f"expected a JSON object with format={SCENARIO_VERSION!r}")
     if not _SCENARIO_KEYS.issuperset(doc):
@@ -560,7 +544,5 @@ def run_scenario(scenario: Scenario) -> tuple[AscOutcomes, BatchSummary, Scenari
                                 f"max_iterations {n} can ask for up to {n + 1}")
         return scenario.confidences[idx, k]
 
-    outcomes, summary = _run_batch(
-        len(scenario.ids), config, scores, lambda k, idx: labels[idx, k - 1 : k + 1]
-    )
+    outcomes, summary = _run_batch(len(scenario.ids), config, scores, lambda k, idx: labels[idx, k])
     return outcomes, summary, ScenarioReplay(scenario.ids, outcomes.answers_asked)

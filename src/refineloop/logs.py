@@ -243,7 +243,10 @@ def _fields(lines, start):
 
 def _read_csv(data: bytes) -> dict[str, CorrectnessLog]:
     """Parse any log file with ``csv``, one line at a time; a fault names its line."""
-    lines = data.decode("utf-8").splitlines()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"not UTF-8: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
     metadata, start = _parse_directives(lines)
     label = metadata.pop("run_label", _DEFAULT_RUN)
     rows = _fields(lines, start)

@@ -32,6 +32,7 @@ from refineloop.asc import (
     run_asc_instance,
     run_scenario,
 )
+from refineloop.cli import EXIT_DATA, main
 from refineloop.dynamics import TransitionRates, Verdict, verdict_from_counts
 from refineloop.estimate import transition_counts
 from refineloop.logs import CorrectnessLog
@@ -393,6 +394,30 @@ def test_batch_online_requires_labels():
         run_asc_batch(["p0"], backend, config, labels={"other": (True,)})
 
 
+class _CountedRow(tuple):
+    """A problem's labels that count each read of an iteration into ``reads``."""
+
+    def __new__(cls, problem, row, reads):
+        self = super().__new__(cls, row)
+        self.problem, self.reads = problem, reads
+        return self
+
+    def __getitem__(self, k):
+        self.reads[self.problem, k] += 1
+        return super().__getitem__(k)
+
+
+def test_online_batch_reads_each_label_once():
+    reads = Counter()
+    labels = {pid: _CountedRow(pid, (True, True, True), reads) for pid in ("a", "b")}
+    config = AscConfig(max_iterations=2, equilibrium_mode=EquilibriumMode.ONLINE_LABELED)
+    backend = ScriptedBackend([_scripted(pid, [5, 5, 5]) for pid in labels])
+    outcomes, summary = run_asc_batch(list(labels), backend, config, labels=labels)
+    assert [o.stop_reason for o in outcomes] == [StopReason.BUDGET] * 2  # the incorrect pool stays empty
+    assert summary.rounds_executed == 2
+    assert reads == {(pid, k): 1 for pid in labels for k in range(3)}
+
+
 @pytest.mark.parametrize("label", ["false", 1, None], ids=repr)
 def test_online_labels_must_be_bools(label):
     # bool("false") is True: a label that is not a bool would count as whatever its truth value is
@@ -558,6 +583,12 @@ def test_scenario_with_calibration_rates(tmp_path):
          re.escape("calibration_rates must be an object {eir, ecr}, got [0.02, 0.01]")),
         (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.02}),
          re.escape("calibration_rates must be {eir, ecr} probabilities, missing 'ecr'")),
+        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 2, "ecr": 0.1}),
+         re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got 2")),
+        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": True, "ecr": 0.1}),
+         re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got True")),
+        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": "x", "ecr": 0.1}),
+         re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got 'x'")),
     ],
 )
 def test_scenario_validation_errors(tmp_path, mutate, fragment):
@@ -585,6 +616,14 @@ def test_scenario_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(path)
+
+
+def test_scenario_that_is_not_utf8_is_a_scenario_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(_scenario_doc()).encode().replace(b'"p1"', b'"p\xff"'))
+    with pytest.raises(ScenarioError, match="^not UTF-8: 'utf-8' codec can't decode byte 0xff"):
+        load_scenario(path)
+    assert main(["asc", str(path), "--out", str(tmp_path / "out")]) == EXIT_DATA
 
 
 def test_scenario_whose_answers_run_out_names_the_first_problem(tmp_path):

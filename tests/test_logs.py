@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from refineloop import SimConfig, logs, preset, simulate_population
+from refineloop.cli import EXIT_DATA, main
 from refineloop.logs import (
     FORMAT_VERSION,
     CorrectnessLog,
@@ -190,6 +191,15 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, expect_line, fragmen
         read_runs(path)
     assert fragment in str(err.value)
     assert err.value.line == expect_line
+
+
+def test_log_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"#{FORMAT_VERSION}\nproblem_id,iteration,correct\np0,0,1\n".encode() + b"p\xff,0,1\n")
+    with pytest.raises(LogFormatError, match="^line 4: not UTF-8: 'utf-8' codec can't decode byte 0xff") as err:
+        read_runs(path)
+    assert err.value.line == 4
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == EXIT_DATA
 
 
 def test_non_contiguous_iterations_rejected(tmp_path):
