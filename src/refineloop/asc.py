@@ -21,12 +21,14 @@ and states no stop rule.
 
 One lockstep loop runs every instance on two columns: the kept-answer
 index and the stop code of each instance, which reads budget while the
-instance runs. A round source gives it the scores of the running
-instances: a backend asked one instance at a time, or a slice of a
-scenario's confidence column. A single problem is a batch of one; one
-equilibrium decision per round applies to every running instance.
-Answers asked, rounds run and the first equilibrium round are derived
-from the two columns once the loop ends.
+instance runs. Each entry point hands it two closures: ``scores(k, idx)``
+gives the scores of the k-th answers of the running instances, and
+``labels_at(k, idx)`` their correctness labels. For a backend they ask
+it one instance at a time and look up a labels mapping; for a scenario
+they slice its confidence and label columns. A single problem is a
+batch of one; one equilibrium decision per round applies to every
+running instance. Answers asked, rounds run and the first equilibrium
+round are derived from the two columns once the loop ends.
 """
 
 import json
@@ -139,51 +141,6 @@ _CONFIDENCE, _EQUILIBRIUM, _BUDGET = map(_REASONS.index, (StopReason.CONFIDENCE,
                                                           StopReason.BUDGET))
 
 
-class _BackendRounds:
-    """Round source that asks a backend, one instance at a time in index order."""
-
-    def __init__(self, problems: Sequence[Any], backend: RefinementBackend):
-        self.problems = problems
-        self.backend = backend
-        self.answers: list[list] = [[] for _ in problems]
-        self.scores: list[list[float]] = [[] for _ in problems]
-
-    def _call(self, i: int, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise AscBackendError(
-                f"backend failed during {fn.__name__}: {exc}", self.problems[i], self.answers[i], self.scores[i]
-            ) from exc
-
-    def __call__(self, k: int, idx: np.ndarray) -> np.ndarray:
-        """Generate the first answer, or refine the latest, and score it, for each instance in ``idx``."""
-        out = np.empty(idx.size)
-        for j, i in enumerate(idx.tolist()):
-            problem, answers, scores = self.problems[i], self.answers[i], self.scores[i]
-            if answers:
-                answer = self._call(i, self.backend.refine, problem, answers[-1])
-            else:
-                answer = self._call(i, self.backend.generate, problem)
-            answers.append(answer)
-            score = self._call(i, self.backend.confidence, problem, answer)
-            try:
-                score = _check_real("confidence", score, 1.0, 10.0)
-            except ValueError as exc:  # the partial trace ends at the answer that was scored
-                raise AscBackendError(f"backend {exc}", problem, answers, scores) from None
-            scores.append(score)
-            out[j] = score
-        return out
-
-    def outcomes(self, columns: AscOutcomes) -> list[AscOutcome]:
-        return [
-            AscOutcome(answers[k], k, _REASONS[code], tuple(scores))
-            for answers, scores, k, code in zip(
-                self.answers, self.scores, columns.iterations_used.tolist(), columns.stop_codes.tolist()
-            )
-        ]
-
-
 @dataclass(frozen=True)
 class BatchSummary:
     n_instances: int
@@ -251,20 +208,6 @@ def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcome
     )
 
 
-def _label_lookup(labels, problem: Any, iteration: int) -> bool:
-    try:
-        label = labels[problem][iteration]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(
-            f"online-labeled mode: no label for problem {problem!r}, iteration {iteration}"
-        ) from exc
-    if not isinstance(label, (bool, np.bool_)):  # bool("false") is True
-        raise ValueError(
-            f"online-labeled mode: label for problem {problem!r}, iteration {iteration} must be a bool, got {label!r}"
-        )
-    return bool(label)
-
-
 def run_asc_batch(
     problems: Sequence[Any],
     backend: RefinementBackend,
@@ -281,13 +224,47 @@ def run_asc_batch(
     """
     if config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED and labels is None:
         raise ValueError("online-labeled equilibrium mode needs labels for every problem")
+    answers: list[list] = [[] for _ in problems]
+    confidences: list[list[float]] = [[] for _ in problems]
+
+    def call(i: int, fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            raise AscBackendError(f"backend failed during {fn.__name__}: {exc}", problems[i], answers[i],
+                                  confidences[i]) from exc
+
+    def scores(k: int, idx: np.ndarray) -> np.ndarray:
+        out = np.empty(idx.size)
+        for j, i in enumerate(idx.tolist()):
+            problem, trace = problems[i], answers[i]  # a running instance holds k answers
+            trace.append(call(i, backend.refine, problem, trace[-1]) if k else call(i, backend.generate, problem))
+            score = call(i, backend.confidence, problem, trace[-1])
+            try:
+                score = _check_real("confidence", score, 1.0, 10.0)
+            except ValueError as exc:  # the partial trace ends at the answer that was scored
+                raise AscBackendError(f"backend {exc}", problem, trace, confidences[i]) from None
+            confidences[i].append(score)
+            out[j] = score
+        return out
 
     def labels_at(k: int, idx: np.ndarray) -> np.ndarray:
-        return np.array([_label_lookup(labels, problems[i], k) for i in idx.tolist()], dtype=bool)
+        out = np.empty(idx.size, dtype=bool)
+        for j, i in enumerate(idx.tolist()):
+            try:
+                label = labels[problems[i]][k]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise ValueError(f"online-labeled mode: no label for problem {problems[i]!r}, iteration {k}") from exc
+            if not isinstance(label, (bool, np.bool_)):  # bool("false") is True
+                raise ValueError(f"online-labeled mode: label for problem {problems[i]!r}, iteration {k} "
+                                 f"must be a bool, got {label!r}")
+            out[j] = label
+        return out
 
-    source = _BackendRounds(problems, backend)
-    columns, summary = _run_batch(len(problems), config, source, labels_at)
-    return source.outcomes(columns), summary
+    columns, summary = _run_batch(len(problems), config, scores, labels_at)
+    kept, codes = columns.iterations_used.tolist(), columns.stop_codes.tolist()
+    return [AscOutcome(trace[k], k, _REASONS[code], tuple(scored))
+            for trace, scored, k, code in zip(answers, confidences, kept, codes)], summary
 
 
 def run_asc_instance(
@@ -326,6 +303,9 @@ class ScriptedBackend:
 
     def __init__(self, problems: Sequence[ScriptedProblem]):
         self._scripts = {p.problem_id: p for p in problems}
+        if len(self._scripts) != len(problems):  # a dict would keep the last script silently
+            repeated = next(pid for pid, n in Counter(p.problem_id for p in problems).items() if n > 1)
+            raise ValueError(f"problem ids must be unique; {repeated!r} appears more than once")
         self._cursor = {p.problem_id: 0 for p in problems}
         self.calls: list[tuple[str, str]] = []
 

@@ -267,8 +267,9 @@ def _cmd_asc(args, parser) -> int:
 
 
 def _cmd_sc(args, parser) -> int:
-    try:
+    try:  # every flag is checked before any work is done or any line printed
         model = CorrelatedSampleModel(p=args.p, rho=args.rho, k=args.k)
+        rho = None if args.fit_target is None else fit_common_cause_weight(args.p, args.k, args.fit_target)
     except ValueError as exc:
         raise _UsageError(str(exc), parser) from None
     iid = theoretical_sc_accuracy(args.p, args.k)
@@ -281,11 +282,7 @@ def _cmd_sc(args, parser) -> int:
     ]
     print(f"i.i.d. closed form {iid * 100.0:.2f}%, mixture {mixture * 100.0:.2f}%, "
           f"empirical {empirical * 100.0:.2f}% (n={args.n}, seed {args.seed})")
-    if args.fit_target is not None:
-        try:
-            rho = fit_common_cause_weight(args.p, args.k, args.fit_target)
-        except ValueError as exc:
-            raise _UsageError(str(exc), parser) from None
+    if rho is not None:
         rows += [["fitted_rho", rho], ["fit_target", args.fit_target]]
         print(f"fitted rho {rho:.4f} for target {args.fit_target * 100.0:.1f}%")
     out = _out_dir(args)

@@ -175,6 +175,15 @@ def test_online_mode_without_labels_rejected():
         run_asc_instance("q7", backend, config)
 
 
+def test_scripted_backend_refuses_a_repeated_problem_id():
+    # a dict of scripts would keep the last one silently, so "a" would answer y0
+    repeated = [ScriptedProblem("a", ("x0", "x1"), (5.0, 9.0)), ScriptedProblem("a", ("y0",), (9.0,))]
+    with pytest.raises(ValueError, match="problem ids must be unique; 'a' appears more than once"):
+        ScriptedBackend(repeated)
+    with pytest.raises(ValueError, match="'b' appears more than once"):
+        ScriptedBackend([_scripted("a", [9]), _scripted("b", [9]), _scripted("c", [9]), _scripted("b", [9])])
+
+
 def test_backend_error_carries_partial_trace():
     class Flaky:
         def generate(self, problem):

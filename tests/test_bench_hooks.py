@@ -2,8 +2,9 @@
 
 The bench tracer (``bench/spans.py``) wraps package functions by module
 and attribute name, and counts ASC backend calls from the replay that
-``run_scenario`` returns. A refactor that renames either breaks the
-benchmark; this test makes it break the test suite too.
+``run_scenario`` returns. A refactor that renames either, or that stops
+calling a layer through the name the tracer wraps, breaks the benchmark;
+these tests make it break the test suite too.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from refineloop import cli
 from refineloop.asc import StopReason, load_scenario, run_scenario
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -44,3 +46,27 @@ def test_bench_scenario_replay_counts_two_calls_per_answer(tmp_path):
     assert counts["asc.backend_calls"] == len(replay.calls)
     assert counts["asc.rounds"] == summary.rounds_executed
     assert counts["asc.stopped_equilibrium"] == summary.stop_reasons.get(StopReason.EQUILIBRIUM, 0) > 0
+
+
+def _paper_scale_pass(workloads, size, inputs, out) -> dict[str, bytes]:
+    """Run one smoke-size paper-scale pass through ``cli.main`` and return its ``--out`` tree."""
+    for step, argv in workloads.pass_steps("paper-scale", 1, size, inputs, out):
+        assert cli.main(argv) == 0, step  # looked up on the module, so a traced main is the one called
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_every_wrapped_layer_fires_in_a_traced_paper_scale_pass(tmp_path):
+    workloads = _bench_module("workloads")
+    size = workloads.SIZES["smoke"]["paper-scale"]
+    inputs = tmp_path / "inputs"
+    workloads.generate_inputs("paper-scale", 1, size, inputs)
+    plain = _paper_scale_pass(workloads, size, inputs, tmp_path / "plain")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = _paper_scale_pass(workloads, size, inputs, tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    fired = {span["name"] for span in tracer.spans}
+    assert [name for _, _, name, _ in spans.WRAPS if name not in fired] == []
+    assert plain and traced == plain

@@ -355,6 +355,15 @@ def test_sc_usage_errors(tmp_path):
     assert main(["sc"]) == EXIT_USAGE  # --p is required
 
 
+def test_sc_refuses_an_unattainable_fit_target_before_any_work(tmp_path, capsys):
+    out = tmp_path / "sc"
+    assert main(["sc", "--p", "0.912", "--fit-target", "0.99", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refineloop: error: " in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "o3-mini", "--acc0", "1.5"],
     ["simulate", "--preset", "o3-mini", "--ecr", "0.9"],

@@ -308,3 +308,14 @@ def test_report_verdicts_agree_with_the_transition_tests(matrix):
             assert verdict is None
         else:
             assert verdict.verdict is _sign_verdict(test.b, test.c)
+
+
+def test_no_runs_renders_headers_only():
+    tables = render_tables(diagnose_runs({}))
+    assert tables == render_tables(build_report({}))
+    full = render_tables(diagnose_runs({"a": _replay("gpt-4o-mini")}))
+    assert set(tables) == set(full) and "paired.csv" not in tables
+    assert tables["report.txt"] == "refinement loop diagnostic\n\n(no runs)\n"
+    for name in ("accuracy.csv", "rates.csv", "verdicts.csv", "tests.csv", "summary.csv"):
+        header = full[name].splitlines(keepends=True)[0]
+        assert tables[name] == header, name

@@ -372,3 +372,13 @@ def test_bootstrap_validation():
     got = paired_bootstrap_delta(col, ~col, resamples=50, confidence=np.float32(0.9))
     assert got == paired_bootstrap_delta(col, ~col, resamples=50, confidence=float(np.float32(0.9)))
     assert type(got.confidence) is float
+
+
+def test_workers_without_affinity_fall_back_to_the_core_count(monkeypatch):
+    monkeypatch.delattr(stats.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
+    assert stats._workers() == 2
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 64)
+    assert stats._workers() == stats._MAX_WORKERS
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
+    assert stats._workers() == 1
