@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -334,7 +335,10 @@ class ScriptedBackend:
     def confidence(self, problem: str, answer: Any) -> float:
         self.calls.append(("confidence", problem))
         script = self._script(problem)
-        return script.confidences[self._cursor[problem] - 1]
+        k = self._cursor[problem]
+        if not k:  # confidences[-1] would score the last scripted answer
+            raise RuntimeError(f"confidence for {problem!r} asked before any answer was generated")
+        return script.confidences[k - 1]
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
@@ -374,6 +378,7 @@ class ScenarioReplay:
 _SCENARIO_KEYS = {"format", "tau", "max_iterations", "equilibrium_mode", "calibration_rates", "problems", "metadata"}
 _PROBLEM_KEYS = {"id", "answers", "confidences", "correct"}
 _RATE_KEYS = {"eir", "ecr"}
+_PROBLEM_SHAPES = ({frozenset(_PROBLEM_KEYS)}, {frozenset(_PROBLEM_KEYS - {"correct"})})  # all labeled, or none
 
 
 def _unknown_key(obj: dict, known: set, where: str) -> ScenarioError:
@@ -393,7 +398,10 @@ def _scenario_array(entry: dict, field: str, index: int, types=None, rule: str =
 
 
 def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray | None]:
-    """One validation pass over the parsed problems: (ids, answers, confidences, counts, labels)."""
+    """The per-problem loop over the parsed problems: (ids, answers, confidences, counts, labels).
+
+    Its refusal names the first bad field of the first bad problem.
+    """
     ids, answers_column, counts, flat_scores, flat_labels = [], [], [], [], []
     labeled = True
     rule = "booleans (or 0/1)"
@@ -433,14 +441,58 @@ def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.nd
         counts.append(len(answers))
         flat_scores += scores
     counts = np.array(counts, dtype=np.int64)
-    filled = np.arange(counts.max()) < counts[:, None]  # row-major, as the flat lists run
+    confidences, labels = _grids(counts, flat_scores, flat_labels if labeled else None)
+    return ids, answers_column, confidences, counts, labels
+
+
+def _grids(counts: np.ndarray, flat_scores, flat_labels) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (n, width) confidence and label grids of row-major flat columns; labels None without ``flat_labels``."""
+    filled = np.arange(counts.max()) < counts[:, None]  # row-major, as the flat columns run
     confidences = np.full(filled.shape, np.nan)
     confidences[filled] = flat_scores
     labels = None
-    if labeled:
+    if flat_labels is not None:
         labels = np.zeros(filled.shape, dtype=bool)
         labels[filled] = flat_labels
-    return ids, answers_column, confidences, counts, labels
+    return confidences, labels
+
+
+def _whole_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """``_scenario_columns``' result from checks on whole columns, or None when any check is in doubt.
+
+    Nothing here refuses: None sends the caller to the per-problem loop,
+    which alone words every refusal and its precedence. A mix of labeled
+    and unlabeled problems takes the loop too.
+    """
+    if set(map(type, raw_problems)) != {dict} or set(map(frozenset, raw_problems)) not in _PROBLEM_SHAPES:
+        return None
+    ids = [entry["id"] for entry in raw_problems]
+    answers = [entry["answers"] for entry in raw_problems]
+    scores = [entry["confidences"] for entry in raw_problems]
+    label_rows = [entry["correct"] for entry in raw_problems] if "correct" in raw_problems[0] else []
+    if set(map(type, ids)) != {str} or set(map(type, chain(answers, scores, label_rows))) != {list}:
+        return None
+    counts = list(map(len, answers))
+    if 0 in counts or counts != list(map(len, scores)) or label_rows and counts != list(map(len, label_rows)):
+        return None
+    flat_scores = list(chain.from_iterable(scores))
+    if not set(map(type, flat_scores)) <= {int, float}:  # bool is not int here
+        return None
+    try:
+        values = np.array(flat_scores, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    if not ((values >= 1) & (values <= 10)).all():  # NaN fails both
+        return None
+    flat_labels = None
+    if label_rows:
+        flat_labels = list(chain.from_iterable(label_rows))
+        types = set(map(type, flat_labels))
+        if not (types <= {bool} or types <= {bool, int} and set(flat_labels) <= {0, 1}):
+            return None
+    counts = np.array(counts, dtype=np.int64)
+    confidences, labels = _grids(counts, values, flat_labels)
+    return ids, answers, confidences, counts, labels
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -453,7 +505,12 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a declarative scenario file (JSON, versioned)."""
+    """Parse a declarative scenario file (JSON, versioned).
+
+    The problems are checked a whole column at a time first; when any of
+    those checks is in doubt, the per-problem loop reads them instead and
+    names the first bad field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
@@ -497,7 +554,7 @@ def load_scenario(path) -> Scenario:
     raw_problems = doc.get("problems")
     if not isinstance(raw_problems, list) or not raw_problems:
         raise ScenarioError("scenario needs a non-empty problems list")
-    ids, answers, confidences, counts, labels = _scenario_columns(raw_problems)
+    ids, answers, confidences, counts, labels = _whole_columns(raw_problems) or _scenario_columns(raw_problems)
     if len(set(ids)) != len(ids):
         raise ScenarioError("problem ids must be unique")
     metadata = doc.get("metadata", {})

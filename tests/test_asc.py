@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refineloop import asc
 from refineloop.asc import (
     AscBackendError,
     AscConfig,
@@ -32,13 +33,15 @@ from refineloop.asc import (
     run_asc_instance,
     run_scenario,
 )
-from refineloop.cli import EXIT_DATA, main
+from refineloop.cli import EXIT_DATA, EXIT_OK, main
 from refineloop.dynamics import TransitionRates, Verdict, verdict_from_counts
 from refineloop.estimate import transition_counts
 from refineloop.logs import CorrectnessLog
 from refineloop.report import build_report
 from refineloop.schedule import preset, preset_baseline
 from refineloop.simulate import deterministic_replay
+from test_bench_hooks import _bench_module
+from test_golden import SCENARIOS
 
 
 def _scripted(pid, confidences, n_answers=None):
@@ -67,6 +70,15 @@ def test_scripted_backend_refuses_an_unknown_problem():
     backend = ScriptedBackend([_scripted("q1", [9.0])])
     with pytest.raises(KeyError, match="no script for problem 'q9'"):
         backend.generate("q9")
+
+
+def test_scripted_backend_refuses_a_score_before_any_answer():
+    # confidences[-1] would score the last scripted answer
+    backend = ScriptedBackend([ScriptedProblem("a", ("x0", "x1"), (5.0, 9.0))])
+    with pytest.raises(RuntimeError, match="confidence for 'a' asked before any answer was generated"):
+        backend.confidence("a", "anything")
+    backend.generate("a")
+    assert backend.confidence("a", "x0") == 5.0
 
 
 def test_trace_budget_exhaustion():
@@ -547,59 +559,59 @@ def test_scenario_with_calibration_rates(tmp_path):
     assert summary.stop_reasons == {StopReason.EQUILIBRIUM: 1}
 
 
-@pytest.mark.parametrize(
-    "mutate,fragment",
-    [
-        (lambda d: d.update(format="nope"), "format"),
-        (lambda d: d.update(equilibrium_mode="sometimes"), "equilibrium_mode"),
-        (lambda d: d.update(tau=0.0), "tau"),
-        (lambda d: d.update(problems=[]), "non-empty problems"),
-        (lambda d: d["problems"][0].update(confidences=[5]), "answers vs"),
-        (lambda d: d["problems"][0].update(confidences=[5, 11]), "1-10 scale"),
-        (lambda d: d["problems"].append(dict(d["problems"][0])), "unique"),
-        (lambda d: d["problems"][0].pop("answers"), "missing field"),
-        (lambda d: d["problems"][0].update(correct=["false", True]), "correct must hold booleans"),
-        (lambda d: d["problems"][0].update(correct=[1.0, 0]), "correct must hold booleans .or 0/1., got 1.0"),
-        (lambda d: d["problems"][0].update(correct=5), "correct must be an array"),
-        (lambda d: d.update(max_iterations=2.7), "max_iterations must be a positive int, got 2.7"),
-        (lambda d: d.update(max_iterations=True), "max_iterations must be a positive int, got True"),
-        (lambda d: d["problems"][0].update(answers="xy"), "answers must be an array"),
-        (lambda d: d.update(tau=None), "tau must be a number"),
-        (lambda d: d["problems"][0].update(confidences=[None, 9]), "confidences must hold numbers"),
-        (lambda d: d.update(metadata=[1, 2]), "metadata must be an object"),
-        (lambda d: d["problems"].append(5), r"problems\[2\] must be an object"),
-        (lambda d: d["problems"][0].update(answers=[], confidences=[]), "at least the initial answer"),
-        (lambda d: d["problems"][0].update(correct=[2, 1]), r"correct must hold booleans .or 0/1., got 2"),
-        (lambda d: d["problems"][0].update(correct=[True]), "correct length must match answers"),
-        (lambda d: d.update(calibration_rates={"eir": 0.1}), "calibration_rates must be"),
-        (lambda d: d["problems"][0].update(id=None), r"problems\[0\].id must be a string, got None"),
-        (lambda d: d["problems"][1].update(id=1), r"problems\[1\].id must be a string, got 1"),
-        (lambda d: d.update(metadata={"seed": 7}), "metadata.seed must be a string, got 7"),
-        (lambda d: d.update(metadata={"note": None}), "metadata.note must be a string, got None"),
-        (lambda d: d["problems"][1].update(confidences=[10**400]),
-         r"problems\[1\]: confidence 10{400} outside the 1-10 scale"),
-        (lambda d: d.update(max_iterations=10**20),
-         "max_iterations must be below 9223372036854775807, got 10{20}"),
-        (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}),
-         "calibration_rates are used only in calibration-only equilibrium mode, not disabled"),
-        (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}, equilibrium_mode="online-labeled"),
-         "calibration_rates are used only in calibration-only equilibrium mode, not online-labeled"),
-        (lambda d: d.update(max_iteratons=1), "scenario has unknown key 'max_iteratons'"),
-        (lambda d: d["problems"][1].update(corect=[True]), r"problems\[1\] has unknown key 'corect'"),
-        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.1, "ecr": 0.2, "ecrr": 0}),
-         "calibration_rates has unknown key 'ecrr'"),
-        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates=[0.02, 0.01]),
-         re.escape("calibration_rates must be an object {eir, ecr}, got [0.02, 0.01]")),
-        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.02}),
-         re.escape("calibration_rates must be {eir, ecr} probabilities, missing 'ecr'")),
-        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 2, "ecr": 0.1}),
-         re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got 2")),
-        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": True, "ecr": 0.1}),
-         re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got True")),
-        (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": "x", "ecr": 0.1}),
-         re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got 'x'")),
-    ],
-)
+_SCENARIO_FAULTS = [
+    (lambda d: d.update(format="nope"), "format"),
+    (lambda d: d.update(equilibrium_mode="sometimes"), "equilibrium_mode"),
+    (lambda d: d.update(tau=0.0), "tau"),
+    (lambda d: d.update(problems=[]), "non-empty problems"),
+    (lambda d: d["problems"][0].update(confidences=[5]), "answers vs"),
+    (lambda d: d["problems"][0].update(confidences=[5, 11]), "1-10 scale"),
+    (lambda d: d["problems"].append(dict(d["problems"][0])), "unique"),
+    (lambda d: d["problems"][0].pop("answers"), "missing field"),
+    (lambda d: d["problems"][0].update(correct=["false", True]), "correct must hold booleans"),
+    (lambda d: d["problems"][0].update(correct=[1.0, 0]), "correct must hold booleans .or 0/1., got 1.0"),
+    (lambda d: d["problems"][0].update(correct=5), "correct must be an array"),
+    (lambda d: d.update(max_iterations=2.7), "max_iterations must be a positive int, got 2.7"),
+    (lambda d: d.update(max_iterations=True), "max_iterations must be a positive int, got True"),
+    (lambda d: d["problems"][0].update(answers="xy"), "answers must be an array"),
+    (lambda d: d.update(tau=None), "tau must be a number"),
+    (lambda d: d["problems"][0].update(confidences=[None, 9]), "confidences must hold numbers"),
+    (lambda d: d.update(metadata=[1, 2]), "metadata must be an object"),
+    (lambda d: d["problems"].append(5), r"problems\[2\] must be an object"),
+    (lambda d: d["problems"][0].update(answers=[], confidences=[]), "at least the initial answer"),
+    (lambda d: d["problems"][0].update(correct=[2, 1]), r"correct must hold booleans .or 0/1., got 2"),
+    (lambda d: d["problems"][0].update(correct=[True]), "correct length must match answers"),
+    (lambda d: d.update(calibration_rates={"eir": 0.1}), "calibration_rates must be"),
+    (lambda d: d["problems"][0].update(id=None), r"problems\[0\].id must be a string, got None"),
+    (lambda d: d["problems"][1].update(id=1), r"problems\[1\].id must be a string, got 1"),
+    (lambda d: d.update(metadata={"seed": 7}), "metadata.seed must be a string, got 7"),
+    (lambda d: d.update(metadata={"note": None}), "metadata.note must be a string, got None"),
+    (lambda d: d["problems"][1].update(confidences=[10**400]),
+     r"problems\[1\]: confidence 10{400} outside the 1-10 scale"),
+    (lambda d: d.update(max_iterations=10**20),
+     "max_iterations must be below 9223372036854775807, got 10{20}"),
+    (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}),
+     "calibration_rates are used only in calibration-only equilibrium mode, not disabled"),
+    (lambda d: d.update(calibration_rates={"eir": 0.02, "ecr": 0.01}, equilibrium_mode="online-labeled"),
+     "calibration_rates are used only in calibration-only equilibrium mode, not online-labeled"),
+    (lambda d: d.update(max_iteratons=1), "scenario has unknown key 'max_iteratons'"),
+    (lambda d: d["problems"][1].update(corect=[True]), r"problems\[1\] has unknown key 'corect'"),
+    (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.1, "ecr": 0.2, "ecrr": 0}),
+     "calibration_rates has unknown key 'ecrr'"),
+    (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates=[0.02, 0.01]),
+     re.escape("calibration_rates must be an object {eir, ecr}, got [0.02, 0.01]")),
+    (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 0.02}),
+     re.escape("calibration_rates must be {eir, ecr} probabilities, missing 'ecr'")),
+    (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": 2, "ecr": 0.1}),
+     re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got 2")),
+    (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": True, "ecr": 0.1}),
+     re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got True")),
+    (lambda d: d.update(equilibrium_mode="calibration-only", calibration_rates={"eir": "x", "ecr": 0.1}),
+     re.escape("calibration_rates must be {eir, ecr} probabilities: eir must be a number in [0, 1], got 'x'")),
+]
+
+
+@pytest.mark.parametrize("mutate,fragment", _SCENARIO_FAULTS)
 def test_scenario_validation_errors(tmp_path, mutate, fragment):
     doc = _scenario_doc()
     mutate(doc)
@@ -771,15 +783,8 @@ def _scenarios(draw):
     return scripts, config
 
 
-@settings(max_examples=300, deadline=None)
-@given(_scenarios())
-def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
-    scripts, config = drawn
-    try:
-        want, want_summary, want_calls = _reference_run(scripts, config)
-        ran_out = None
-    except _RanOut as exc:
-        ran_out = exc
+def _drawn_doc(scripts, config):
+    """The scenario document of a ``_scenarios()`` draw."""
     doc = {
         "format": "asc-scenario/v1",
         "tau": config.tau,
@@ -789,8 +794,20 @@ def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
     }
     if config.calibration_rates is not None:
         doc["calibration_rates"] = {"eir": config.calibration_rates.eir, "ecr": config.calibration_rates.ecr}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenarios())
+def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
+    scripts, config = drawn
+    try:
+        want, want_summary, want_calls = _reference_run(scripts, config)
+        ran_out = None
+    except _RanOut as exc:
+        ran_out = exc
     path = tmp_path_factory.getbasetemp() / "columns-property.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_drawn_doc(scripts, config)))
     scenario = load_scenario(path)
     backend = ScriptedBackend([ScriptedProblem(pid, tuple(a), tuple(map(float, g)))
                                for pid, (a, g, _) in scripts.items()])
@@ -813,6 +830,148 @@ def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
     assert batch == want
     assert batch_summary == want_summary
     assert backend.calls == want_calls
+
+
+# -- whole-column check against the per-problem loop -------------------------------
+
+
+def _columns_key(columns):
+    """The five scenario columns, comparable: reprs hold NaN equal to NaN and 5 apart from 5.0."""
+    ids, answers, confidences, counts, labels = columns
+    return (repr(ids), repr(answers), confidences.dtype, repr(confidences.tolist()), counts.dtype, counts.tolist(),
+            None if labels is None else (labels.dtype, labels.tolist()))
+
+
+def _load_outcome(path):
+    """``load_scenario(path)`` in comparable form, or the text of its refusal."""
+    try:
+        s = load_scenario(path)
+    except ScenarioError as exc:
+        return str(exc)
+    return s.config, s.metadata, _columns_key((s.ids, s.answers, s.confidences, s.counts, s.labels))
+
+
+def _loop_only_outcome(path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asc, "_whole_columns", lambda raw_problems: None)
+        return _load_outcome(path)
+
+
+def _assert_column_parity(path):
+    """The column check gives nothing or the loop's columns, and a load reads as through the loop alone."""
+    doc = json.loads(path.read_text())
+    raw = doc.get("problems") if isinstance(doc, dict) else None
+    if isinstance(raw, list) and raw:  # as load_scenario hands them over
+        fast = asc._whole_columns(raw)
+        if fast is not None:
+            assert _columns_key(fast) == _columns_key(asc._scenario_columns(raw))
+    assert _load_outcome(path) == _loop_only_outcome(path)
+
+
+_COLUMN_CASES = [
+    lambda d: d["problems"][0].update(confidences=[5.5, 9]),  # float and int scores
+    lambda d: d["problems"][0].update(confidences=[1, 10.0]),  # the scale's ends
+    lambda d: [p.update(correct=[1] * len(p["answers"])) for p in d["problems"]],
+    lambda d: [p.update(correct=[False] * len(p["answers"])) for p in d["problems"]],
+    lambda d: [p.update(correct=[True, 0][:len(p["answers"])]) for p in d["problems"]],
+    lambda d: d["problems"][0].update(correct=[True, False]),  # labeled and unlabeled problems mixed
+    lambda d: [p.update(correct=[True]) for p in d["problems"]],  # one label short
+    lambda d: [p.update(correct=c) for p, c in zip(d["problems"], ([True], [True, False]))],  # as many in all
+    lambda d: d["problems"][1].update(correct=[1.0]),
+    lambda d: d["problems"][1].update(correct=[math.nan]),
+    lambda d: d["problems"][0].update(confidences=[math.nan, 9]),
+    lambda d: d["problems"][0].update(confidences=[5, "1e309"]),  # written as the bare number 1e309
+    lambda d: d["problems"][0].update(confidences=[5, 9.000000000000002]),
+    lambda d: d["problems"][0].update(confidences=[True, 9]),
+    lambda d: d["problems"][1].update(answers=[None], id=""),
+    lambda d: d["problems"][1].update(answers=[["x"]]),
+    lambda d: d["problems"].insert(0, {"confidences": [9], "answers": ["z"], "id": "z"}),  # keys in another order
+]
+
+
+@pytest.mark.parametrize("mutate", [mutate for mutate, _ in _SCENARIO_FAULTS] + _COLUMN_CASES)
+def test_column_check_gives_the_loop_columns_or_nothing(tmp_path, mutate):
+    doc = _scenario_doc()
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"1e309"', "1e309"))
+    _assert_column_parity(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenarios(), st.booleans())
+def test_column_check_gives_the_loop_columns_on_drawn_scenarios(tmp_path_factory, drawn, unlabel_first):
+    doc = _drawn_doc(*drawn)
+    if unlabel_first:
+        del doc["problems"][0]["correct"]
+    path = tmp_path_factory.getbasetemp() / "column-check-property.json"
+    path.write_text(json.dumps(doc))
+    _assert_column_parity(path)
+
+
+def _no_loop(raw_problems):
+    raise AssertionError("a scenario took the per-problem loop")
+
+
+def test_bench_and_golden_scenarios_take_the_column_check(tmp_path, monkeypatch):
+    workloads = _bench_module("workloads")
+    bench = tmp_path / "bench.json"
+    workloads._asc_scenario(1, workloads.SIZES["smoke"]["paper-scale"]["asc_n"], bench)
+    paths = [bench]
+    for name, doc in {**SCENARIOS, "fixture.json": _scenario_doc()}.items():  # int scores, 0/1 labels
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc, indent=1))
+    expected = [_loop_only_outcome(path) for path in paths]
+    monkeypatch.setattr(asc, "_scenario_columns", _no_loop)
+    assert [_load_outcome(path) for path in paths] == expected
+
+
+_SWEEP_VALUES = [None, True, False, 0, 1, -1, 0.5, 10, 11, 10**400, math.nan, math.inf, "", "x",
+                 [], [None], [1], [True], ["a"], {}, {"eir": 0.1}]
+
+
+def test_golden_scenario_variants_read_as_through_the_loop_alone(tmp_path, capsys, monkeypatch):
+    # every top-level field, per-problem field, and first score and label set to each value:
+    # a clean exit or a refusal, never a crash
+    golden = SCENARIOS["online.json"]
+    variants = []
+    for key in sorted(asc._SCENARIO_KEYS):
+        variants += [{**golden, key: value} for value in _SWEEP_VALUES]
+    for i, problem in enumerate(golden["problems"]):
+        for key in sorted(asc._PROBLEM_KEYS):
+            for value in _SWEEP_VALUES:
+                edits = [value] + ([[value, *problem[key][1:]]] if key in ("confidences", "correct") else [])
+                variants += [{**golden, "problems": [*golden["problems"][:i], {**problem, key: edit},
+                                                     *golden["problems"][i + 1:]]} for edit in edits]
+    out = tmp_path / "out"
+
+    def run(path):
+        code = main(["asc", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_DATA), (path.read_text(), err)
+        written = [] if code else [(out / name).read_bytes() for name in ("outcomes.csv", "asc_summary.csv")]
+        return code, err, written
+
+    whole_columns, taken = asc._whole_columns, []
+
+    def spy(raw_problems):
+        taken.append(True)  # stays True if the check raises
+        columns = whole_columns(raw_problems)
+        taken[-1] = columns is not None
+        return columns
+
+    monkeypatch.setattr(asc, "_whole_columns", spy)
+    checked = {}
+    for n, doc in enumerate(variants):
+        path = tmp_path / f"variant{n}.json"
+        path.write_text(json.dumps(doc))
+        taken.clear()
+        result = run(path)
+        if any(taken):  # every other variant took the loop alone already
+            checked[path] = result
+    assert len(checked) > 50
+    monkeypatch.setattr(asc, "_whole_columns", lambda raw_problems: None)
+    assert {path: run(path) for path in checked} == checked
 
 
 # -- confidence tax: build_report's paired comparison at iteration 0 ------------
