@@ -29,6 +29,9 @@ they slice its confidence and label columns. A single problem is a
 batch of one; one equilibrium decision per round applies to every
 running instance. Answers asked, rounds run and the first equilibrium
 round are derived from the two columns once the loop ends.
+
+One function, ``_scenario_columns``, checks and builds a scenario's
+columns; only a refused scenario is walked problem by problem.
 """
 
 import json
@@ -37,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -338,6 +341,9 @@ class ScriptedBackend:
         k = self._cursor[problem]
         if not k:  # confidences[-1] would score the last scripted answer
             raise RuntimeError(f"confidence for {problem!r} asked before any answer was generated")
+        latest = script.answers[k - 1]
+        if answer is not latest and answer != latest:  # identity first: an array answer has no truth value
+            raise RuntimeError(f"confidence for {problem!r} asked for {answer!r}, not its latest answer {latest!r}")
         return script.confidences[k - 1]
 
 
@@ -378,7 +384,7 @@ class ScenarioReplay:
 _SCENARIO_KEYS = {"format", "tau", "max_iterations", "equilibrium_mode", "calibration_rates", "problems", "metadata"}
 _PROBLEM_KEYS = {"id", "answers", "confidences", "correct"}
 _RATE_KEYS = {"eir", "ecr"}
-_PROBLEM_SHAPES = ({frozenset(_PROBLEM_KEYS)}, {frozenset(_PROBLEM_KEYS - {"correct"})})  # all labeled, or none
+_PROBLEM_SHAPES = {frozenset(_PROBLEM_KEYS), frozenset(_PROBLEM_KEYS - {"correct"})}  # labeled, or not
 
 
 def _unknown_key(obj: dict, known: set, where: str) -> ScenarioError:
@@ -397,102 +403,82 @@ def _scenario_array(entry: dict, field: str, index: int, types=None, rule: str =
     return value
 
 
-def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The per-problem loop over the parsed problems: (ids, answers, confidences, counts, labels).
+def _scenario_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """The parsed problems as (ids, answers, confidences, counts, labels), or None if any problem is bad.
 
-    Its refusal names the first bad field of the first bad problem.
+    Every check runs on a whole column at once: types with
+    ``set(map(type, ...))``, key sets, lengths (each labeled problem's
+    labels against its own answers), every score against 1-10 in one
+    numpy comparison (NaN and inf fail it) and labels as bools or ints in
+    {0, 1}. ``labels`` is None unless every problem is labeled. None
+    words no refusal: ``_refuse_problem`` does.
     """
-    ids, answers_column, counts, flat_scores, flat_labels = [], [], [], [], []
-    labeled = True
-    rule = "booleans (or 0/1)"
-    for index, entry in enumerate(raw_problems):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"problems[{index}] must be an object")
-        if not _PROBLEM_KEYS.issuperset(entry):
-            raise _unknown_key(entry, _PROBLEM_KEYS, f"problems[{index}]")
-        try:
-            pid = entry["id"]
-            answers = _scenario_array(entry, "answers", index)
-            scores = _scenario_array(entry, "confidences", index, {int, float}, "numbers")
-        except KeyError as exc:
-            raise ScenarioError(f"problems[{index}] missing field {exc}") from None
-        if not isinstance(pid, str):
-            raise ScenarioError(f"problems[{index}].id must be a string, got {pid!r}")
-        if len(answers) != len(scores):
-            raise ScenarioError(f"problems[{index}]: {len(answers)} answers vs {len(scores)} confidences")
-        if not answers:
-            raise ScenarioError(f"problems[{index}]: needs at least the initial answer")
-        for g in scores:  # the raw value: an int past the float range must not reach float()
-            if not 1 <= g <= 10:
-                shown = g if type(g) is int and abs(g) > sys.float_info.max else float(g)
-                raise ScenarioError(f"problems[{index}]: confidence {shown} outside the 1-10 scale")
-        if "correct" in entry:
-            labels = _scenario_array(entry, "correct", index, {bool, int}, rule)
-            if not set(labels) <= {0, 1}:  # False == 0 and True == 1
-                bad = next(c for c in labels if c not in (0, 1))
-                raise ScenarioError(f"problems[{index}].correct must hold {rule}, got {bad!r}")
-            if len(labels) != len(answers):
-                raise ScenarioError(f"problems[{index}]: correct length must match answers")
-            flat_labels += labels
-        else:
-            labeled = False
-        ids.append(pid)
-        answers_column.append(answers)
-        counts.append(len(answers))
-        flat_scores += scores
-    counts = np.array(counts, dtype=np.int64)
-    confidences, labels = _grids(counts, flat_scores, flat_labels if labeled else None)
-    return ids, answers_column, confidences, counts, labels
-
-
-def _grids(counts: np.ndarray, flat_scores, flat_labels) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (n, width) confidence and label grids of row-major flat columns; labels None without ``flat_labels``."""
-    filled = np.arange(counts.max()) < counts[:, None]  # row-major, as the flat columns run
-    confidences = np.full(filled.shape, np.nan)
-    confidences[filled] = flat_scores
-    labels = None
-    if flat_labels is not None:
-        labels = np.zeros(filled.shape, dtype=bool)
-        labels[filled] = flat_labels
-    return confidences, labels
-
-
-def _whole_columns(raw_problems: list) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray | None] | None:
-    """``_scenario_columns``' result from checks on whole columns, or None when any check is in doubt.
-
-    Nothing here refuses: None sends the caller to the per-problem loop,
-    which alone words every refusal and its precedence. A mix of labeled
-    and unlabeled problems takes the loop too.
-    """
-    if set(map(type, raw_problems)) != {dict} or set(map(frozenset, raw_problems)) not in _PROBLEM_SHAPES:
+    if set(map(type, raw_problems)) != {dict} or not set(map(frozenset, raw_problems)) <= _PROBLEM_SHAPES:
         return None
     ids = [entry["id"] for entry in raw_problems]
     answers = [entry["answers"] for entry in raw_problems]
     scores = [entry["confidences"] for entry in raw_problems]
-    label_rows = [entry["correct"] for entry in raw_problems] if "correct" in raw_problems[0] else []
+    labeled = ["correct" in entry for entry in raw_problems]
+    label_rows = [entry["correct"] for entry in compress(raw_problems, labeled)]
     if set(map(type, ids)) != {str} or set(map(type, chain(answers, scores, label_rows))) != {list}:
         return None
     counts = list(map(len, answers))
-    if 0 in counts or counts != list(map(len, scores)) or label_rows and counts != list(map(len, label_rows)):
+    if 0 in counts or counts != list(map(len, scores)) or list(compress(counts, labeled)) != list(map(len, label_rows)):
         return None
     flat_scores = list(chain.from_iterable(scores))
     if not set(map(type, flat_scores)) <= {int, float}:  # bool is not int here
         return None
     try:
-        values = np.array(flat_scores, dtype=float)
+        flat_scores = np.array(flat_scores, dtype=float)
     except OverflowError:  # an int past the float range
         return None
-    if not ((values >= 1) & (values <= 10)).all():  # NaN fails both
+    if not ((flat_scores >= 1) & (flat_scores <= 10)).all():  # NaN fails both
         return None
-    flat_labels = None
-    if label_rows:
-        flat_labels = list(chain.from_iterable(label_rows))
-        types = set(map(type, flat_labels))
-        if not (types <= {bool} or types <= {bool, int} and set(flat_labels) <= {0, 1}):
-            return None
+    flat_labels = list(chain.from_iterable(label_rows))
+    types = set(map(type, flat_labels))
+    if not (types <= {bool} or types <= {bool, int} and set(flat_labels) <= {0, 1}):
+        return None
     counts = np.array(counts, dtype=np.int64)
-    confidences, labels = _grids(counts, values, flat_labels)
+    filled = np.arange(counts.max()) < counts[:, None]  # row-major, as the flat columns run
+    confidences = np.full(filled.shape, np.nan)
+    confidences[filled] = flat_scores
+    labels = None
+    if all(labeled):
+        labels = np.zeros(filled.shape, dtype=bool)
+        labels[filled] = flat_labels
     return ids, answers, confidences, counts, labels
+
+
+def _refuse_problem(index: int, entry: Any) -> None:
+    """Raise the ``ScenarioError`` naming the first bad field of ``problems[index]``, if it has one."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"problems[{index}] must be an object")
+    if not _PROBLEM_KEYS.issuperset(entry):
+        raise _unknown_key(entry, _PROBLEM_KEYS, f"problems[{index}]")
+    try:
+        pid = entry["id"]
+        answers = _scenario_array(entry, "answers", index)
+        scores = _scenario_array(entry, "confidences", index, {int, float}, "numbers")
+    except KeyError as exc:
+        raise ScenarioError(f"problems[{index}] missing field {exc}") from None
+    if not isinstance(pid, str):
+        raise ScenarioError(f"problems[{index}].id must be a string, got {pid!r}")
+    if len(answers) != len(scores):
+        raise ScenarioError(f"problems[{index}]: {len(answers)} answers vs {len(scores)} confidences")
+    if not answers:
+        raise ScenarioError(f"problems[{index}]: needs at least the initial answer")
+    for g in scores:  # the raw value: an int past the float range must not reach float()
+        if not 1 <= g <= 10:
+            shown = g if type(g) is int and abs(g) > sys.float_info.max else float(g)
+            raise ScenarioError(f"problems[{index}]: confidence {shown} outside the 1-10 scale")
+    if "correct" in entry:
+        rule = "booleans (or 0/1)"
+        labels = _scenario_array(entry, "correct", index, {bool, int}, rule)
+        if not set(labels) <= {0, 1}:  # False == 0 and True == 1
+            bad = next(c for c in labels if c not in (0, 1))
+            raise ScenarioError(f"problems[{index}].correct must hold {rule}, got {bad!r}")
+        if len(labels) != len(answers):
+            raise ScenarioError(f"problems[{index}]: correct length must match answers")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -507,9 +493,9 @@ def _unique_keys(pairs: list) -> dict:
 def load_scenario(path) -> Scenario:
     """Parse a declarative scenario file (JSON, versioned).
 
-    The problems are checked a whole column at a time first; when any of
-    those checks is in doubt, the per-problem loop reads them instead and
-    names the first bad field.
+    ``_scenario_columns`` checks and builds the problems' columns a whole
+    column at a time. Only when it refuses them does ``_refuse_problem``
+    walk the problems, to name the first bad field of the first bad one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -554,7 +540,12 @@ def load_scenario(path) -> Scenario:
     raw_problems = doc.get("problems")
     if not isinstance(raw_problems, list) or not raw_problems:
         raise ScenarioError("scenario needs a non-empty problems list")
-    ids, answers, confidences, counts, labels = _whole_columns(raw_problems) or _scenario_columns(raw_problems)
+    columns = _scenario_columns(raw_problems)
+    if columns is None:
+        for index, entry in enumerate(raw_problems):
+            _refuse_problem(index, entry)
+        raise AssertionError("the scenario column check failed on problems that each pass the per-problem check")
+    ids, answers, confidences, counts, labels = columns
     if len(set(ids)) != len(ids):
         raise ScenarioError("problem ids must be unique")
     metadata = doc.get("metadata", {})

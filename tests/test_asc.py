@@ -33,7 +33,7 @@ from refineloop.asc import (
     run_asc_instance,
     run_scenario,
 )
-from refineloop.cli import EXIT_DATA, EXIT_OK, main
+from refineloop.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
 from refineloop.dynamics import TransitionRates, Verdict, verdict_from_counts
 from refineloop.estimate import transition_counts
 from refineloop.logs import CorrectnessLog
@@ -79,6 +79,25 @@ def test_scripted_backend_refuses_a_score_before_any_answer():
         backend.confidence("a", "anything")
     backend.generate("a")
     assert backend.confidence("a", "x0") == 5.0
+
+
+def test_scripted_backend_scores_only_the_latest_answer():
+    # a score is a position in the script: it belongs to the answer handed out last
+    backend = ScriptedBackend([ScriptedProblem("a", ("x0", "x1"), (5.0, 9.0))])
+    backend.generate("a")
+    with pytest.raises(RuntimeError, match="confidence for 'a' asked for 'x1', not its latest answer 'x0'"):
+        backend.confidence("a", "x1")
+    assert backend.refine("a", "x0") == "x1"
+    with pytest.raises(RuntimeError, match="confidence for 'a' asked for 'x0', not its latest answer 'x1'"):
+        backend.confidence("a", "x0")
+    assert backend.confidence("a", "".join(["x", "1"])) == 9.0  # an equal answer, not the same object
+
+
+def test_scripted_backend_scores_an_array_answer_by_identity():
+    answer = np.array([1, 2])  # an array has no single truth value to compare by
+    backend = ScriptedBackend([ScriptedProblem("a", (answer,), (9.0,))])
+    outcome = run_asc_instance("a", backend, AscConfig())
+    assert outcome.final_answer is answer and outcome.confidence_trace == (9.0,)
 
 
 def test_trace_budget_exhaustion():
@@ -672,6 +691,21 @@ def test_online_scenario_requires_correct_fields(tmp_path):
         run_scenario(load_scenario(path))
 
 
+def test_online_scenario_with_one_problem_unlabeled_is_refused(tmp_path, capsys):
+    doc = _scenario_doc()
+    doc["equilibrium_mode"] = "online-labeled"
+    doc["problems"][0]["correct"] = [False, True]  # p1 stays unlabeled
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    message = "online-labeled scenarios must label every problem"
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        run_scenario(load_scenario(path))
+    out = tmp_path / "out"
+    assert main(["asc", str(path), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"refineloop: bad input: {message}\n"
+    assert not (out / "outcomes.csv").exists()
+
+
 # -- columns against one state machine per problem ---------------------------------
 
 
@@ -832,7 +866,7 @@ def test_columns_match_a_state_machine_per_problem(tmp_path_factory, drawn):
     assert backend.calls == want_calls
 
 
-# -- whole-column check against the per-problem loop -------------------------------
+# -- columns checked and built whole; the per-problem check only words a refusal ---
 
 
 def _columns_key(columns):
@@ -840,6 +874,30 @@ def _columns_key(columns):
     ids, answers, confidences, counts, labels = columns
     return (repr(ids), repr(answers), confidences.dtype, repr(confidences.tolist()), counts.dtype, counts.tolist(),
             None if labels is None else (labels.dtype, labels.tolist()))
+
+
+def _expected_columns(raw_problems):
+    """The columns of well-formed parsed problems, built one problem at a time."""
+    counts = [len(p["answers"]) for p in raw_problems]
+    width = max(counts)
+    confidences = np.array([[float(g) for g in p["confidences"]] + [math.nan] * (width - n)
+                            for p, n in zip(raw_problems, counts)])
+    labels = None
+    if all("correct" in p for p in raw_problems):
+        labels = np.array([[bool(c) for c in p["correct"]] + [False] * (width - n)
+                           for p, n in zip(raw_problems, counts)])
+    return ([p["id"] for p in raw_problems], [p["answers"] for p in raw_problems], confidences,
+            np.array(counts, dtype=np.int64), labels)
+
+
+def _refuses_a_problem(raw_problems):
+    """Whether ``_refuse_problem`` refuses some problem."""
+    for index, entry in enumerate(raw_problems):
+        try:
+            asc._refuse_problem(index, entry)
+        except ScenarioError:
+            return True
+    return False
 
 
 def _load_outcome(path):
@@ -851,21 +909,17 @@ def _load_outcome(path):
     return s.config, s.metadata, _columns_key((s.ids, s.answers, s.confidences, s.counts, s.labels))
 
 
-def _loop_only_outcome(path):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(asc, "_whole_columns", lambda raw_problems: None)
-        return _load_outcome(path)
-
-
-def _assert_column_parity(path):
-    """The column check gives nothing or the loop's columns, and a load reads as through the loop alone."""
+def _assert_columns_or_refusal(path):
+    """``_scenario_columns`` gives None exactly when ``_refuse_problem`` refuses a problem, else the plain columns."""
     doc = json.loads(path.read_text())
     raw = doc.get("problems") if isinstance(doc, dict) else None
     if isinstance(raw, list) and raw:  # as load_scenario hands them over
-        fast = asc._whole_columns(raw)
-        if fast is not None:
-            assert _columns_key(fast) == _columns_key(asc._scenario_columns(raw))
-    assert _load_outcome(path) == _loop_only_outcome(path)
+        columns = asc._scenario_columns(raw)
+        if _refuses_a_problem(raw):
+            assert columns is None
+        else:
+            assert _columns_key(columns) == _columns_key(_expected_columns(raw))
+    _load_outcome(path)  # loads or refuses, never an internal breach
 
 
 _COLUMN_CASES = [
@@ -895,22 +949,22 @@ def test_column_check_gives_the_loop_columns_or_nothing(tmp_path, mutate):
     mutate(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc).replace('"1e309"', "1e309"))
-    _assert_column_parity(path)
+    _assert_columns_or_refusal(path)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_scenarios(), st.booleans())
-def test_column_check_gives_the_loop_columns_on_drawn_scenarios(tmp_path_factory, drawn, unlabel_first):
+def test_column_check_on_drawn_scenarios(tmp_path_factory, drawn, unlabel_first):
     doc = _drawn_doc(*drawn)
     if unlabel_first:
         del doc["problems"][0]["correct"]
     path = tmp_path_factory.getbasetemp() / "column-check-property.json"
     path.write_text(json.dumps(doc))
-    _assert_column_parity(path)
+    _assert_columns_or_refusal(path)
 
 
-def _no_loop(raw_problems):
-    raise AssertionError("a scenario took the per-problem loop")
+def _no_refusal(index, entry):
+    raise AssertionError("a scenario reached the per-problem check")
 
 
 def test_bench_and_golden_scenarios_take_the_column_check(tmp_path, monkeypatch):
@@ -921,16 +975,45 @@ def test_bench_and_golden_scenarios_take_the_column_check(tmp_path, monkeypatch)
     for name, doc in {**SCENARIOS, "fixture.json": _scenario_doc()}.items():  # int scores, 0/1 labels
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(doc, indent=1))
-    expected = [_loop_only_outcome(path) for path in paths]
-    monkeypatch.setattr(asc, "_scenario_columns", _no_loop)
-    assert [_load_outcome(path) for path in paths] == expected
+    monkeypatch.setattr(asc, "_refuse_problem", _no_refusal)
+    for path in paths:
+        s = load_scenario(path)
+        want = _expected_columns(json.loads(path.read_text())["problems"])
+        assert _columns_key((s.ids, s.answers, s.confidences, s.counts, s.labels)) == _columns_key(want)
+
+
+def test_mixed_labels_are_built_by_the_columns(tmp_path, monkeypatch):
+    doc = _scenario_doc()
+    doc["problems"][1]["correct"] = [True]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with monkeypatch.context() as patch:
+        patch.setattr(asc, "_refuse_problem", _no_refusal)
+        s = load_scenario(path)
+    assert s.labels is None
+    assert _columns_key((s.ids, s.answers, s.confidences, s.counts, s.labels)) == _columns_key(
+        _expected_columns(doc["problems"]))
+    doc["problems"][0]["correct"] = [2, 1]  # the labeled problem, beside an unlabeled one
+    del doc["problems"][1]["correct"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=re.escape("problems[0].correct must hold booleans (or 0/1), got 2")):
+        load_scenario(path)
+
+
+def test_a_column_refusal_no_problem_words_is_an_internal_breach(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_scenario_doc()))
+    monkeypatch.setattr(asc, "_scenario_columns", lambda raw_problems: None)
+    with pytest.raises(AssertionError, match="per-problem check"):
+        load_scenario(path)
+    assert main(["asc", str(path), "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
 
 
 _SWEEP_VALUES = [None, True, False, 0, 1, -1, 0.5, 10, 11, 10**400, math.nan, math.inf, "", "x",
                  [], [None], [1], [True], ["a"], {}, {"eir": 0.1}]
 
 
-def test_golden_scenario_variants_read_as_through_the_loop_alone(tmp_path, capsys, monkeypatch):
+def test_golden_scenario_variants_exit_ok_or_refused(tmp_path, capsys):
     # every top-level field, per-problem field, and first score and label set to each value:
     # a clean exit or a refusal, never a crash
     golden = SCENARIOS["online.json"]
@@ -943,35 +1026,15 @@ def test_golden_scenario_variants_read_as_through_the_loop_alone(tmp_path, capsy
                 edits = [value] + ([[value, *problem[key][1:]]] if key in ("confidences", "correct") else [])
                 variants += [{**golden, "problems": [*golden["problems"][:i], {**problem, key: edit},
                                                      *golden["problems"][i + 1:]]} for edit in edits]
-    out = tmp_path / "out"
-
-    def run(path):
-        code = main(["asc", str(path), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code in (EXIT_OK, EXIT_DATA), (path.read_text(), err)
-        written = [] if code else [(out / name).read_bytes() for name in ("outcomes.csv", "asc_summary.csv")]
-        return code, err, written
-
-    whole_columns, taken = asc._whole_columns, []
-
-    def spy(raw_problems):
-        taken.append(True)  # stays True if the check raises
-        columns = whole_columns(raw_problems)
-        taken[-1] = columns is not None
-        return columns
-
-    monkeypatch.setattr(asc, "_whole_columns", spy)
-    checked = {}
+    codes = Counter()
     for n, doc in enumerate(variants):
         path = tmp_path / f"variant{n}.json"
         path.write_text(json.dumps(doc))
-        taken.clear()
-        result = run(path)
-        if any(taken):  # every other variant took the loop alone already
-            checked[path] = result
-    assert len(checked) > 50
-    monkeypatch.setattr(asc, "_whole_columns", lambda raw_problems: None)
-    assert {path: run(path) for path in checked} == checked
+        code = main(["asc", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_DATA), (path.read_text(), err)
+        codes[code] += 1
+    assert codes == {EXIT_OK: 46, EXIT_DATA: 731}
 
 
 # -- confidence tax: build_report's paired comparison at iteration 0 ------------
