@@ -103,7 +103,7 @@ def simulate_self_consistency(model: CorrelatedSampleModel, n_problems: int, see
     """
     n_problems = _check_int("n_problems", n_problems, 1)
     seed = rng.check_seed(seed)
-    idx = np.arange(n_problems)
+    idx = np.arange(n_problems, dtype=np.uint64)  # rng's dtype: no copy
     common_correct = rng.uniforms(seed, rng.VOTE_STREAM_BASE, idx) < model.p
     use_common = rng.uniforms(seed, rng.VOTE_STREAM_BASE + 1, idx) < model.rho
     correct_counts = np.zeros(n_problems, dtype=np.int64)

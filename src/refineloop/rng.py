@@ -12,6 +12,16 @@ where the starting state ``key`` and the odd per-stream increment
 ``gamma`` are themselves mixed from ``(seed, stream)``. ``GENERATOR_ID``
 names this exact construction; changing any constant below is a format
 break and must bump the version suffix.
+
+A draw has two stages. The derivation stage, ``_stream_keys``, mixes
+each stream's ``(key, gamma)`` pair: three finalizers per stream, a fixed
+cost of about 30 small numpy calls whatever the number of streams. The
+draw stage mixes one ``key + index * gamma`` per coordinate. A caller
+that draws from the same streams many times (the bootstrap, one tile of
+problems at a time) derives the pair once and hands it to ``uniforms``
+as ``keys``; it must be ``_stream_keys(seed, stream)`` for the same seed
+and streams, two uint64 arrays of the streams' shape. Its values are
+trusted, not checked against ``stream``.
 """
 
 import numpy as np
@@ -69,18 +79,29 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def uniforms(seed: int, stream, index) -> np.ndarray:
-    """Uniform [0, 1) draws at the given ``(stream, index)`` coordinates.
+def _coordinates(name: str, value) -> np.ndarray:
+    """``value`` as a uint64 array, refused unless it holds integers in [0, 2**64).
 
-    ``stream`` and ``index`` may be non-negative ints or integer arrays;
-    they broadcast against each other. Each draw carries 53 random bits.
-    The arguments are never written to.
+    Only a signed dtype is searched for negative values, so uint64 input
+    costs no pass over its elements and is returned uncopied.
     """
-    seed = check_seed(seed)
+    arr = np.asarray(value)  # an int past 2**64 - 1 gives dtype object
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold ints in [0, 2**64), got dtype {arr.dtype}")
+    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
+        raise ValueError(f"{name} must hold ints in [0, 2**64), got {arr.min()}")
+    return arr.astype(np.uint64, copy=False)
+
+
+def _stream_keys(seed: int, stream) -> tuple[np.ndarray, np.ndarray]:
+    """The starting state ``key`` and odd increment ``gamma`` of each stream.
+
+    Both are new uint64 arrays of ``stream``'s shape; ``uniforms`` takes
+    the pair as its ``keys``.
+    """
+    base = np.uint64(_mix_int(check_seed(seed) + _GOLDEN))
+    st = _coordinates("stream", stream)
     with np.errstate(over="ignore"):
-        st = np.asarray(stream, dtype=np.uint64)
-        ix = np.asarray(index, dtype=np.uint64)
-        base = np.uint64(_mix_int(seed + _GOLDEN))
         # np.asarray: a ufunc on 0-d arrays returns a scalar, which cannot
         # be updated in place. Each array below is new, never the caller's.
         key = _mix(np.asarray(st * np.uint64(_STREAM_SALT) + np.uint64(_GOLDEN)))
@@ -88,7 +109,29 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
         _mix(key)
         gamma = _mix(np.asarray(key ^ np.uint64(_GAMMA_SALT)))
         gamma |= np.uint64(1)
-        bits = np.asarray(ix * gamma)
+    return key, gamma
+
+
+def uniforms(seed: int, stream, index, *, keys=None) -> np.ndarray:
+    """Uniform [0, 1) draws at the given ``(stream, index)`` coordinates.
+
+    ``stream`` and ``index`` may be non-negative ints or integer arrays;
+    they broadcast against each other. Each draw carries 53 random bits.
+    ``keys``, when given, is ``_stream_keys(seed, stream)`` (see the
+    module docstring). The arguments are never written to.
+    """
+    seed = check_seed(seed)
+    st = _coordinates("stream", stream)
+    ix = _coordinates("index", index)
+    if keys is None:
+        key, gamma = _stream_keys(seed, st)
+    else:
+        key, gamma = keys
+        for part in (key, gamma):
+            if not isinstance(part, np.ndarray) or part.dtype != np.uint64 or part.shape != st.shape:
+                raise ValueError(f"keys must be two uint64 arrays of stream's shape {st.shape}")
+    with np.errstate(over="ignore"):
+        bits = np.asarray(ix * gamma)  # new: never the caller's index or keys
         bits += key
         _mix(bits)
         bits >>= np.uint64(11)
@@ -96,4 +139,3 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
     u = bits.view(np.int64).astype(np.float64)
     u *= 2.0**-53
     return u[()]  # a numpy scalar for 0-d inputs, as the ufuncs give
-

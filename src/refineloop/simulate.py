@@ -67,7 +67,7 @@ def _resolve_schedule(config: SimConfig) -> list[TransitionRates]:
 def _initial_column(config: SimConfig) -> np.ndarray:
     n = config.n_problems
     n_correct = int(round(n * config.initial_accuracy))
-    keys = rng.uniforms(config.seed, rng.SIM_INIT_STREAM, np.arange(n))
+    keys = rng.uniforms(config.seed, rng.SIM_INIT_STREAM, np.arange(n, dtype=np.uint64))
     order = np.argsort(keys, kind="stable")
     state = np.zeros(n, dtype=bool)
     state[order[:n_correct]] = True
@@ -79,7 +79,7 @@ def simulate_population(config: SimConfig) -> SimTrajectory:
     rates = _resolve_schedule(config)
     state = _initial_column(config)
     columns = [state]
-    indices = np.arange(config.n_problems)
+    indices = np.arange(config.n_problems, dtype=np.uint64)  # rng's dtype: no copy
     for t, r in enumerate(rates):
         u = rng.uniforms(config.seed, rng.SIM_TRANSITION_BASE + t, indices)
         # A correct answer survives when u >= eir; an incorrect one is

@@ -6,6 +6,8 @@ package: if any constant or mixing step in the implementation drifts, the
 comparison fails and GENERATOR_ID must be bumped.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,77 @@ def test_arguments_are_never_written():
         rng.uniforms(11, st, ix)
         assert np.array_equal(streams, np.arange(5, dtype=np.uint64))
         assert np.array_equal(indices, np.arange(5, dtype=np.uint64) + np.uint64(2**63))
+    # the bootstrap draws every column chunk of a tile with one keys pair
+    keys = rng._stream_keys(11, streams[:, None])
+    saved = tuple(part.copy() for part in keys)
+    for ix in (indices[None, :], indices[None, :2]):
+        rng.uniforms(11, streams[:, None], ix, keys=keys)
+        assert all(np.array_equal(part, copy) for part, copy in zip(keys, saved))
+        assert np.array_equal(streams, np.arange(5, dtype=np.uint64))
+        assert np.array_equal(indices, np.arange(5, dtype=np.uint64) + np.uint64(2**63))
+
+
+_coordinate = st.integers(0, 2**64 - 1)
+
+
+@given(
+    seed=_coordinate,
+    coordinates=st.one_of(
+        st.tuples(_coordinate, _coordinate),
+        st.tuples(st.lists(_coordinate, min_size=1, max_size=6), _coordinate).map(
+            lambda c: (np.array(c[0], dtype=np.uint64), c[1])
+        ),
+        st.tuples(_coordinate, st.lists(_coordinate, min_size=1, max_size=6)).map(
+            lambda c: (c[0], np.array(c[1], dtype=np.uint64))
+        ),
+        st.tuples(st.lists(_coordinate, min_size=1, max_size=4), st.lists(_coordinate, min_size=1, max_size=4)).map(
+            lambda c: (np.array(c[0], dtype=np.uint64)[:, None], np.array(c[1], dtype=np.uint64)[None, :])
+        ),
+    ),
+)
+def test_keys_change_no_bit(seed, coordinates):
+    stream, index = coordinates
+    derived = rng.uniforms(seed, stream, index, keys=rng._stream_keys(seed, stream))
+    direct = rng.uniforms(seed, stream, index)
+    assert derived.dtype == direct.dtype and np.shape(derived) == np.shape(direct)
+    assert np.asarray(derived).tobytes() == np.asarray(direct).tobytes()
+
+
+def test_keys_of_another_shape_are_refused():
+    streams = np.arange(4, dtype=np.uint64)[:, None]
+    key, gamma = rng._stream_keys(3, streams)
+    for keys in ((key[:3], gamma[:3]), (key.ravel(), gamma.ravel()), (key, gamma[:2]), (key[0, 0], gamma[0, 0])):
+        with pytest.raises(ValueError, match="keys must be two uint64 arrays of stream's shape"):
+            rng.uniforms(3, streams, np.arange(5, dtype=np.uint64)[None, :], keys=keys)
+    for keys in ((key.astype(np.int64), gamma), (key, gamma.tolist())):
+        with pytest.raises(ValueError, match="keys must be two uint64 arrays"):
+            rng.uniforms(3, streams, np.arange(5, dtype=np.uint64)[None, :], keys=keys)
+
+
+@pytest.mark.parametrize(
+    "stream, index, message",
+    [
+        (0, np.array([-1]), "index must hold ints in [0, 2**64), got -1"),  # would wrap to 2**64 - 1
+        (0, np.array([1.7]), "index must hold ints in [0, 2**64), got dtype float64"),  # would truncate to 1
+        (0, -1, "index must hold ints in [0, 2**64), got -1"),
+        (0, 2**64, "index must hold ints in [0, 2**64), got dtype object"),
+        (0, np.array([True]), "index must hold ints in [0, 2**64), got dtype bool"),
+        (np.array([3, -2]), 0, "stream must hold ints in [0, 2**64), got -2"),
+        (2.0, 0, "stream must hold ints in [0, 2**64), got dtype float64"),
+    ],
+)
+def test_coordinates_that_are_not_non_negative_ints_are_refused(stream, index, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rng.uniforms(1, stream, index)
+    if message.startswith("stream"):  # deriving the stream's keys refuses it too
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rng._stream_keys(1, stream)
+
+
+def test_signed_and_unsigned_coordinates_draw_alike():
+    idx = np.arange(50)
+    assert np.array_equal(rng.uniforms(4, np.int32(9), idx), rng.uniforms(4, 9, idx.astype(np.uint64)))
+    assert rng.uniforms(4, 9, np.arange(0)).shape == (0,)
 
 
 @pytest.mark.parametrize(

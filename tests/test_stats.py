@@ -244,9 +244,9 @@ def test_bootstrap_bits_do_not_depend_on_worker_count(monkeypatch, workers, n, r
     uniforms = rng.uniforms
     callers = set()
 
-    def recording(seed, stream, index):
+    def recording(seed, stream, index, **kwargs):
         callers.add(threading.get_ident())
-        return uniforms(seed, stream, index)
+        return uniforms(seed, stream, index, **kwargs)
 
     monkeypatch.setattr("refineloop.rng.uniforms", recording)
     interval = sys.getswitchinterval()
@@ -267,10 +267,10 @@ def test_bootstrap_helper_exception_reaches_the_caller(monkeypatch):
     caller = threading.get_ident()
     helper_drew = threading.Event()
 
-    def failing(seed, stream, index):
+    def failing(seed, stream, index, **kwargs):
         if threading.get_ident() == caller:
             helper_drew.wait(timeout=10)  # hold the caller's first tile until a helper fails
-            return uniforms(seed, stream, index)
+            return uniforms(seed, stream, index, **kwargs)
         helper_drew.set()
         raise RuntimeError("draw failed in a helper")
 
@@ -291,8 +291,8 @@ def test_bootstrap_draws_every_index_through_rng_uniforms(monkeypatch):
     coordinates = set()
     uniforms = rng.uniforms
 
-    def counting(seed, stream, index):
-        u = uniforms(seed, stream, index)
+    def counting(seed, stream, index, **kwargs):
+        u = uniforms(seed, stream, index, **kwargs)
         drawn.append(u.size)
         st, ix = np.broadcast_arrays(np.asarray(stream), np.asarray(index))
         coordinates.update(zip(st.ravel().tolist(), ix.ravel().tolist()))
@@ -308,6 +308,32 @@ def test_bootstrap_draws_every_index_through_rng_uniforms(monkeypatch):
     assert coordinates == {
         (rng.BOOTSTRAP_STREAM_BASE + r, i) for r in range(resamples) for i in range(n)
     }
+
+
+@pytest.mark.parametrize(
+    "n, resamples",
+    [
+        (600, 250),  # 109 resamples per tile, one column chunk each
+        (70_000, 3),  # one resample per tile, two column chunks each
+    ],
+)
+def test_bootstrap_derives_stream_keys_once_per_call(monkeypatch, n, resamples):
+    # a tile or column chunk that derived its own keys would show up as a
+    # second call, made from inside rng.uniforms
+    derived = []
+    stream_keys = rng._stream_keys
+
+    def spying(seed, stream):
+        derived.append(np.asarray(stream).ravel().tolist())
+        return stream_keys(seed, stream)
+
+    gen = np.random.default_rng(n)
+    a = gen.random(n) < 0.7
+    b = gen.random(n) < 0.75
+    expected = paired_bootstrap_delta(a, b, resamples=resamples, seed=5)
+    monkeypatch.setattr("refineloop.rng._stream_keys", spying)
+    assert paired_bootstrap_delta(a, b, resamples=resamples, seed=5) == expected
+    assert derived == [[rng.BOOTSTRAP_STREAM_BASE + r for r in range(resamples)]]
 
 
 def test_bootstrap_identical_columns_degenerate():
