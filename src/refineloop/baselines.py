@@ -120,7 +120,9 @@ def fit_common_cause_weight(p: float, k: int, target_accuracy: float) -> float:
 
     Vote accuracy decreases monotonically in rho when p > 1/2, from the
     i.i.d. value at rho=0 down to p at rho=1, so the target must lie in
-    that interval.
+    that interval. A target at an end of the interval gives that end's
+    rho exactly, rho=0 first (where p equals the i.i.d. value, as at k=1
+    or p=1/2, every rho attains the target).
     """
     p = _check_real("p", p)
     target_accuracy = _check_real("target_accuracy", target_accuracy)
@@ -130,6 +132,9 @@ def fit_common_cause_weight(p: float, k: int, target_accuracy: float) -> float:
         raise ValueError(
             f"target {target_accuracy} outside the attainable range [{lo_acc}, {hi_acc}]"
         )
+    for end in (0.0, 1.0):  # the bisection below would stop short of either end
+        if mixture_sc_accuracy(p, end, k) == target_accuracy:
+            return end
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0

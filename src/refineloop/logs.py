@@ -25,11 +25,13 @@ the offending line number rather than guessing. A file byte for byte as
 ``write_log`` writes it, quoted ids and labels and filled confidences
 included, is read through numpy and checked by encoding the result
 again; any other file (a ``\r``, a blank line, rows out of order, a hand
-edit) is read with ``csv``, with the same result. When every id, as
-written, is ASCII of one width and no confidence is filled (every log
-``simulate`` writes), the file is built as one byte matrix and its ids
-are read back as one byte grid; any other log takes one ``join`` per row
-and one slice per id.
+edit) is read with ``csv``, with the same result. Ids are read in one
+numpy pass: when every id, quotes dropped, has one width, as one byte
+grid, else through one keep-mask over the body. A log with no confidence
+filled is written without a string per row: when every id, as written,
+is ASCII of one width (every log ``simulate`` writes), as one byte
+matrix, else as one byte array with its ids grouped by width; only a log
+with filled confidences takes one ``join`` per row.
 """
 
 import csv
@@ -107,8 +109,8 @@ def align_rows(log_a: CorrectnessLog, log_b: CorrectnessLog) -> np.ndarray:
     """``log_b``'s correctness rows in ``log_a``'s problem-id order; ValueError unless the ids match."""
     if log_a.problem_ids == log_b.problem_ids:
         return log_b.correctness
-    pos = {pid: i for i, pid in enumerate(log_b.problem_ids)}
-    order = [pos.get(pid) for pid in log_a.problem_ids]
+    pos = dict(zip(log_b.problem_ids, range(log_b.n_problems)))
+    order = list(map(pos.get, log_a.problem_ids))
     # ids are unique within a log: equal counts and no missing id mean equal sets
     if log_a.n_problems != log_b.n_problems or None in order:
         raise ValueError("paired runs cover different problem sets")
@@ -268,9 +270,15 @@ def _read_csv(data: bytes) -> dict[str, CorrectnessLog]:
     )
 
 
-def _sliced_ids(data: bytes, starts: np.ndarray, ends: np.ndarray) -> str:
-    """The ids at ``data[starts[i]:ends[i]]``, one slice per row, joined by "\\n"."""
-    return b"\n".join([data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]).decode("utf-8")
+def _kept_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
+    """The ids at ``buf[starts[i]:ends[i]]``, joined by "\\n", gathered through one keep-mask over the body."""
+    first = starts[0]
+    keep = np.zeros(ends[-1] + 1 - first, dtype=bool)
+    keep[starts - first] = keep[ends[:-1] + 1 - first] = True  # toggles, never one byte: bits lie between
+    np.logical_xor.accumulate(keep, out=keep)
+    kept = buf[first : ends[-1] + 1][keep]  # each id and the byte after it, which becomes the "\n"
+    kept[np.cumsum(ends - starts + 1) - 1] = ord("\n")
+    return str(kept[:-1], "utf-8")
 
 
 def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
@@ -322,19 +330,23 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
         matrix = buf[ends[:, None] + np.arange(1 - 2 * width, 0, 2)] == ord("1")
         id_ends = ends - 2 * width
     del ends  # no array per line outlives the parse: the ids are built next
+    quoted = buf[starts] == ord('"')  # a quoted id: its enclosing quotes are dropped here
+    starts += quoted
+    id_ends -= quoted  # at the "," after each id, or at its closing quote
     spans = id_ends - starts
-    if spans.size and spans.min() == spans.max() >= 0:  # every id one width: gather them as one byte grid
+    if not spans.size or spans.min() < 0:
+        raise ValueError("a row too short for its id")
+    if spans.min() == spans.max():  # every id one width: gather them as one byte grid
         id_width = int(spans[0])
         grid = np.empty((len(spans), id_width + 1), dtype=np.uint8)
         grid[:, :id_width] = sliding_window_view(buf, id_width)[starts]
         grid[:, id_width] = ord("\n")
         text = grid.tobytes()[:-1].decode("utf-8")
     else:
-        text = _sliced_ids(data, starts, id_ends)
-    ids = text.split("\n")
-    if '"' in text:  # undo _quote
-        ids = [pid[1:-1].replace('""', '"') if pid.startswith('"') else pid for pid in ids]
-    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=confidence)
+        text = _kept_ids(buf, starts, id_ends)
+    if '""' in text:  # undo _quote's doubling
+        text = text.replace('""', '"')
+    log = CorrectnessLog(problem_ids=text.split("\n"), correctness=matrix, metadata=metadata, confidence=confidence)
     return log, form, label
 
 
@@ -404,8 +416,10 @@ def _directives(metadata) -> str:
 def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged.
 
-    Ids of one width in ASCII, with no confidence filled, are written as
-    one byte matrix (``_matrix_file``); any other log one ``join`` per row.
+    With no confidence filled, ids of one width in ASCII, as written, are
+    laid out as one byte matrix (``_matrix_file``) and any others in one
+    byte array (``_ragged_file``); a log with filled confidences takes one
+    ``join`` per row (``_joined_rows``).
     """
     if form not in ("records", "compact"):
         raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
@@ -421,7 +435,8 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
     conf = log.confidence
     filled = None if conf is None else ~np.isnan(conf)
-    if form == "compact" and filled is not None and filled.any():
+    per_row = filled is not None and filled.any()
+    if form == "compact" and per_row:
         raise ValueError("the compact form holds no confidences; write this log in record form")
     meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
     matrix = log.correctness
@@ -432,14 +447,32 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     else:
         header = ",".join(_RECORD_HEADER)
     head = _directives(meta) + header + "\n"
-    if "," in joined or '"' in joined:  # from here on the ids as written
+    quote = "," in joined or '"' in joined
+    # rare: a '"', a filled confidence, or ids of one width to quote; each id is quoted one at a time
+    if quote and ('"' in joined or per_row or len(lengths) == 1):
         ids = [_quote(pid) for pid in ids]
-        joined, lengths = "".join(ids), set(map(len, ids))
+        joined, lengths, quote = "".join(ids), set(map(len, ids)), False
+    if per_row:
+        rows = _joined_rows(ids, matrix, form, tag, conf, filled)
+        return "".join([head, *rows]).encode("utf-8")  # an unencodable id fails here
     # str.isascii reads a flag; an ASCII id takes one byte per character
-    if len(lengths) == 1 and joined.isascii() and (filled is None or not filled.any()):
+    if len(lengths) == 1 and joined.isascii():
         return _matrix_file(head, joined, matrix, form, tag)
-    rows = _joined_rows(ids, matrix, form, tag, conf, filled)
-    return "".join([head, *rows]).encode("utf-8")  # an unencodable id fails here
+    return _ragged_file(head, ids, matrix, form, tag, quote)
+
+
+def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[list[int]]]:
+    """What follows the id on each line of one problem, with "0" at its bits, and the columns of those bits."""
+    if form == "compact":
+        return [b",0" * width + b"\n"], [list(range(1, 2 * width, 2))]
+    # the digits of k widen at k = 10, so each line has its own suffix
+    tag_bytes = tag.encode("utf-8")
+    return [b",%d,0,,%s\n" % (k, tag_bytes) for k in range(width)], [[len(str(k)) + 2] for k in range(width)]
+
+
+def _items(buf: np.ndarray, width: int) -> np.ndarray:
+    """Each run of ``width`` bytes of ``buf`` as one V{width} item, item i starting at byte i (a view)."""
+    return np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
 
 
 def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -> bytearray:
@@ -452,14 +485,8 @@ def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -
     """
     n, width = matrix.shape
     w = len(ids) // n
-    if form == "compact":
-        suffixes, bit_at = [b",0" * width + b"\n"], [range(1, 2 * width, 2)]
-    else:  # the digits of k widen at k = 10, so each line has its own template
-        tag_bytes = tag.encode("utf-8")
-        suffixes = [b",%d,0,,%s\n" % (k, tag_bytes) for k in range(width)]
-        bit_at = [[len(str(k)) + 2] for k in range(width)]
     template, id_cols, bit_cols = b"", [], []
-    for suffix, bits in zip(suffixes, bit_at):
+    for suffix, bits in zip(*_line_suffixes(form, width, tag)):
         id_cols.append(len(template))
         bit_cols += [len(template) + w + b for b in bits]
         template += b"0" * w + suffix
@@ -475,6 +502,49 @@ def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -
     bits = matrix.view(np.uint8)
     for k, col in enumerate(bit_cols):
         body[:, col] += bits[:, k]  # "0" + 1 is "1"
+    return out
+
+
+def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: str, quote: bool) -> bytearray:
+    """The file for ids of varying width, built in one byte array.
+
+    ``ids`` are as written, or with ``quote`` (no id then holds '"') each
+    id holding "," gets its two quotes here. Line k of every problem is
+    written as one V item per id (the ids grouped by byte width) and one
+    V item per suffix (its bits added).
+    """
+    n, width = matrix.shape
+    raw = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)  # an unencodable id fails here
+    breaks = np.append(np.flatnonzero(raw == ord("\n")), len(raw))  # where each id ends
+    starts = np.concatenate(([0], breaks[:-1] + 1))
+    size = breaks - starts  # each id's bytes
+    quoted = np.zeros(n, dtype=bool)
+    if quote:
+        quoted[np.searchsorted(breaks, np.flatnonzero(raw == ord(",")))] = True
+    written = size + 2 * quoted
+    suffixes, bit_at = _line_suffixes(form, width, tag)
+    head_bytes = head.encode("utf-8")
+    block = len(suffixes) * written + sum(map(len, suffixes))  # the bytes of each problem's lines
+    out = bytearray(len(head_bytes) + int(block.sum()))  # filled in place: no copy to bytes
+    out[: len(head_bytes)] = head_bytes
+    body = np.frombuffer(out, dtype=np.uint8)
+    at = np.cumsum(block) - block + len(head_bytes)  # where each problem's next line starts
+    order = np.argsort(size.astype(np.uint16) if size.max() < 2**16 else size, kind="stable")  # 16 bits: a radix sort
+    groups = [(_items(body, int(size[g[0]])), g, _items(raw, int(size[g[0]]))[starts[g]])
+              for g in np.split(order, np.flatnonzero(np.diff(size[order])) + 1) if size[g[0]]]  # ids by width
+    quotes = np.flatnonzero(quoted)
+    bits, k = matrix.view(np.uint8), 0
+    for suffix, cols in zip(suffixes, bit_at):
+        for dst, g, src in groups:  # one V item per id
+            dst[at[g] + quoted[g]] = src
+        body[at[quotes]] = body[at[quotes] + written[quotes] - 1] = ord('"')
+        at += written
+        line = np.tile(np.frombuffer(suffix, dtype=np.uint8), (n, 1))
+        for col in cols:
+            line[:, col] += bits[:, k]  # "0" + 1 is "1"
+            k += 1
+        _items(body, len(suffix))[at] = line.view(f"V{len(suffix)}")[:, 0]
+        at += len(suffix)
     return out
 
 

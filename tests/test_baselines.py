@@ -155,6 +155,20 @@ def test_fit_below_one_half_orientation():
     assert mixture_sc_accuracy(p, rho, k) == pytest.approx((p + iid) / 2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "p,k,target,rho",
+    [
+        (0.912, 3, 0.978130944, 0.0),  # the i.i.d. accuracy
+        (0.912, 3, 0.912, 1.0),  # p itself
+        (0.7, 1, 0.7, 0.0),  # one sample: the i.i.d. accuracy is p, and every rho attains it
+        (0.5, 3, 0.5, 0.0),  # p = 1/2: likewise
+        (0.912, 3, 0.934, 0.6673266905122546),  # inside the range: the bisection's bits
+    ],
+)
+def test_fit_at_the_ends_of_the_range_is_exact(p, k, target, rho):
+    assert fit_common_cause_weight(p, k, target) == rho
+
+
 def test_fit_rejects_unattainable_target():
     with pytest.raises(ValueError, match="attainable"):
         fit_common_cause_weight(0.912, 3, 0.99)

@@ -8,10 +8,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import refineloop
+from refineloop import cli
 from refineloop.cli import _COMMANDS, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from refineloop.logs import read_log, read_runs
 
@@ -238,6 +240,21 @@ def test_seed_env_var(tmp_path, monkeypatch):
     # an explicit flag wins over a bad environment value too
     path = _simulate(tmp_path, "--preset", "o3-mini", "--seed", "6", out="flag2")
     assert read_log(path).metadata["seed"] == "6"
+
+
+def test_parser_is_built_once_per_seed_environment(tmp_path, monkeypatch):
+    cli._parsers.cache_clear()
+    monkeypatch.setenv("REFINELOOP_SEED", "91")
+    with mock.patch.object(cli, "_Parser", wraps=cli._Parser) as built:  # counts top-level parsers only
+        for i in range(3):
+            path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", out=f"same{i}")
+            assert read_log(path).metadata["seed"] == "91"
+        assert built.call_count == 1
+        # the variable is still read on every call
+        monkeypatch.setenv("REFINELOOP_SEED", "92")
+        path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", out="other")
+        assert read_log(path).metadata["seed"] == "92"
+        assert built.call_count == 2
 
 
 def test_asc_scenario_command(tmp_path, capsys):

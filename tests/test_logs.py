@@ -618,11 +618,15 @@ def _no_per_row(*args):
     raise AssertionError("a log of one-width ids took a per-row path")
 
 
+def _no_ragged(*args):
+    raise AssertionError("a log of one-width ids took the varying-width writer")
+
+
 @pytest.mark.parametrize("form", ["records", "compact"])
 def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     log = simulate_population(SimConfig(n_problems=1001, n_iterations=11, initial_accuracy=0.6, seed=4,
                                         schedule=preset("o4-mini"))).log
-    for name, spy in (("_read_csv", _no_csv), ("_joined_rows", _no_per_row), ("_sliced_ids", _no_per_row)):
+    for name, spy in (("_read_csv", _no_csv), ("_joined_rows", _no_per_row), ("_ragged_file", _no_ragged)):
         monkeypatch.setattr(logs, name, spy)
     path = tmp_path / "log.csv"
     write_log(log, path, form=form, run_label="sim")
@@ -630,6 +634,55 @@ def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     assert back.problem_ids == log.problem_ids
     assert np.array_equal(back.correctness, log.correctness)
     assert back.metadata == log.metadata
+
+
+# ids of varying width: quoted like the paired bench logs' ("<word>,<n>", 9-21 bytes on disk), and
+# 1-20 symbols wide, some non-ASCII, some all commas
+_WORDS = ("algebra", "geometry", "counting", "number theory", "probability", "calculus", "logic", "word problem")
+_BENCH_SHAPED_IDS = [f"{_WORDS[i * 7919 % 8]},{i}" for i in range(20_000)]
+_RAGGED_IDS = ["\u00e9\u2603,abcdefgh0123456789xyz"[i // 20] * (1 + i % 20) for i in range(480)]
+
+
+@pytest.mark.parametrize(
+    "form,ids",
+    [pytest.param("compact", _BENCH_SHAPED_IDS, id="compact-bench-shaped"),
+     pytest.param("records", _RAGGED_IDS, id="records-1-to-20-wide")],
+)
+def test_varying_width_logs_take_the_byte_array_paths(tmp_path, monkeypatch, form, ids):
+    def no_join(*args):
+        raise AssertionError("a log with no confidence filled was joined row by row")
+
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    monkeypatch.setattr(logs, "_joined_rows", no_join)
+    log = CorrectnessLog(problem_ids=ids, correctness=np.arange(5 * len(ids)).reshape(-1, 5) % 7 < 3,
+                         metadata={"seed": "5"})
+    path = tmp_path / "log.csv"
+    with mock.patch.object(logs, "_ragged_file", wraps=logs._ragged_file) as ragged:
+        write_log(log, path, form=form, run_label="bench")
+        back = read_runs(path)["bench"]
+    assert ragged.call_count == 2  # the write, and the check of the read
+    assert path.read_bytes() == _csv_writer_bytes(log, form, "bench")
+    assert back.problem_ids == ids
+    assert np.array_equal(back.correctness, log.correctness)
+    assert back.metadata == {"seed": "5"}
+
+
+@pytest.mark.parametrize("form,write_mib,read_mib", [("records", 8, 12), ("compact", 4, 6)])
+def test_varying_width_memory_stays_bounded(tmp_path, form, write_mib, read_mib):
+    # 20,000 x 5 with the bench-shaped ids: no string per row, no slice per id; a list of rows
+    # and a slice per id peaked at 10.4 and 14.4 MiB (records), 4.4 and 6.4 MiB (compact)
+    log = CorrectnessLog(problem_ids=_BENCH_SHAPED_IDS, correctness=np.arange(100_000).reshape(-1, 5) % 3 == 0)
+    path = tmp_path / "log.csv"
+    peaks = []
+    for step in (lambda: write_log(log, path, form=form, run_label="run"), lambda: read_runs(path)):
+        tracemalloc.start()
+        try:
+            back = step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert back["run"].problem_ids == log.problem_ids
+    assert peaks[0] < write_mib and peaks[1] < read_mib, f"write {peaks[0]:.1f} MiB, read {peaks[1]:.1f} MiB"
 
 
 def test_one_width_write_memory_stays_near_the_file_size(tmp_path):
