@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .dynamics import AccuracyPoint, _check_int, _check_real
-from .logs import CorrectnessLog
+from .logs import CorrectnessLog, _check_correctness
 
 __all__ = [
     "TransitionCounts",
@@ -71,8 +71,13 @@ class RateEstimates:
 
 
 def transition_counts(matrix) -> np.ndarray:
-    """(K, 4) int array of n_cc, n_ci, n_ic, n_ii per transition t -> t+1 of an N x (K+1) matrix."""
-    m = np.asarray(matrix, dtype=bool)
+    """(K, 4) int array of n_cc, n_ci, n_ic, n_ii per transition t -> t+1 of an N x (K+1) matrix.
+
+    ValueError unless ``matrix`` is 2-d with every entry 0 or 1.
+    """
+    m = _check_correctness(matrix)
+    if m.ndim != 2:
+        raise ValueError(f"correctness must be a 2-d matrix, got shape {m.shape}")
     k = m.shape[1] - 1
     # cell code 2*(not before) + (not after) is the column index: cc=0 .. ii=3
     codes = 2 * (~m[:, :-1]).astype(np.intp) + ~m[:, 1:] + 4 * np.arange(k)

@@ -58,6 +58,20 @@ class LogFormatError(ValueError):
         super().__init__(f"{where}{message}")
 
 
+def _check_correctness(values) -> np.ndarray:
+    """``values`` as a bool array; ValueError unless every entry is 0 or 1.
+
+    The one rule for correctness entries, so that 2, 0.5, -1 or NaN is
+    never read as "correct". A bool array takes no pass over its elements.
+    """
+    array = np.asarray(values)
+    if array.dtype != np.bool_:
+        if not np.isin(array, (0, 1)).all():
+            raise ValueError("correctness entries must be 0/1")
+        array = array.astype(bool)
+    return array
+
+
 @dataclass(eq=False)
 class CorrectnessLog:
     """Per-problem, per-iteration correctness for one run."""
@@ -71,11 +85,7 @@ class CorrectnessLog:
         matrix = np.asarray(self.correctness)
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ValueError(f"correctness must be a non-empty 2-d matrix, got shape {matrix.shape}")
-        if matrix.dtype != np.bool_:
-            if not np.isin(matrix, (0, 1)).all():
-                raise ValueError("correctness entries must be 0/1")
-            matrix = matrix.astype(bool)
-        self.correctness = matrix
+        matrix = self.correctness = _check_correctness(matrix)
         ids = self.problem_ids = list(self.problem_ids)
         if not all(issubclass(t, str) for t in set(map(type, ids))):  # one test per type, not per id
             bad = next(p for p in ids if not isinstance(p, str))

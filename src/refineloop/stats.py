@@ -13,7 +13,12 @@ are added up. The tiles run on every usable core, up to a fixed cap: the
 calling thread works them alongside helper threads, and each tile writes
 only its own resamples' deltas. Every stream's counter keys are derived
 once per call, before the tiles, so a tile pays only for its draws. Any
-tile shape or worker count gives the same bits.
+tile shape or worker count gives the same bits. When every problem's
+paired difference is the same (two runs that agree on every answer, or
+one that is right wherever the other is wrong), every resample sums to
+n times that difference whatever its draws, so no draw is made: each
+delta is computed from that sum by the tiles' own expression, and the
+interval has the same bits as a drawn one.
 
 The chi-square tail is for one degree of freedom only, the case McNemar
 needs. It is computed here from the regularized incomplete gamma function
@@ -32,6 +37,7 @@ import numpy as np
 from . import rng
 from .dynamics import _check_int, _check_real
 from .estimate import transition_counts
+from .logs import _check_correctness
 
 __all__ = [
     "McNemarResult",
@@ -126,8 +132,8 @@ def mcnemar(b: int, c: int) -> McNemarResult:
 
 
 def _paired_columns(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(col_a, dtype=bool)
-    b = np.asarray(col_b, dtype=bool)
+    a = _check_correctness(col_a)
+    b = _check_correctness(col_b)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("columns must be 1-d")
     if a.shape != b.shape:
@@ -211,29 +217,15 @@ def _run_tiles(tile, starts: range) -> None:
         raise errors[0]
 
 
-def paired_bootstrap_delta(
-    col_a,
-    col_b,
-    resamples: int = 10_000,
-    seed: int = 0,
-    confidence: float = 0.95,
-) -> BootstrapDelta:
-    """Percentile bootstrap CI for accuracy(col_b) - accuracy(col_a).
+def _drawn_deltas(diff: np.ndarray, resamples: int, seed: int) -> np.ndarray:
+    """Each resample's mean of ``diff``, in percentage points, from its drawn indices.
 
-    Problems are resampled with replacement; resample r draws its indices
-    from counter stream ``BOOTSTRAP_STREAM_BASE + r``, so the result does
-    not depend on evaluation order or worker count. The keys of all
-    ``resamples`` streams are derived once per call (``rng._stream_keys``)
-    and each tile draws with its slice of them: the streams and their
-    keys take 24 B per resample, beside the 8 B of ``deltas``.
+    The keys of all ``resamples`` streams are derived once per call
+    (``rng._stream_keys``) and each tile draws with its slice of them: the
+    streams and their keys take 24 B per resample, beside the 8 B of the
+    returned deltas.
     """
-    a, b = _paired_columns(col_a, col_b)
-    resamples = _check_int("resamples", resamples, 1)
-    confidence = _check_real("confidence", confidence, open=True)
-    seed = rng.check_seed(seed)
-    n = a.shape[0]
-    diff = b.astype(np.int8) - a.astype(np.int8)  # per-problem paired contribution
-    delta_pp = float(diff.mean()) * 100.0
+    n = diff.shape[0]
     # u * n can round up to n, never past it; that index takes the last problem
     table = np.append(diff, diff[-1])
     rows = max(1, min(resamples, _TILE_DRAWS // n))
@@ -258,6 +250,39 @@ def paired_bootstrap_delta(
         return u
 
     _run_tiles(tile, range(0, resamples, rows))
+    return deltas
+
+
+def paired_bootstrap_delta(
+    col_a,
+    col_b,
+    resamples: int = 10_000,
+    seed: int = 0,
+    confidence: float = 0.95,
+) -> BootstrapDelta:
+    """Percentile bootstrap CI for accuracy(col_b) - accuracy(col_a).
+
+    Problems are resampled with replacement; resample r draws its indices
+    from counter stream ``BOOTSTRAP_STREAM_BASE + r``, so the result does
+    not depend on evaluation order or worker count. ValueError unless both
+    columns hold only 0/1 entries. When every problem's difference is the
+    same value v, nothing is drawn: every resample's exact sum is ``n * v``
+    whatever its indices, and each delta is that sum put through the same
+    ``sums / n * 100.0`` a drawn tile computes, so the interval's bits are
+    those of the drawn bootstrap.
+    """
+    a, b = _paired_columns(col_a, col_b)
+    resamples = _check_int("resamples", resamples, 1)
+    confidence = _check_real("confidence", confidence, open=True)
+    seed = rng.check_seed(seed)
+    n = a.shape[0]
+    diff = b.astype(np.int8) - a.astype(np.int8)  # per-problem paired contribution
+    delta_pp = float(diff.mean()) * 100.0
+    if diff.min() == diff.max():
+        sums = np.full(resamples, n * int(diff[0]), dtype=np.int64)
+        deltas = sums / n * 100.0
+    else:
+        deltas = _drawn_deltas(diff, resamples, seed)
     tail = (1.0 - confidence) / 2.0
     lo, hi = np.percentile(deltas, [100.0 * tail, 100.0 * (1.0 - tail)])
     return BootstrapDelta(

@@ -70,3 +70,24 @@ def test_every_wrapped_layer_fires_in_a_traced_paper_scale_pass(tmp_path):
     fired = {span["name"] for span in tracer.spans}
     assert [name for _, _, name, _ in spans.WRAPS if name not in fired] == []
     assert plain and traced == plain
+
+
+def test_traced_log_roundtrip_report_draws_nothing_but_still_counts_its_bootstrap(tmp_path):
+    # the report pairs a record log with its own compact copy, so every paired
+    # difference is 0 and the bootstrap needs no draw; its span still fires
+    workloads = _bench_module("workloads")
+    size = workloads.SIZES["smoke"]["log-roundtrip"]
+    steps = workloads.pass_steps("log-roundtrip", 1, size, tmp_path / "inputs", tmp_path / "out")
+    assert [step for step, _ in steps] == ["records", "compact", "report"]
+    for step, argv in steps[:-1]:
+        assert cli.main(argv) == 0, step
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(steps[-1][1]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.take_counts()
+    assert counts.get("rng.uniforms.calls", 0) == 0
+    assert counts["stats.paired_bootstrap_delta.index_draws"] == size["resamples"] * size["n"]
+    assert "stats.paired_bootstrap_delta" in {span["name"] for span in tracer.spans}

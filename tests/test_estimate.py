@@ -39,6 +39,20 @@ def test_transition_counts_by_hand():
     assert counts.total == 5
 
 
+@pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan])
+def test_transition_counts_refuses_entries_other_than_0_and_1(bad):
+    # a bool cast would read each of these as "correct"
+    with pytest.raises(ValueError, match=re.escape("correctness entries must be 0/1")):
+        transition_counts(np.array([[1, 0], [0, bad]]))
+    assert transition_counts(np.array([[1, 0], [0, 1.0]])).tolist() == [[0, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+def test_transition_counts_refuses_input_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"correctness must be a 2-d matrix, got shape {shape}")):
+        transition_counts(np.ones(shape, dtype=bool))
+
+
 @given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(2, 7))))
 @example(np.array([[True, False]]))
 @example(np.array([[False, False]]))

@@ -221,6 +221,15 @@ def test_ragged_runs_rejected(tmp_path):
         read_runs(path)
 
 
+@pytest.mark.parametrize("bad", [2, 0.5, -1, math.nan])
+def test_log_refuses_correctness_entries_other_than_0_and_1(bad):
+    with pytest.raises(ValueError, match=re.escape("correctness entries must be 0/1")):
+        CorrectnessLog(problem_ids=["a", "b"], correctness=np.array([[1, 0], [bad, 1]]))
+    log = CorrectnessLog(problem_ids=["a", "b"], correctness=np.array([[1, 0], [0.0, 1]]))
+    assert log.correctness.dtype == np.bool_
+    assert log.correctness.tolist() == [[True, False], [False, True]]
+
+
 def test_log_validation():
     with pytest.raises(ValueError, match="unique"):
         CorrectnessLog(problem_ids=["a", "a"], correctness=np.ones((2, 2), dtype=bool))

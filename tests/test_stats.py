@@ -197,6 +197,27 @@ def test_bootstrap_blocks_match_naive_loop(n, resamples, confidence):
     assert (result.ci_lo, result.ci_hi) == _oracle_bootstrap(a, b, resamples, 5, confidence)
 
 
+def _constant_difference(kind, n):
+    """Paired columns whose per-problem differences all take one value."""
+    if kind == "identical":
+        a = np.random.default_rng(n).random(n) < 0.7
+        return a, a.copy()
+    ones, zeros = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    return (zeros, ones) if kind == "all-better" else (ones, zeros)
+
+
+@pytest.mark.parametrize("n, resamples", [(1, 50), (600, 250), (70_000, 6)])
+@pytest.mark.parametrize("confidence", [0.95, 0.2])
+@pytest.mark.parametrize("kind", ["identical", "all-better", "all-worse"])
+def test_bootstrap_constant_difference_matches_naive_loop(kind, n, resamples, confidence):
+    # the kernel makes no draw here; the oracle draws every index, so equal
+    # bits show that skipping the draws gives what drawing them gives
+    a, b = _constant_difference(kind, n)
+    result = paired_bootstrap_delta(a, b, resamples=resamples, seed=5, confidence=confidence)
+    assert (result.ci_lo, result.ci_hi) == _oracle_bootstrap(a, b, resamples, 5, confidence)
+    assert result.delta_pp == {"identical": 0.0, "all-better": 100.0, "all-worse": -100.0}[kind]
+
+
 def test_bootstrap_memory_stays_cache_sized():
     gen = np.random.default_rng(8)
     a = gen.random(20_000) < 0.8
@@ -334,6 +355,95 @@ def test_bootstrap_derives_stream_keys_once_per_call(monkeypatch, n, resamples):
     monkeypatch.setattr("refineloop.rng._stream_keys", spying)
     assert paired_bootstrap_delta(a, b, resamples=resamples, seed=5) == expected
     assert derived == [[rng.BOOTSTRAP_STREAM_BASE + r for r in range(resamples)]]
+
+
+def _spy_on_draws(monkeypatch):
+    """Record every ``rng.uniforms`` draw count, and every key derivation and tile run."""
+    drawn, calls = [], []
+    uniforms, stream_keys, run_tiles = rng.uniforms, rng._stream_keys, stats._run_tiles
+
+    def counting(seed, stream, index, **kwargs):
+        u = uniforms(seed, stream, index, **kwargs)
+        drawn.append(u.size)
+        return u
+
+    def deriving(seed, stream):
+        calls.append(("keys", np.asarray(stream).size))
+        return stream_keys(seed, stream)
+
+    def tiling(tile, starts):
+        calls.append(("tiles", len(starts)))  # the only place helper threads start
+        return run_tiles(tile, starts)
+
+    monkeypatch.setattr("refineloop.rng.uniforms", counting)
+    monkeypatch.setattr("refineloop.rng._stream_keys", deriving)
+    monkeypatch.setattr(stats, "_run_tiles", tiling)
+    return drawn, calls
+
+
+@pytest.mark.parametrize("kind", ["identical", "all-better", "all-worse"])
+def test_bootstrap_draws_nothing_when_every_difference_is_equal(monkeypatch, kind):
+    n, resamples = 600, 250
+    a, b = _constant_difference(kind, n)
+    drawn, calls = _spy_on_draws(monkeypatch)
+    threads = threading.active_count()
+    result = paired_bootstrap_delta(a, b, resamples=resamples, seed=5)
+    assert (drawn, calls) == ([], [])
+    assert threading.active_count() == threads
+    assert result.ci_lo == result.ci_hi == result.delta_pp
+    # one discordant problem is enough to draw every index again
+    b = a.copy()
+    b[n // 2] = not b[n // 2]
+    paired_bootstrap_delta(a, b, resamples=resamples, seed=5)
+    assert sum(drawn) == resamples * n
+    assert calls == [("keys", resamples), ("tiles", 3)]  # 109 resamples per tile
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"seed": -2}, "seed"),
+        ({"resamples": 0}, "resamples"),
+        ({"confidence": 1.0}, "confidence"),
+        ({"confidence": math.nan}, "confidence"),
+    ],
+)
+def test_bootstrap_refuses_bad_arguments_on_equal_differences_too(monkeypatch, bad, message):
+    col = np.arange(40) % 3 == 0
+    with pytest.raises(ValueError, match=message) as drawing:
+        paired_bootstrap_delta(col, ~col, **{"resamples": 10, **bad})
+    drawn, calls = _spy_on_draws(monkeypatch)
+    for a, b in (_constant_difference(kind, 40) for kind in ("identical", "all-better", "all-worse")):
+        with pytest.raises(ValueError) as constant:
+            paired_bootstrap_delta(a, b, **{"resamples": 10, **bad})
+        assert str(constant.value) == str(drawing.value)
+    assert (drawn, calls) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "col_a, col_b",
+    [
+        ([2, 0, 0.5], [1, 1, 0]),
+        ([math.nan, 0, -1], [0, 0, 0]),
+        ([1, 0, 1], [1, 0, -1]),
+        (np.array([1, 0, 3], dtype=np.int64), np.ones(3, dtype=np.int64)),
+    ],
+)
+@pytest.mark.parametrize("test", [mcnemar_from_logs, paired_bootstrap_delta])
+def test_paired_tests_refuse_entries_other_than_0_and_1(test, col_a, col_b):
+    # a bool cast would read each of these as "correct"
+    with pytest.raises(ValueError, match=re.escape("correctness entries must be 0/1")):
+        test(col_a, col_b)
+    with pytest.raises(ValueError, match=re.escape("correctness entries must be 0/1")):
+        test(col_b, col_a)
+
+
+def test_paired_tests_take_0_1_numbers_as_bools():
+    a, b = [1, 1, 0, 0.0], np.array([0, 1, 1, 1], dtype=np.int8)
+    assert mcnemar_from_logs(a, b) == mcnemar_from_logs(np.array(a, dtype=bool), b.astype(bool))
+    assert paired_bootstrap_delta(a, b, resamples=30, seed=1) == paired_bootstrap_delta(
+        np.array(a, dtype=bool), b.astype(bool), resamples=30, seed=1
+    )
 
 
 def test_bootstrap_identical_columns_degenerate():
