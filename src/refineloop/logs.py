@@ -27,11 +27,11 @@ included, is read through numpy and checked by encoding the result
 again; any other file (a ``\r``, a blank line, rows out of order, a hand
 edit) is read with ``csv``, with the same result. Ids are read in one
 numpy pass: when every id, quotes dropped, has one width, as one byte
-grid, else through one keep-mask over the body. A log with no confidence
-filled is written without a string per row: when every id, as written,
-is ASCII of one width (every log ``simulate`` writes), as one byte
-matrix, else as one byte array with its ids grouped by width; only a log
-with filled confidences takes one ``join`` per row.
+grid, else through one keep-mask over the body. A log is written without
+a string per row: when every id, as written, is ASCII of one width and
+no confidence is filled (every log ``simulate`` writes), as one byte
+matrix, else as one byte array with its ids, and its filled confidences'
+text (one ``repr`` per distinct float bit pattern), grouped by width.
 """
 
 import csv
@@ -427,9 +427,8 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged.
 
     With no confidence filled, ids of one width in ASCII, as written, are
-    laid out as one byte matrix (``_matrix_file``) and any others in one
-    byte array (``_ragged_file``); a log with filled confidences takes one
-    ``join`` per row (``_joined_rows``).
+    laid out as one byte matrix (``_matrix_file``); any other log, filled
+    confidences included, in one byte array (``_ragged_file``).
     """
     if form not in ("records", "compact"):
         raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
@@ -444,9 +443,9 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     if max(lengths) > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
     conf = log.confidence
-    filled = None if conf is None else ~np.isnan(conf)
-    per_row = filled is not None and filled.any()
-    if form == "compact" and per_row:
+    if conf is not None and np.isnan(conf).all():
+        conf = None
+    if form == "compact" and conf is not None:
         raise ValueError("the compact form holds no confidences; write this log in record form")
     meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
     matrix = log.correctness
@@ -458,18 +457,15 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
         header = ",".join(_RECORD_HEADER)
     head = _directives(meta) + header + "\n"
     quote = "," in joined or '"' in joined
-    # rare: a '"', a filled confidence, or ids of one width to quote; each id is quoted one at a time
-    if quote and ('"' in joined or per_row or len(lengths) == 1):
+    # rare: a '"', or ids of one width to quote; each id is quoted one at a time
+    if quote and ('"' in joined or len(lengths) == 1):
         ids = [_quote(pid) for pid in ids]
         joined, lengths, quote = "".join(ids), set(map(len, ids)), False
-    if per_row:
-        rows = _joined_rows(ids, matrix, form, tag, conf, filled)
-        return "".join([head, *rows]).encode("utf-8")  # an unencodable id fails here
     # str.isascii reads a flag; an ASCII id takes one byte per character. Rows of one width
     # are copied by column: _ragged_file's scatters took 2.5 times as long on these logs
-    if len(lengths) == 1 and joined.isascii():
+    if len(lengths) == 1 and joined.isascii() and conf is None:
         return _matrix_file(head, joined, matrix, form, tag)
-    return _ragged_file(head, ids, matrix, form, tag, quote)
+    return _ragged_file(head, ids, matrix, form, tag, quote, conf)
 
 
 def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[list[int]]]:
@@ -516,13 +512,17 @@ def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -
     return out
 
 
-def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: str, quote: bool) -> bytearray:
-    """The file for ids of varying width, built in one byte array.
+def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
+                 conf: np.ndarray | None = None) -> bytearray:
+    """The file for ids of varying width, or with a confidence filled, built in one byte array.
 
     ``ids`` are as written, or with ``quote`` (no id then holds '"') each
     id holding "," gets its two quotes here. Line k of every problem is
     written as one V item per id (the ids grouped by byte width) and one
-    V item per suffix (its bits added).
+    V item per suffix (its bits added). ``conf``, record form only, has a
+    cell filled: each distinct bit pattern (-0.0 is not 0.0) takes one
+    ``repr``, and a filled cell's text goes in as one V item (grouped by
+    width) after its line's ",k,b,", with the line's ",tag\n" after it.
     """
     n, width = matrix.shape
     raw = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)  # an unencodable id fails here
@@ -536,6 +536,16 @@ def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: 
     suffixes, bit_at = _line_suffixes(form, width, tag)
     head_bytes = head.encode("utf-8")
     block = len(suffixes) * written + sum(map(len, suffixes))  # the bytes of each problem's lines
+    if conf is not None:
+        filled = ~np.isnan(conf.T)  # by line: line k's cells come together, in problem order
+        keys, code = np.unique(conf.T[filled].view(np.uint64), return_inverse=True)
+        texts = [repr(v) for v in keys.view(np.float64).tolist()]
+        text = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        text_size = np.array(list(map(len, texts)), dtype=np.uint8)  # at most 24
+        text_at = np.cumsum(text_size, dtype=np.int64) - text_size
+        cell_size = np.zeros(filled.shape, dtype=np.uint8)  # 0 where empty
+        cell_size[filled] = text_size[code]
+        block += cell_size.sum(axis=0, dtype=np.int64)
     out = bytearray(len(head_bytes) + int(block.sum()))  # filled in place: no copy to bytes
     out[: len(head_bytes)] = head_bytes
     body = np.frombuffer(out, dtype=np.uint8)
@@ -544,7 +554,7 @@ def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: 
     groups = [(_items(body, w), g, _items(raw, w)[starts[g]]) for w, g in by_width]
     quotes = np.flatnonzero(quoted)
     bits, k = matrix.view(np.uint8), 0
-    for suffix, cols in zip(suffixes, bit_at):
+    for j, (suffix, cols) in enumerate(zip(suffixes, bit_at)):
         for dst, g, src in groups:  # one V item per id
             dst[at[g] + quoted[g]] = src
         body[at[quotes]] = body[at[quotes] + written[quotes] - 1] = ord('"')
@@ -554,30 +564,18 @@ def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: 
             line[:, col] += bits[:, k]  # "0" + 1 is "1"
             k += 1
         _items(body, len(suffix))[at] = line.view(f"V{len(suffix)}")[:, 0]
+        if conf is not None:  # a filled cell's text over the ",tag\n" just written, then ",tag\n" again
+            rows = np.flatnonzero(cell_size[j])
+            sizes, cells, code = cell_size[j, rows], code[: len(rows)], code[len(rows) :]
+            cut, tail = cols[0] + 2, suffix[cols[0] + 2 :]  # past ",k,b,"; ",tag\n"
+            text_start = at[rows] + cut
+            for w in np.flatnonzero(np.bincount(sizes)):
+                pick = sizes == w
+                _items(body, w)[text_start[pick]] = _items(text, w)[text_at[cells[pick]]]
+            _items(body, len(tail))[text_start + sizes] = np.frombuffer(tail, f"V{len(tail)}")
+            at[rows] += sizes
         at += len(suffix)
     return out
-
-
-def _joined_rows(quoted, matrix, form, tag, conf, filled) -> list[str]:
-    """One string per problem: the parts of its lines, shared by every row of its bits, joined by its id."""
-    packed = np.packbits(matrix, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()  # one bytes per row
-    patterns = {}
-    for key, i in {key: i for i, key in enumerate(keys)}.items():
-        bits = matrix[i].tolist()
-        if form == "compact":
-            patterns[key] = ["", "".join([",1" if b else ",0" for b in bits]) + "\n"]
-        else:
-            patterns[key] = [""] + [f",{k},{1 if b else 0},,{tag}\n" for k, b in enumerate(bits)]
-    rows = [patterns[key] for key in keys]
-    if form == "records" and filled is not None:  # the one loop per cell, over confidences only
-        copied = -1
-        at_i, at_k = np.nonzero(filled)  # row-major: a row's cells come together
-        for i, k, bit, value in zip(at_i.tolist(), at_k.tolist(), matrix[filled].tolist(), conf[filled].tolist()):
-            if i != copied:  # the row's parts are shared with every row of its pattern until copied
-                rows[i], copied = list(rows[i]), i
-            rows[i][k + 1] = f",{k},{1 if bit else 0},{value!r},{tag}\n"
-    return [pid.join(parts) for pid, parts in zip(quoted, rows)]
 
 
 def write_log(log: CorrectnessLog, path, form: str = "records", run_label: str | None = None) -> None:

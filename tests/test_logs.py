@@ -485,7 +485,7 @@ def test_encode_matches_the_csv_writer(form, ids, width, data, metadata, label):
 
 
 # ids of one width: plain ASCII; all quoted (a comma, or a comma and a quote, in every id); and
-# non-ASCII of one character width, which takes the row-by-row join unless it draws only "a"
+# non-ASCII of one character width, which takes the byte array writer unless it draws only "a"
 _ONE_WIDTH_IDS = {
     "ascii": lambda w: st.text("ab0 #", min_size=w, max_size=w),
     "comma": lambda w: st.text("ab", min_size=w, max_size=w).map(lambda s: s + ",1"),
@@ -582,10 +582,14 @@ def test_fast_and_csv_paths_agree_on_mutated_files(tmp_path, form, ids, width, d
 
 
 _FAST_IDS = [f"p{i}" for i in range(300)]
+_PADDED_IDS = [f"p{i:03d}" for i in range(300)]  # _FAST_IDS at one width
 _QUOTED_IDS = ["a,1", 'say "hi"', '"', ","] + _FAST_IDS[4:]
-# a third of the cells filled, among them a small exponent, a signed zero and a 17-digit repr
+# a third of the cells filled, among them a small exponent, both signed zeros in one column, a 17-digit
+# repr, infinities, the smallest subnormal, the longest repr (24 bytes) and one value in 100 cells
 _FILLED = np.where(np.arange(1500).reshape(300, 5) % 3 == 0, np.linspace(0, 10, 1500).reshape(300, 5), np.nan)
-_FILLED[0, 0], _FILLED[3, 3], _FILLED[6, 1] = 1e-05, -0.0, 0.1 + 0.2
+_FILLED[0, 0], _FILLED[3, 3], _FILLED[9, 3], _FILLED[6, 1] = 1e-05, -0.0, 0.0, 0.1 + 0.2
+_FILLED[12, 0], _FILLED[15, 2], _FILLED[18, 4], _FILLED[21, 1] = math.inf, -math.inf, 5e-324, -2.2250738585072014e-308
+_FILLED[100:200, 2] = 0.75
 
 
 @pytest.mark.parametrize(
@@ -597,6 +601,7 @@ _FILLED[0, 0], _FILLED[3, 3], _FILLED[6, 1] = 1e-05, -0.0, 0.1 + 0.2
         pytest.param("records", _QUOTED_IDS, "fast", None, id="records-quoted-id"),
         pytest.param("records", _FAST_IDS, 'a "fast", run', None, id="records-quoted-label"),
         pytest.param("records", _QUOTED_IDS, "fast", _FILLED, id="records-confidence"),
+        pytest.param("records", _PADDED_IDS, "fast", _FILLED, id="records-confidence-one-width"),
     ],
 )
 def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, label, conf):
@@ -604,8 +609,11 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, labe
     log = CorrectnessLog(problem_ids=ids, correctness=np.arange(1500).reshape(300, 5) % 7 < 3,
                          metadata={"seed": "3"}, confidence=conf)
     path = tmp_path / "log.csv"
-    write_log(log, path, form=form, run_label=label)
-    back = read_runs(path)[label]
+    with mock.patch.object(logs, "_ragged_file", wraps=logs._ragged_file) as ragged:
+        write_log(log, path, form=form, run_label=label)
+        back = read_runs(path)[label]
+    if conf is not None:  # any filled log, ids of one width too, is written in one byte array
+        assert ragged.call_count == 2  # the write, and the check of the read
     assert back.problem_ids == log.problem_ids
     assert np.array_equal(back.correctness, log.correctness)
     assert back.metadata == {"seed": "3"}
@@ -623,10 +631,6 @@ def test_golden_logs_take_the_fast_path(monkeypatch):
     assert [_outcome(lambda: read_runs(path)) for path in paths] == expected
 
 
-def _no_per_row(*args):
-    raise AssertionError("a log of one-width ids took a per-row path")
-
-
 def _no_ragged(*args):
     raise AssertionError("a log of one-width ids took the varying-width writer")
 
@@ -635,7 +639,7 @@ def _no_ragged(*args):
 def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     log = simulate_population(SimConfig(n_problems=1001, n_iterations=11, initial_accuracy=0.6, seed=4,
                                         schedule=preset("o4-mini"))).log
-    for name, spy in (("_read_csv", _no_csv), ("_joined_rows", _no_per_row), ("_ragged_file", _no_ragged)):
+    for name, spy in (("_read_csv", _no_csv), ("_ragged_file", _no_ragged)):
         monkeypatch.setattr(logs, name, spy)
     path = tmp_path / "log.csv"
     write_log(log, path, form=form, run_label="sim")
@@ -658,11 +662,7 @@ _RAGGED_IDS = ["\u00e9\u2603,abcdefgh0123456789xyz"[i // 20] * (1 + i % 20) for 
      pytest.param("records", _RAGGED_IDS, id="records-1-to-20-wide")],
 )
 def test_varying_width_logs_take_the_byte_array_paths(tmp_path, monkeypatch, form, ids):
-    def no_join(*args):
-        raise AssertionError("a log with no confidence filled was joined row by row")
-
     monkeypatch.setattr(logs, "_read_csv", _no_csv)
-    monkeypatch.setattr(logs, "_joined_rows", no_join)
     log = CorrectnessLog(problem_ids=ids, correctness=np.arange(5 * len(ids)).reshape(-1, 5) % 7 < 3,
                          metadata={"seed": "5"})
     path = tmp_path / "log.csv"
@@ -676,11 +676,18 @@ def test_varying_width_logs_take_the_byte_array_paths(tmp_path, monkeypatch, for
     assert back.metadata == {"seed": "5"}
 
 
-@pytest.mark.parametrize("form,write_mib,read_mib", [("records", 8, 12), ("compact", 4, 6)])
-def test_varying_width_memory_stays_bounded(tmp_path, form, write_mib, read_mib):
+@pytest.mark.parametrize(
+    "form,filled,write_mib,read_mib",
+    [pytest.param("records", False, 8, 12, id="records-8-12"), pytest.param("compact", False, 4, 6, id="compact-4-6"),
+     pytest.param("records", True, 8, 13, id="records-filled-8-13")],
+)
+def test_varying_width_memory_stays_bounded(tmp_path, form, filled, write_mib, read_mib):
     # 20,000 x 5 with the bench-shaped ids: no string per row, no slice per id; a list of rows
-    # and a slice per id peaked at 10.4 and 14.4 MiB (records), 4.4 and 6.4 MiB (compact)
-    log = CorrectnessLog(problem_ids=_BENCH_SHAPED_IDS, correctness=np.arange(100_000).reshape(-1, 5) % 3 == 0)
+    # and a slice per id peaked at 10.4 and 14.4 MiB (records), 4.4 and 6.4 MiB (compact). With a
+    # third of the cells filled from 10 values, a string per row peaked at 11.3 and 16.3 MiB
+    cells = np.arange(100_000).reshape(-1, 5)
+    conf = np.where(cells % 3 == 1, cells % 10 / 10 + 0.05, np.nan) if filled else None
+    log = CorrectnessLog(problem_ids=_BENCH_SHAPED_IDS, correctness=cells % 3 == 0, confidence=conf)
     path = tmp_path / "log.csv"
     peaks = []
     for step in (lambda: write_log(log, path, form=form, run_label="run"), lambda: read_runs(path)):
