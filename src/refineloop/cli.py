@@ -11,14 +11,15 @@ Subcommands::
 
 All artifacts land in the directory given by ``--out`` (default ``.``).
 Exit codes: 0 success, 1 usage error, 2 malformed input data, 3 internal
-invariant breach. ``REFINELOOP_SEED`` supplies the default seed.
+invariant breach. ``REFINELOOP_SEED`` supplies the default seed; it is
+read once per call, after parsing, and checked like ``--seed``.
 """
 
 import argparse
 import itertools
 import os
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +32,7 @@ from .baselines import (
     theoretical_sc_accuracy,
 )
 from .dynamics import _check_int, _check_real
-from .logs import _check_label, read_runs, write_log
+from .logs import _DEFAULT_RUN, _check_label, read_runs, write_log
 from .report import _csv, build_report, diagnose_runs, render_tables
 from .rng import check_seed
 from .schedule import RateSchedule, preset, preset_baseline, preset_names
@@ -59,14 +60,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(kind, check):
-    """An argparse type: ``kind(text)``, then the library's own ``check``, whose refusal is a usage error."""
+    """An argparse type: ``kind(text)``, then the library's own ``check``; either refusal is a usage error."""
     def parse(text: str):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         try:
             return check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-    parse.__name__ = kind.__name__  # argparse names it in "invalid float value: ..."
     return parse
 
 
@@ -75,72 +78,6 @@ _confidence = _checked(float, partial(_check_real, "confidence", open=True))
 _resamples = _checked(int, partial(_check_int, "resamples", low=1))
 _n_problems = _checked(int, partial(_check_int, "n_problems", low=1))
 _seed = _checked(int, check_seed)
-
-
-def _build_parser(default_seed: str = "0") -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, keyed by command.
-
-    ``default_seed`` is the text of ``$REFINELOOP_SEED``; argparse runs a
-    string default through the type on each parse, so a bad value is
-    refused exactly like a bad --seed.
-    """
-    parser = _Parser(prog="refineloop", description=__doc__.split("\n")[0])
-    parser.add_argument("--version", action="version", version=f"refineloop {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sim = sub.add_parser(
-        "simulate",
-        help="write a simulated correctness log",
-        description="Simulate a population of refinement chains and write the log. "
-        f"Presets: {', '.join(preset_names())}.",
-    )
-    group = sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", help="named rate schedule (see above)")
-    group.add_argument("--eir", type=float, help="stationary error-introduction probability")
-    sim.add_argument("--ecr", type=float, help="stationary error-correction probability (with --eir)")
-    sim.add_argument("--n", type=int, default=500, help="population size (default 500)")
-    sim.add_argument("--iterations", type=int, help="refinement passes (default: schedule length)")
-    sim.add_argument("--acc0", type=float, help="initial accuracy (default: preset baseline)")
-    sim.add_argument("--seed", type=_seed, default=default_seed,
-                     help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    sim.add_argument("--label", help="run label stored in the log (default: preset name or 'run')")
-    sim.add_argument("--form", choices=("records", "compact"), default="records")
-    sim.add_argument("--stationary-tail", action="store_true",
-                     help="repeat the final schedule entry past its end")
-    sim.add_argument("--out", default=".", help="output directory (default .)")
-
-    commands = {"simulate": sim}
-    for name, text in (("analyze", "estimate rates from a log"),
-                       ("diagnose", "verdicts, steady state, and classification")):
-        p = commands[name] = sub.add_parser(name, help=text)
-        p.add_argument("logs", nargs="+", metavar="LOG")
-        if name == "analyze":  # diagnose writes no interval
-            p.add_argument("--confidence", type=_confidence, default=0.95)
-        p.add_argument("--out", default=".")
-
-    asc_p = commands["asc"] = sub.add_parser("asc", help="run a scripted adaptive-stopping scenario")
-    asc_p.add_argument("scenario", metavar="SCENARIO")
-    asc_p.add_argument("--out", default=".")
-
-    sc_p = commands["sc"] = sub.add_parser("sc", help="self-consistency baseline numbers")
-    sc_p.add_argument("--p", type=float, required=True, help="per-sample accuracy")
-    sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
-    sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
-    sc_p.add_argument("--n", type=_n_problems, default=100_000, help="simulated problems (default 100000)")
-    sc_p.add_argument("--seed", type=_seed, default=default_seed)
-    sc_p.add_argument("--fit-target", type=float,
-                      help="also fit the rho whose closed-form accuracy hits this value")
-    sc_p.add_argument("--out", default=".")
-
-    rep = commands["report"] = sub.add_parser("report", help="full diagnostic report")
-    rep.add_argument("logs", nargs="+", metavar="LOG")
-    rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
-                     help="paired comparison (default: automatic when exactly two runs)")
-    rep.add_argument("--seed", type=_seed, default=default_seed)
-    rep.add_argument("--resamples", type=_resamples, default=10_000)
-    rep.add_argument("--confidence", type=_confidence, default=0.95)
-    rep.add_argument("--out", default=".")
-    return parser, commands
 
 
 def _out_dir(args) -> Path:
@@ -188,7 +125,7 @@ def _cmd_simulate(args, parser) -> int:
             raise _UsageError("custom rates require --acc0", parser)
         acc0 = args.acc0
         iterations = args.iterations
-    label = args.label if args.label is not None else args.preset or "run"
+    label = args.label if args.label is not None else args.preset or _DEFAULT_RUN
     try:  # a label the log cannot hold, or an out-of-range rate, accuracy or size, is a usage error
         _check_label(label, args.form)
         if args.preset is None:
@@ -212,20 +149,16 @@ def _cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-# the files analyze and diagnose write; report writes everything render_tables produces
-_TABLE_FILES = {"analyze": ("accuracy.csv", "rates.csv"), "diagnose": ("verdicts.csv", "summary.csv")}
-
-
 def _cmd_tables(args, parser) -> int:
     runs = _collect_runs(args.logs)
-    if args.command in _TABLE_FILES:  # analyze and diagnose never pair runs
-        report = diagnose_runs(runs, getattr(args, "confidence", 0.95))
-    else:
+    if args.files is None:  # report
         report = build_report(runs, seed=args.seed, resamples=args.resamples, confidence=args.confidence,
                               pair=tuple(args.pair) if args.pair else None)
+    else:  # analyze and diagnose never pair runs
+        report = diagnose_runs(runs, args.confidence)
     artifacts = render_tables(report)
     out = _out_dir(args)
-    names = _TABLE_FILES.get(args.command, tuple(artifacts))
+    names = args.files or tuple(artifacts)
     for name in names:
         _write(out / name, artifacts[name])
     for run in report.runs:
@@ -293,31 +226,90 @@ def _cmd_sc(args, parser) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_tables,
-    "diagnose": _cmd_tables,
-    "asc": _cmd_asc,
-    "sc": _cmd_sc,
-    "report": _cmd_tables,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; each subcommand's own parser sets ``run``, its handler, and ``parser``, itself."""
+    parser = _Parser(prog="refineloop", description=__doc__.split("\n")[0])
+    parser.add_argument("--version", action="version", version=f"refineloop {__version__}")
+    sub = parser.add_subparsers(required=True, metavar="command")
+
+    sim = sub.add_parser(
+        "simulate",
+        help="write a simulated correctness log",
+        description="Simulate a population of refinement chains and write the log. "
+        f"Presets: {', '.join(preset_names())}.",
+    )
+    group = sim.add_mutually_exclusive_group(required=True)
+    group.add_argument("--preset", help="named rate schedule (see above)")
+    group.add_argument("--eir", type=float, help="stationary error-introduction probability")
+    sim.add_argument("--ecr", type=float, help="stationary error-correction probability (with --eir)")
+    sim.add_argument("--n", type=int, default=500, help="population size (default 500)")
+    sim.add_argument("--iterations", type=int, help="refinement passes (default: schedule length)")
+    sim.add_argument("--acc0", type=float, help="initial accuracy (default: preset baseline)")
+    sim.add_argument("--seed", type=_seed, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    sim.add_argument("--label", help="run label stored in the log (default: preset name or 'run')")
+    sim.add_argument("--form", choices=("records", "compact"), default="records")
+    sim.add_argument("--stationary-tail", action="store_true",
+                     help="repeat the final schedule entry past its end")
+    sim.add_argument("--out", default=".", help="output directory (default .)")
+    sim.set_defaults(run=_cmd_simulate, parser=sim)
+
+    for name, text, files in (
+        ("analyze", "estimate rates from a log", ("accuracy.csv", "rates.csv")),
+        ("diagnose", "verdicts, steady state, and classification", ("verdicts.csv", "summary.csv")),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("logs", nargs="+", metavar="LOG")
+        if name == "analyze":  # diagnose writes no interval, so its level is only the default below
+            p.add_argument("--confidence", type=_confidence)
+        p.add_argument("--out", default=".")
+        p.set_defaults(run=_cmd_tables, parser=p, files=files, confidence=0.95)
+
+    asc_p = sub.add_parser("asc", help="run a scripted adaptive-stopping scenario")
+    asc_p.add_argument("scenario", metavar="SCENARIO")
+    asc_p.add_argument("--out", default=".")
+    asc_p.set_defaults(run=_cmd_asc, parser=asc_p)
+
+    sc_p = sub.add_parser("sc", help="self-consistency baseline numbers")
+    sc_p.add_argument("--p", type=float, required=True, help="per-sample accuracy")
+    sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
+    sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
+    sc_p.add_argument("--n", type=_n_problems, default=100_000, help="simulated problems (default 100000)")
+    sc_p.add_argument("--seed", type=_seed)
+    sc_p.add_argument("--fit-target", type=float,
+                      help="also fit the rho whose closed-form accuracy hits this value")
+    sc_p.add_argument("--out", default=".")
+    sc_p.set_defaults(run=_cmd_sc, parser=sc_p)
+
+    rep = sub.add_parser("report", help="full diagnostic report")
+    rep.add_argument("logs", nargs="+", metavar="LOG")
+    rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
+                     help="paired comparison (default: automatic when exactly two runs)")
+    rep.add_argument("--seed", type=_seed)
+    rep.add_argument("--resamples", type=_resamples, default=10_000)
+    rep.add_argument("--confidence", type=_confidence, default=0.95)
+    rep.add_argument("--out", default=".")
+    rep.set_defaults(run=_cmd_tables, parser=rep, files=None)  # every file render_tables returns
+    return parser
 
 
-# argparse only reads a parser, so one per $REFINELOOP_SEED value serves every call. The one for
-# the value at import is built with the module: built at the first call instead, among that
-# call's short-lived objects, it kept 2-5 MB more of the heap resident over later calls.
-_parsers = lru_cache(maxsize=8)(_build_parser)
-_parsers(os.environ.get(SEED_ENV_VAR, "0"))
+# argparse only reads a parser, so one serves every call. It is built with the module: built at
+# the first call instead, among that call's short-lived objects, it kept 2-5 MB more of the heap
+# resident over later calls.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser, commands = _parsers(os.environ.get(SEED_ENV_VAR, "0"))
     try:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
         # a usage error found after parsing names the subcommand's flags
         if extra:
-            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
-        return _COMMANDS[args.command](args, commands[args.command])
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if getattr(args, "seed", 0) is None:  # no --seed given (asc, analyze and diagnose take none)
+            try:
+                args.seed = _seed(os.environ.get(SEED_ENV_VAR, "0"))
+            except argparse.ArgumentTypeError as exc:
+                args.parser.error(f"${SEED_ENV_VAR}: {exc}")
+        return args.run(args, args.parser)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"refineloop: error: {exc}", file=sys.stderr)

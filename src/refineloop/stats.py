@@ -36,7 +36,6 @@ import numpy as np
 
 from . import rng
 from .dynamics import _check_int, _check_real
-from .estimate import transition_counts
 from .logs import _check_correctness
 
 __all__ = [
@@ -131,7 +130,8 @@ def mcnemar(b: int, c: int) -> McNemarResult:
     return McNemarResult(b=b, c=c, statistic=statistic, p_value=p_value, significant=p_value < ALPHA)
 
 
-def _paired_columns(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
+def _paired_difference(col_a, col_b) -> np.ndarray:
+    """Each problem's ``col_b - col_a`` as int8: -1, 0 or +1. Both columns are checked first."""
     a = _check_correctness(col_a)
     b = _check_correctness(col_b)
     if a.ndim != 1 or b.ndim != 1:
@@ -140,7 +140,7 @@ def _paired_columns(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"paired columns differ in length: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] == 0:
         raise ValueError("paired columns must be non-empty")
-    return a, b
+    return b.astype(np.int8) - a.astype(np.int8)
 
 
 def mcnemar_from_logs(col_a, col_b) -> McNemarResult:
@@ -148,9 +148,8 @@ def mcnemar_from_logs(col_a, col_b) -> McNemarResult:
 
     b counts problems correct in ``col_a`` but not ``col_b``; c the reverse.
     """
-    a, b = _paired_columns(col_a, col_b)
-    _, n_ci, n_ic, _ = transition_counts(np.column_stack([a, b]))[0].tolist()
-    return mcnemar(b=n_ci, c=n_ic)
+    diff = _paired_difference(col_a, col_b)
+    return mcnemar(b=int(np.count_nonzero(diff < 0)), c=int(np.count_nonzero(diff > 0)))
 
 
 @dataclass(frozen=True)
@@ -271,12 +270,11 @@ def paired_bootstrap_delta(
     ``sums / n * 100.0`` a drawn tile computes, so the interval's bits are
     those of the drawn bootstrap.
     """
-    a, b = _paired_columns(col_a, col_b)
+    diff = _paired_difference(col_a, col_b)
     resamples = _check_int("resamples", resamples, 1)
     confidence = _check_real("confidence", confidence, open=True)
     seed = rng.check_seed(seed)
-    n = a.shape[0]
-    diff = b.astype(np.int8) - a.astype(np.int8)  # per-problem paired contribution
+    n = diff.shape[0]
     delta_pp = float(diff.mean()) * 100.0
     if diff.min() == diff.max():
         sums = np.full(resamples, n * int(diff[0]), dtype=np.int64)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main()."""
 
+import argparse
 import csv
 import importlib
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import refineloop
 from refineloop import cli
-from refineloop.cli import _COMMANDS, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _build_parser, main
+from refineloop.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from refineloop.logs import read_log, read_runs
 
 
@@ -224,37 +225,37 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     assert main(["report", str(log), "--out", str(tmp_path / "r")]) == EXIT_INTERNAL
 
 
-def test_seed_env_var(tmp_path, monkeypatch):
+def test_seed_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REFINELOOP_SEED", "77")
     path = _simulate(tmp_path, "--preset", "o3-mini", out="env")
     assert read_log(path).metadata["seed"] == "77"
     # explicit flag wins over the environment
     path = _simulate(tmp_path, "--preset", "o3-mini", "--seed", "5", out="flag")
     assert read_log(path).metadata["seed"] == "5"
+    capsys.readouterr()
+    # a bad value is named as the variable, not as a --seed the user never typed
     monkeypatch.setenv("REFINELOOP_SEED", "not-a-number")
     assert main(["simulate", "--preset", "o3-mini", "--out", str(tmp_path / "z")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "refineloop: error: $REFINELOOP_SEED: invalid int value: 'not-a-number'")
     # a one-run report draws no bootstrap, yet its seed is checked all the same
     monkeypatch.setenv("REFINELOOP_SEED", "-1")
     assert main(["report", str(path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "refineloop: error: $REFINELOOP_SEED: seed must be a non-negative int, got -1")
     assert not (tmp_path / "r").exists()
     # an explicit flag wins over a bad environment value too
     path = _simulate(tmp_path, "--preset", "o3-mini", "--seed", "6", out="flag2")
     assert read_log(path).metadata["seed"] == "6"
 
 
-def test_parser_is_built_once_per_seed_environment(tmp_path, monkeypatch):
-    cli._parsers.cache_clear()
-    monkeypatch.setenv("REFINELOOP_SEED", "91")
+def test_parser_is_built_at_import_and_the_seed_variable_read_per_call(tmp_path, monkeypatch):
     with mock.patch.object(cli, "_Parser", wraps=cli._Parser) as built:  # counts top-level parsers only
-        for i in range(3):
-            path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", out=f"same{i}")
-            assert read_log(path).metadata["seed"] == "91"
-        assert built.call_count == 1
-        # the variable is still read on every call
-        monkeypatch.setenv("REFINELOOP_SEED", "92")
-        path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", out="other")
-        assert read_log(path).metadata["seed"] == "92"
-        assert built.call_count == 2
+        for i, seed in enumerate(("91", "92", "91", "93")):
+            monkeypatch.setenv("REFINELOOP_SEED", seed)
+            path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", out=f"run{i}")
+            assert read_log(path).metadata["seed"] == seed
+    assert built.call_count == 0
 
 
 def test_asc_scenario_command(tmp_path, capsys):
@@ -496,7 +497,8 @@ def test_readme_commands_parse():
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("refineloop ")]
-    assert {argv[0] for argv in commands} == set(_COMMANDS)
-    parser, _ = _build_parser()
-    for argv in commands:
-        parser.parse_args(argv)
+    parser = _build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subcommands.choices)
+    for argv in commands:  # so a subcommand added without a handler fails here
+        assert callable(parser.parse_args(argv).run)
