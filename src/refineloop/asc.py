@@ -509,7 +509,7 @@ def load_scenario(path) -> Scenario:
     if not _SCENARIO_KEYS.issuperset(doc):
         raise _unknown_key(doc, _SCENARIO_KEYS, "scenario")
     try:
-        mode = EquilibriumMode(doc.get("equilibrium_mode", "disabled"))
+        mode = EquilibriumMode(doc.get("equilibrium_mode", AscConfig.equilibrium_mode))
     except ValueError:
         raise ScenarioError(
             f"equilibrium_mode must be one of {[m.value for m in EquilibriumMode]}"
@@ -530,8 +530,8 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities: {exc}") from None
     try:
         config = AscConfig(
-            tau=doc.get("tau", 8.0),
-            max_iterations=doc.get("max_iterations", 4),
+            tau=doc.get("tau", AscConfig.tau),
+            max_iterations=doc.get("max_iterations", AscConfig.max_iterations),
             calibration_rates=rates,
             equilibrium_mode=mode,
         )

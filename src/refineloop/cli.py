@@ -33,7 +33,7 @@ from .baselines import (
 )
 from .dynamics import _check_int, _check_real
 from .logs import _DEFAULT_RUN, _check_label, read_runs, write_log
-from .report import _csv, build_report, diagnose_runs, render_tables
+from .report import _csv, _signed_pp, build_report, diagnose_runs, render_tables
 from .rng import check_seed
 from .schedule import RateSchedule, preset, preset_baseline, preset_names
 from .simulate import SimConfig, simulate_population
@@ -163,12 +163,12 @@ def _cmd_tables(args, parser) -> int:
         _write(out / name, artifacts[name])
     for run in report.runs:
         c = run.classification
-        print(f"{run.label}: delta {c.delta_pp:+.1f} pp -> {c.tag}")
+        print(f"{run.label}: delta {_signed_pp(c.delta_pp)} pp -> {c.tag}")
     if report.paired is not None:
         b = report.paired.final_bootstrap
         print(
             f"paired {report.paired.label_b} - {report.paired.label_a}: "
-            f"{b.delta_pp:+.1f} pp, CI [{b.ci_lo:+.1f}, {b.ci_hi:+.1f}] pp, "
+            f"{_signed_pp(b.delta_pp)} pp, CI [{b.ci_lo:+.1f}, {b.ci_hi:+.1f}] pp, "
             f"mcnemar p {report.paired.final_mcnemar.p_value:.2e}"
         )
     print(f"wrote {', '.join(str(out / n) for n in names)}")

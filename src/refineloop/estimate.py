@@ -93,7 +93,7 @@ def pooled_rates(counts: np.ndarray) -> tuple[float | None, float | None]:
 def accuracy_series(log: CorrectnessLog) -> list[AccuracyPoint]:
     """Per-iteration accuracy and net benefit, derived from integer counts."""
     n = log.n_problems
-    counts = [int(np.count_nonzero(log.correctness[:, k])) for k in range(log.n_iterations + 1)]
+    counts = np.count_nonzero(log.correctness, axis=0).tolist()
     points = [AccuracyPoint(iteration=0, accuracy=counts[0] / n)]
     for k in range(1, len(counts)):
         points.append(
@@ -135,31 +135,21 @@ def _rate(successes: int, pool: int) -> float | None:
     return successes / pool if pool > 0 else None
 
 
+def _pool_estimate(successes: int, pool: int, confidence: float) -> tuple[float | None, tuple[float, float] | None]:
+    """A pool's (rate, Wilson interval); both None for an empty pool."""
+    rate = _rate(successes, pool)
+    return rate, (None if rate is None else wilson_interval(successes, pool, confidence))
+
+
 def estimate_rates(log: CorrectnessLog, confidence: float = 0.95) -> RateEstimates:
     """Per-transition and pooled rate estimates for one log."""
     table = transition_counts(log.correctness)
     per = []
     for row in table.tolist():
         counts = TransitionCounts(*row)
-        eir = _rate(counts.n_ci, counts.n_correct_before)
-        ecr = _rate(counts.n_ic, counts.n_incorrect_before)
-        per.append(
-            TransitionEstimate(
-                counts=counts,
-                eir=eir,
-                ecr=ecr,
-                eir_interval=(
-                    wilson_interval(counts.n_ci, counts.n_correct_before, confidence)
-                    if eir is not None
-                    else None
-                ),
-                ecr_interval=(
-                    wilson_interval(counts.n_ic, counts.n_incorrect_before, confidence)
-                    if ecr is not None
-                    else None
-                ),
-            )
-        )
+        eir, eir_interval = _pool_estimate(counts.n_ci, counts.n_correct_before, confidence)
+        ecr, ecr_interval = _pool_estimate(counts.n_ic, counts.n_incorrect_before, confidence)
+        per.append(TransitionEstimate(counts, eir, ecr, eir_interval, ecr_interval))
     pooled_eir, pooled_ecr = pooled_rates(table)
     return RateEstimates(
         per_transition=tuple(per),

@@ -208,6 +208,13 @@ def _csv(rows) -> str:
     return out.getvalue()
 
 
+def _transitions(report: DiagnosticReport):
+    """Each run's transitions in report order: (run, t, name, rate estimate, verdict, McNemar test)."""
+    for run in report.runs:
+        for t, row in enumerate(zip(run.estimates.per_transition, run.verdicts, run.transition_tests, strict=True)):
+            yield (run, t, f"it{t}->it{t + 1}", *row)
+
+
 def _accuracy_csv(report: DiagnosticReport) -> str:
     rows = [["run", "iteration", "accuracy", "net_benefit"]]
     for run in report.runs:
@@ -221,38 +228,35 @@ def _rates_csv(report: DiagnosticReport) -> str:
         "run", "transition", "n_cc", "n_ci", "n_ic", "n_ii",
         "eir", "eir_lo", "eir_hi", "ecr", "ecr_lo", "ecr_hi",
     ]]
-    for run in report.runs:
-        for t, item in enumerate(run.estimates.per_transition):
-            eir_lo, eir_hi = item.eir_interval if item.eir_interval else (None, None)
-            ecr_lo, ecr_hi = item.ecr_interval if item.ecr_interval else (None, None)
-            c = item.counts
-            rows.append([
-                run.label, t, c.n_cc, c.n_ci, c.n_ic, c.n_ii,
-                item.eir, eir_lo, eir_hi, item.ecr, ecr_lo, ecr_hi,
-            ])
+    for run, t, _, item, _, _ in _transitions(report):
+        eir_lo, eir_hi = item.eir_interval if item.eir_interval else (None, None)
+        ecr_lo, ecr_hi = item.ecr_interval if item.ecr_interval else (None, None)
+        c = item.counts
+        rows.append([
+            run.label, t, c.n_cc, c.n_ci, c.n_ic, c.n_ii,
+            item.eir, eir_lo, eir_hi, item.ecr, ecr_lo, ecr_hi,
+        ])
     return _csv(rows)
 
 
 def _verdicts_csv(report: DiagnosticReport) -> str:
     rows = [["run", "transition", "verdict", "rate_ratio", "accuracy_odds", "net_benefit"]]
-    for run in report.runs:
-        for t, verdict in enumerate(run.verdicts):
-            if verdict is None:
-                rows.append([run.label, t, "undefined", "", "", ""])
-            else:
-                rows.append([run.label, t, verdict.verdict.value,
-                             verdict.rate_ratio, verdict.accuracy_odds, verdict.net_benefit])
+    for run, t, _, _, verdict, _ in _transitions(report):
+        if verdict is None:
+            rows.append([run.label, t, "undefined", "", "", ""])
+        else:
+            rows.append([run.label, t, verdict.verdict.value,
+                         verdict.rate_ratio, verdict.accuracy_odds, verdict.net_benefit])
     return _csv(rows)
 
 
 def _tests_csv(report: DiagnosticReport) -> str:
     rows = [["run", "comparison", "b", "c", "statistic", "p_value", "significant"]]
-    for run in report.runs:
-        for t, test in enumerate(run.transition_tests):
-            rows.append([
-                run.label, f"it{t}->it{t + 1}", test.b, test.c,
-                test.statistic, test.p_value, int(test.significant),
-            ])
+    for run, _, name, _, _, test in _transitions(report):
+        rows.append([
+            run.label, name, test.b, test.c,
+            test.statistic, test.p_value, int(test.significant),
+        ])
     return _csv(rows)
 
 
@@ -321,15 +325,14 @@ def _report_text(report: DiagnosticReport) -> str:
 
     lines.append("per-transition rates (%)")
     rate_rows = []
-    for run in report.runs:
-        for t, item in enumerate(run.estimates.per_transition):
-            rate_rows.append([
-                run.label,
-                f"it{t}->it{t + 1}",
-                _pct(item.eir) if item.eir is not None else "n/a",
-                _pct(item.ecr) if item.ecr is not None else "n/a",
-                (run.verdicts[t].verdict.value if run.verdicts[t] is not None else "undefined"),
-            ])
+    for run, _, name, item, verdict, _ in _transitions(report):
+        rate_rows.append([
+            run.label,
+            name,
+            _pct(item.eir) if item.eir is not None else "n/a",
+            _pct(item.ecr) if item.ecr is not None else "n/a",
+            (verdict.verdict.value if verdict is not None else "undefined"),
+        ])
     lines += _text_table(["run", "transition", "eir", "ecr", "verdict"], rate_rows) + [""]
 
     for run in report.runs:
@@ -351,15 +354,14 @@ def _report_text(report: DiagnosticReport) -> str:
 
     lines.append("adjacent-iteration mcnemar")
     test_rows = []
-    for run in report.runs:
-        for t, test in enumerate(run.transition_tests):
-            note = "no discordant pairs" if test.no_discordance else (
-                "significant" if test.significant else "not significant"
-            )
-            test_rows.append([
-                run.label, f"it{t}->it{t + 1}", str(test.b), str(test.c),
-                f"{test.statistic:.2f}", f"{test.p_value:.3f}", note,
-            ])
+    for run, _, name, _, _, test in _transitions(report):
+        note = "no discordant pairs" if test.no_discordance else (
+            "significant" if test.significant else "not significant"
+        )
+        test_rows.append([
+            run.label, name, str(test.b), str(test.c),
+            f"{test.statistic:.2f}", f"{test.p_value:.3f}", note,
+        ])
     lines += _text_table(["run", "transition", "b", "c", "statistic", "p", "verdict"], test_rows)
 
     if report.paired is not None:

@@ -565,6 +565,15 @@ def test_load_and_run_scenario(tmp_path):
     assert again.iterations_used.tolist() == outcomes.iterations_used.tolist()
 
 
+def test_scenario_without_settings_loads_the_config_defaults(tmp_path):
+    doc = _scenario_doc()
+    for key in ("tau", "max_iterations", "equilibrium_mode"):
+        del doc[key]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert load_scenario(path).config == AscConfig()
+
+
 def test_scenario_with_calibration_rates(tmp_path):
     doc = _scenario_doc()
     doc["equilibrium_mode"] = "calibration-only"

@@ -11,12 +11,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import refineloop
 from refineloop import cli
 from refineloop.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _build_parser, main
-from refineloop.logs import read_log, read_runs
+from refineloop.logs import CorrectnessLog, read_log, read_runs, write_log
 
 
 def _simulate(tmp_path, *extra, out="sim"):
@@ -176,6 +177,31 @@ def test_report_pairs_two_runs(tmp_path, capsys):
         assert (out / name).exists(), name
     assert "paired comparison: alternative minus standard" in (out / "report.txt").read_text()
     assert "mcnemar p" in capsys.readouterr().out
+
+
+def test_report_stdout_rounds_deltas_as_report_txt_does(tmp_path, capsys):
+    # runs a and b lose one and two of 5,000 correct answers: deltas -0.02 and -0.04 pp, paired -0.02 pp
+    ids = [f"p{i}" for i in range(5000)]
+    paths = []
+    for label, lost in (("a", 1), ("b", 2)):
+        bits = np.ones((5000, 2), dtype=bool)
+        bits[:lost, 1] = False
+        paths.append(tmp_path / f"{label}.csv")
+        write_log(CorrectnessLog(problem_ids=ids, correctness=bits), paths[-1], run_label=label)
+    out = tmp_path / "rep"
+    assert main(["report", *map(str, paths), "--resamples", "200", "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    text = (out / "report.txt").read_text().splitlines()
+    for label in ("a", "b"):
+        shown = next(line for line in printed if line.startswith(f"{label}: delta "))
+        assert shown.startswith(f"{label}: delta +0.0 pp -> ")
+        assert any(line.startswith(f"{label}: delta +0.0 pp, ") for line in text)
+    paired = next(line for line in printed if line.startswith("paired "))
+    final = next(line for line in text if line.startswith("final iteration: delta "))
+    assert paired.startswith("paired b - a: +0.0 pp, CI ")
+    assert final.startswith("final iteration: delta +0.0 pp, ")
+    # the CI bounds print as report.txt prints them
+    assert paired.split("CI ")[1].split(" pp")[0] == final.split("CI ")[1].split(" pp")[0]
 
 
 def test_report_explicit_pair_flag(tmp_path):

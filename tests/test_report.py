@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -308,6 +309,32 @@ def test_report_verdicts_agree_with_the_transition_tests(matrix):
             assert verdict is None
         else:
             assert verdict.verdict is _sign_verdict(test.b, test.c)
+
+
+def _text_table_keys(text, title):
+    """(run, transition) of each row of one of report.txt's per-transition tables."""
+    lines = text.splitlines()
+    rows = itertools.takewhile(bool, lines[lines.index(title) + 2:])  # past the title and header, to a blank
+    return [tuple(row.split()[:2]) for row in rows]
+
+
+@given(st.lists(arrays(bool, st.tuples(st.integers(1, 20), st.integers(2, 5))), min_size=1, max_size=4))
+def test_per_transition_tables_share_one_order(matrices):
+    runs = {
+        f"r{i}": CorrectnessLog(problem_ids=[f"p{j}" for j in range(len(m))], correctness=m)
+        for i, m in enumerate(matrices)
+    }
+    tables = render_tables(diagnose_runs(runs))
+
+    def csv_keys(name):  # rates.csv and verdicts.csv number a transition, tests.csv names it
+        rows = list(csv.reader(io.StringIO(tables[name])))[1:]
+        return [(run, key if key.startswith("it") else f"it{key}->it{int(key) + 1}") for run, key, *_ in rows]
+
+    expected = [(label, f"it{t}->it{t + 1}") for label, log in runs.items() for t in range(log.n_iterations)]
+    for name in ("rates.csv", "verdicts.csv", "tests.csv"):
+        assert csv_keys(name) == expected, name
+    for title in ("per-transition rates (%)", "adjacent-iteration mcnemar"):
+        assert _text_table_keys(tables["report.txt"], title) == expected, title
 
 
 def test_no_runs_renders_headers_only():
