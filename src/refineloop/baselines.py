@@ -141,11 +141,10 @@ def fit_common_cause_weight(p: float, k: int, target_accuracy: float) -> float:
         if hi - lo <= 1e-12:
             break
         value = mixture_sc_accuracy(p, mid, k)
-        # accuracy is decreasing in rho for p > 1/2 (and increasing below);
-        # orient the bracket by comparing against the endpoint ordering.
-        too_high = value > target_accuracy
-        if iid >= p:  # decreasing case
-            lo, hi = (mid, hi) if too_high else (lo, mid)
+        # accuracy is decreasing in rho when iid >= p (and increasing otherwise):
+        # rho moves up past mid exactly when that direction lowers a too-high value.
+        if (value > target_accuracy) == (iid >= p):
+            lo = mid
         else:
-            lo, hi = (lo, mid) if too_high else (mid, hi)
+            hi = mid
     return (lo + hi) / 2.0

@@ -167,12 +167,12 @@ def stop_or_iterate(accuracy: float, rates: TransitionRates) -> EquilibriumVerdi
         verdict = Verdict.ITERATE
     else:
         verdict = Verdict.STOP
-    return EquilibriumVerdict(
-        verdict=verdict,
-        rate_ratio=rate_ratio(rates),
-        accuracy_odds=equilibrium_ratio(accuracy),
-        net_benefit=nb,
-    )
+    return _verdict_record(verdict, accuracy, rates)
+
+
+def _verdict_record(verdict: Verdict, accuracy: float, rates: TransitionRates) -> EquilibriumVerdict:
+    """``verdict`` with the rate ratio, accuracy odds and net benefit at ``accuracy`` and ``rates``."""
+    return EquilibriumVerdict(verdict, rate_ratio(rates), equilibrium_ratio(accuracy), net_benefit(accuracy, rates))
 
 
 def verdict_from_counts(n_cc: int, n_ci: int, n_ic: int, n_ii: int) -> Verdict | None:

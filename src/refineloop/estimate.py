@@ -143,6 +143,7 @@ def _pool_estimate(successes: int, pool: int, confidence: float) -> tuple[float 
 
 def estimate_rates(log: CorrectnessLog, confidence: float = 0.95) -> RateEstimates:
     """Per-transition and pooled rate estimates for one log."""
+    confidence = _check_real("confidence", confidence, open=True)  # a one-column log reaches no wilson_interval
     table = transition_counts(log.correctness)
     per = []
     for row in table.tolist():

@@ -127,8 +127,8 @@ def align_rows(log_a: CorrectnessLog, log_b: CorrectnessLog) -> np.ndarray:
     return log_b.correctness[order]
 
 
-def _parse_directives(lines) -> tuple[dict[str, str], int]:
-    """Consume the version header and #meta lines; return (metadata, next_index)."""
+def _parse_directives(lines) -> tuple[dict[str, str], str, int]:
+    """Consume the version header and #meta lines; return (the other metadata, run label, next_index)."""
     if not lines:
         raise LogFormatError(f"empty file, expected '#{FORMAT_VERSION}' header", line=1)
     first = lines[0].strip()
@@ -153,7 +153,7 @@ def _parse_directives(lines) -> tuple[dict[str, str], int]:
             raise LogFormatError(f"repeated metadata key {key!r}", line=i + 1)
         metadata[key] = value
         i += 1
-    return metadata, i
+    return metadata, metadata.pop("run_label", _DEFAULT_RUN), i
 
 
 def _parse_correct(text: str, line: int) -> bool:
@@ -259,8 +259,7 @@ def _read_csv(data: bytes) -> dict[str, CorrectnessLog]:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"not UTF-8: {exc}", line=data.count(b"\n", 0, exc.start) + 1) from None
-    metadata, start = _parse_directives(lines)
-    label = metadata.pop("run_label", _DEFAULT_RUN)
+    metadata, label, start = _parse_directives(lines)
     rows = _fields(lines, start)
     header, header_line = next(rows, (None, None))
     if header is None:
@@ -302,8 +301,7 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
         end = data.index(b"\n", end) + 1
     body = data.index(b"\n", end) + 1  # past the column header
     head = data[: body - 1].decode("utf-8").split("\n")
-    metadata, _ = _parse_directives(head)
-    label = metadata.pop("run_label", _DEFAULT_RUN)
+    metadata, label, _ = _parse_directives(head)
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf[body:] == ord("\n"))
     ends += body  # where each line's "\n" is

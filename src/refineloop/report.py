@@ -34,9 +34,7 @@ from .dynamics import (
     EquilibriumVerdict,
     SteadyStateSummary,
     TransitionRates,
-    equilibrium_ratio,
-    net_benefit,
-    rate_ratio,
+    _verdict_record,
     steady_state,
     verdict_from_counts,
 )
@@ -118,8 +116,7 @@ def _diagnose_run(label: str, log: CorrectnessLog, confidence: float) -> RunDiag
             verdicts.append(None)
         else:
             acc_before, rates = est.accuracy_series[t].accuracy, TransitionRates(item.eir, item.ecr)
-            verdicts.append(EquilibriumVerdict(verdict, rate_ratio(rates), equilibrium_ratio(acc_before),
-                                               net_benefit(acc_before, rates)))
+            verdicts.append(_verdict_record(verdict, acc_before, rates))
     steady = None
     if est.pooled_eir is not None and est.pooled_ecr is not None:
         steady = steady_state(TransitionRates(est.pooled_eir, est.pooled_ecr))

@@ -58,34 +58,47 @@ def _problem_ids(n: int) -> list[str]:
     return grid.tobytes()[:-1].decode("ascii").split("\n")
 
 
-def _resolve_schedule(config: SimConfig) -> list[TransitionRates]:
+def _resolved_rates(schedule: RateSchedule, n_iterations: int) -> list[TransitionRates]:
     # Resolve every transition up front so an under-specified schedule
-    # fails before any work is done.
-    return [config.schedule.rates_for(t) for t in range(config.n_iterations)]
+    # fails before any step runs.
+    return [schedule.rates_for(t) for t in range(n_iterations)]
 
 
-def _initial_column(config: SimConfig) -> np.ndarray:
-    n = config.n_problems
-    n_correct = int(round(n * config.initial_accuracy))
-    keys = rng.uniforms(config.seed, rng.SIM_INIT_STREAM, np.arange(n, dtype=np.uint64))
-    order = np.argsort(keys, kind="stable")
-    state = np.zeros(n, dtype=bool)
-    state[order[:n_correct]] = True
+def _chain_log(state: np.ndarray, rates: list, step, metadata: dict, name: str | None) -> CorrectnessLog:
+    """The log of a chain from ``state``, one ``step(t, state, rates[t])`` per transition, under schedule ``name``."""
+    columns = [state]
+    for t, r in enumerate(rates):
+        state = step(t, state, r)
+        columns.append(state)
+    if name:
+        metadata["schedule_name"] = name
+    return CorrectnessLog(
+        problem_ids=_problem_ids(len(state)),
+        correctness=np.column_stack(columns),
+        metadata=metadata,
+    )
+
+
+def _initial_column(order: np.ndarray, accuracy: float) -> np.ndarray:
+    """Iteration 0: the round(n * accuracy) problems first in ``order`` start correct."""
+    state = np.zeros(len(order), dtype=bool)
+    state[order[: int(round(len(order) * accuracy))]] = True
     return state
 
 
 def simulate_population(config: SimConfig) -> SimTrajectory:
     """Simulate N chains under the config's schedule; fully seed-determined."""
-    rates = _resolve_schedule(config)
-    state = _initial_column(config)
-    columns = [state]
+    rates = _resolved_rates(config.schedule, config.n_iterations)
     indices = np.arange(config.n_problems, dtype=np.uint64)  # rng's dtype: no copy
-    for t, r in enumerate(rates):
+    keys = rng.uniforms(config.seed, rng.SIM_INIT_STREAM, indices)
+    state = _initial_column(np.argsort(keys, kind="stable"), config.initial_accuracy)
+
+    def step(t, state, r):
         u = rng.uniforms(config.seed, rng.SIM_TRANSITION_BASE + t, indices)
         # A correct answer survives when u >= eir; an incorrect one is
         # fixed when u < ecr.
-        state = np.where(state, u >= r.eir, u < r.ecr)
-        columns.append(state)
+        return np.where(state, u >= r.eir, u < r.ecr)
+
     metadata = {
         "generator": rng.GENERATOR_ID,
         "seed": str(config.seed),
@@ -94,22 +107,16 @@ def simulate_population(config: SimConfig) -> SimTrajectory:
         "n_iterations": str(config.n_iterations),
         "schedule": ";".join(f"{r.eir!r}:{r.ecr!r}" for r in rates),
     }
-    if config.schedule.name:
-        metadata["schedule_name"] = config.schedule.name
-    log = CorrectnessLog(
-        problem_ids=_problem_ids(config.n_problems),
-        correctness=np.column_stack(columns),
-        metadata=metadata,
-    )
-    return SimTrajectory(log=log, config=config)
+    return SimTrajectory(log=_chain_log(state, rates, step, metadata, config.schedule.name), config=config)
 
 
 def analytic_trajectory(schedule: RateSchedule, initial_accuracy: float, n_iterations: int) -> list[AccuracyPoint]:
     """Exact population accuracy under the schedule, no sampling noise."""
     acc = _check_real("initial_accuracy", initial_accuracy)
+    rates = _resolved_rates(schedule, _check_int("n_iterations", n_iterations))
     points = [AccuracyPoint(iteration=0, accuracy=acc)]
-    for t in range(n_iterations):
-        nxt = step_accuracy(acc, schedule.rates_for(t))
+    for t, r in enumerate(rates):
+        nxt = step_accuracy(acc, r)
         points.append(AccuracyPoint(iteration=t + 1, accuracy=nxt, net_benefit=nxt - acc))
         acc = nxt
     return points
@@ -127,12 +134,10 @@ def deterministic_replay(schedule: RateSchedule, initial_accuracy: float, n_prob
     k = _check_int("n_iterations", len(schedule) if n_iterations is None else n_iterations, 1)
     n_problems = _check_int("n_problems", n_problems, 1)
     acc = _check_real("initial_accuracy", initial_accuracy)
-    n_correct = int(round(n_problems * acc))
-    state = np.zeros(n_problems, dtype=bool)
-    state[:n_correct] = True
-    columns = [state.copy()]
-    for t in range(k):
-        r = schedule.rates_for(t)
+    rates = _resolved_rates(schedule, k)
+    state = _initial_column(np.arange(n_problems), acc)
+
+    def step(t, state, r):
         correct_idx = np.flatnonzero(state)
         incorrect_idx = np.flatnonzero(~state)
         n_spoil = int(round(len(correct_idx) * r.eir))
@@ -142,16 +147,11 @@ def deterministic_replay(schedule: RateSchedule, initial_accuracy: float, n_prob
             state[correct_idx[-n_spoil:]] = False
         if n_fix:
             state[incorrect_idx[:n_fix]] = True
-        columns.append(state)
+        return state
+
     metadata = {
         "builder": "deterministic-replay",
         "initial_accuracy": repr(acc),
         "n_problems": str(n_problems),
     }
-    if schedule.name:
-        metadata["schedule_name"] = schedule.name
-    return CorrectnessLog(
-        problem_ids=_problem_ids(n_problems),
-        correctness=np.column_stack(columns),
-        metadata=metadata,
-    )
+    return _chain_log(state, rates, step, metadata, schedule.name)

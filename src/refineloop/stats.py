@@ -59,7 +59,7 @@ _MAX_WORKERS = 4
 
 
 def _regularized_gamma_series(x: float) -> float:
-    """Lower regularized P(a, x) by power series; valid for x < a + 1."""
+    """Lower regularized P(a, x) by power series, before its prefactor; valid for x < a + 1."""
     term = 1.0 / _A
     total = term
     denom = _A
@@ -69,11 +69,11 @@ def _regularized_gamma_series(x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + _A * math.log(x) - math.lgamma(_A))
+    return total
 
 
 def _regularized_gamma_cf(x: float) -> float:
-    """Upper regularized Q(a, x) by Lentz's continued fraction; x >= a + 1."""
+    """Upper regularized Q(a, x) by Lentz's continued fraction, before its prefactor; x >= a + 1."""
     tiny = 1e-300
     b = x + 1.0 - _A
     c = 1.0 / tiny
@@ -93,7 +93,7 @@ def _regularized_gamma_cf(x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + _A * math.log(x) - math.lgamma(_A))
+    return h
 
 
 def chi_square_survival(x: float) -> float:
@@ -101,9 +101,10 @@ def chi_square_survival(x: float) -> float:
     half = _check_real("statistic", x, 0.0, math.inf) / 2.0
     if half == 0.0:  # tested after halving: the smallest subnormal halves to 0.0
         return 1.0
+    scale = math.exp(-half + _A * math.log(half) - math.lgamma(_A))  # the prefactor x^a e^-x / Gamma(a)
     if half < _A + 1.0:
-        return 1.0 - _regularized_gamma_series(half)
-    return _regularized_gamma_cf(half)
+        return 1.0 - _regularized_gamma_series(half) * scale
+    return _regularized_gamma_cf(half) * scale
 
 
 @dataclass(frozen=True)

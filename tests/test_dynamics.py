@@ -155,6 +155,7 @@ _COUNT_SITES = {
     "sim-n-iterations": lambda n: simulate_population(SimConfig(4, n, 0.5, 1, _TAIL)).log.correctness,
     "replay-n-iterations": lambda n: deterministic_replay(_TAIL, 0.5, 4, n_iterations=n).correctness,
     "replay-n-problems": lambda n: deterministic_replay(_TAIL, 0.5, n, n_iterations=2).correctness,
+    "analytic-n-iterations": lambda n: analytic_trajectory(_TAIL, 0.5, n),
     "mcnemar-b": lambda n: mcnemar(n, 2),
     "mcnemar-c": lambda n: mcnemar(2, n),
     "bootstrap-resamples": lambda n: paired_bootstrap_delta(_COL, ~_COL, resamples=n),

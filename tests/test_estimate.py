@@ -16,6 +16,7 @@ from refineloop.estimate import (
     transition_counts,
     wilson_interval,
 )
+from refineloop.report import build_report, diagnose_runs
 from refineloop.schedule import RateSchedule, preset
 from refineloop.simulate import SimConfig, deterministic_replay, simulate_population
 
@@ -190,6 +191,14 @@ def test_wilson_degenerate_and_bounds():
         with pytest.raises(ValueError, match=re.escape(f"confidence must be a number in (0, 1), got {bad!r}")):
             wilson_interval(1, 3, confidence=bad)
     assert wilson_interval(1, 3, np.float32(0.9)) == wilson_interval(1, 3, float(np.float32(0.9)))
+
+
+def test_estimate_rates_checks_confidence_without_a_transition():
+    log = _log_from_bits([[1], [0]])  # one column: no transition, so no wilson_interval call
+    for bad in ("x", float("nan"), True, 2.0):
+        for estimate in (estimate_rates, diagnose_runs, build_report):
+            with pytest.raises(ValueError, match=re.escape(f"confidence must be a number in (0, 1), got {bad!r}")):
+                estimate(log if estimate is estimate_rates else {"run": log}, confidence=bad)
 
 
 @given(

@@ -231,6 +231,9 @@ def test_log_refuses_correctness_entries_other_than_0_and_1(bad):
 
 
 def test_log_validation():
+    for matrix in (np.ones(2, dtype=bool), np.ones((0, 2), dtype=bool), np.ones((2, 0), dtype=bool)):
+        with pytest.raises(ValueError, match=re.escape(f"non-empty 2-d matrix, got shape {matrix.shape}")):
+            CorrectnessLog(problem_ids=["a", "b"][: len(matrix)], correctness=matrix)
     with pytest.raises(ValueError, match="unique"):
         CorrectnessLog(problem_ids=["a", "a"], correctness=np.ones((2, 2), dtype=bool))
     with pytest.raises(ValueError, match="0/1"):
@@ -621,6 +624,22 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, labe
         assert back.confidence is None
     else:
         assert repr(back.confidence.tolist()) == repr(conf.tolist())  # nan where empty, each float's bits
+
+
+def test_labels_quoted_where_write_log_would_not_read_through_csv(tmp_path):
+    head = f"#{FORMAT_VERSION}\nproblem_id,iteration,correct,confidence,run_label\n"
+    rows = [("p0", 0, 1), ("p0", 1, 0), ("p1", 0, 0), ("p1", 1, 1)]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text(head + "".join(f"{p},{k},{b},,run\n" for p, k, b in rows))
+    quoted.write_text(head + "".join(f'{p},{k},{b},,"run"\n' for p, k, b in rows))
+    want = read_runs(plain)["run"]
+    with mock.patch.object(logs, "_read_csv", wraps=logs._read_csv) as spy:
+        got = read_runs(quoted)
+    assert spy.call_count == 1  # the canonical reader's label guard turned the file away
+    assert list(got) == ["run"]
+    assert got["run"].problem_ids == want.problem_ids
+    assert np.array_equal(got["run"].correctness, want.correctness)
+    assert got["run"].metadata == want.metadata and got["run"].confidence is want.confidence is None
 
 
 def test_golden_logs_take_the_fast_path(monkeypatch):

@@ -304,11 +304,16 @@ def test_verdict_is_the_sign_of_the_discordant_counts(correct, incorrect):
 def test_report_verdicts_agree_with_the_transition_tests(matrix):
     log = CorrectnessLog(problem_ids=[f"p{i}" for i in range(len(matrix))], correctness=matrix)
     run = diagnose_runs({"run": log}).runs[0]
-    for verdict, test, item in zip(run.verdicts, run.transition_tests, run.estimates.per_transition):
+    for verdict, test, item, before in zip(run.verdicts, run.transition_tests, run.estimates.per_transition,
+                                           run.estimates.accuracy_series):
         if item.eir is None or item.ecr is None:
             assert verdict is None
         else:
             assert verdict.verdict is _sign_verdict(test.b, test.c)
+            # the record's floats are stop_or_iterate's; repr, since rate_ratio is nan when both rates are 0
+            want = stop_or_iterate(before.accuracy, TransitionRates(item.eir, item.ecr))
+            for field in ("rate_ratio", "accuracy_odds", "net_benefit"):
+                assert repr(getattr(verdict, field)) == repr(getattr(want, field))
 
 
 def _text_table_keys(text, title):

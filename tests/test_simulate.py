@@ -8,6 +8,7 @@ whose one-decimal roundings are 91.2, 90.0, 89.6, 86.6, 85.0.
 import numpy as np
 import pytest
 
+from refineloop import simulate
 from refineloop.dynamics import TransitionRates, closed_form_accuracy
 from refineloop.schedule import RateSchedule, ScheduleExhaustedError, preset, preset_baseline
 from refineloop.simulate import (
@@ -143,16 +144,22 @@ def test_problem_ids_match_the_nested_format_spec(n):
     assert _problem_ids(n) == [f"p{i:0{width}d}" for i in range(n)]
 
 
-def test_underspecified_schedule_fails_before_simulating():
-    config = SimConfig(
-        n_problems=10,
-        n_iterations=5,
-        initial_accuracy=0.5,
-        seed=0,
-        schedule=preset("gpt-4o-mini"),  # 4 transitions, no tail
-    )
+_UNDERSPECIFIED = {  # gpt-4o-mini has 4 transitions and no tail; each run asks for 5
+    "simulate": lambda: simulate_population(SimConfig(
+        n_problems=10, n_iterations=5, initial_accuracy=0.5, seed=0, schedule=preset("gpt-4o-mini"))),
+    "replay": lambda: deterministic_replay(preset("gpt-4o-mini"), 0.5, 10, n_iterations=5),
+    "analytic": lambda: analytic_trajectory(preset("gpt-4o-mini"), 0.5, 5),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_UNDERSPECIFIED))
+def test_underspecified_schedule_fails_before_simulating(site, monkeypatch):
+    steps = []
+    monkeypatch.setattr(simulate, "step_accuracy", lambda *args: steps.append(args) or 0.5)
+    monkeypatch.setattr(simulate.rng, "uniforms", lambda *args, **kwargs: steps.append(args))
     with pytest.raises(ScheduleExhaustedError):
-        simulate_population(config)
+        _UNDERSPECIFIED[site]()
+    assert steps == []  # neither an analytic step nor a draw came before the refusal
 
 
 def test_unbiasedness_across_seeds():
