@@ -152,8 +152,20 @@ _UNDERSPECIFIED = {  # gpt-4o-mini has 4 transitions and no tail; each run asks 
 }
 
 
+def test_underspecified_schedule_fails_before_simulating():
+    config = SimConfig(
+        n_problems=10,
+        n_iterations=5,
+        initial_accuracy=0.5,
+        seed=0,
+        schedule=preset("gpt-4o-mini"),  # 4 transitions, no tail
+    )
+    with pytest.raises(ScheduleExhaustedError):
+        simulate_population(config)
+
+
 @pytest.mark.parametrize("site", sorted(_UNDERSPECIFIED))
-def test_underspecified_schedule_fails_before_simulating(site, monkeypatch):
+def test_underspecified_schedule_refuses_before_any_step(site, monkeypatch):
     steps = []
     monkeypatch.setattr(simulate, "step_accuracy", lambda *args: steps.append(args) or 0.5)
     monkeypatch.setattr(simulate.rng, "uniforms", lambda *args, **kwargs: steps.append(args))
