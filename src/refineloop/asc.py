@@ -59,6 +59,7 @@ __all__ = [
     "BatchSummary",
     "run_asc_instance",
     "run_asc_batch",
+    "ScriptedProblem",
     "ScriptedBackend",
     "ScenarioError",
     "Scenario",
@@ -170,6 +171,7 @@ def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcome
     flows = np.zeros((1, 4), dtype=np.int64)  # pooled n_cc, n_ci, n_ic, n_ii
     online = config.equilibrium_mode is EquilibriumMode.ONLINE_LABELED
     rates = config.calibration_rates  # set in calibration-only mode alone
+    halt = rates is not None and rates.eir >= rates.ecr  # the threshold at Acc = 1/2; online mode decides each round
     if online:
         previous = labels_at(0, np.arange(n))  # a copy: the driver writes into it
     for k in range(config.max_iterations + 1):
@@ -189,8 +191,6 @@ def _run_batch(n: int, config: AscConfig, scores, labels_at) -> tuple[AscOutcome
             flows[:] += transition_counts(np.column_stack([previous[idx], current]))
             previous[idx] = current
             halt = verdict_from_counts(*flows[0].tolist()) in (Verdict.STOP, Verdict.AT_EQUILIBRIUM)  # None waits
-        else:
-            halt = rates is not None and rates.eir >= rates.ecr  # the threshold at Acc = 1/2
         if halt:
             # The answer produced by the round that triggered the stop is
             # discarded in favor of its predecessor.

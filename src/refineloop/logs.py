@@ -79,7 +79,7 @@ class CorrectnessLog:
     problem_ids: list[str]
     correctness: np.ndarray  # bool, shape (n_problems, n_iterations + 1)
     metadata: dict[str, str] = field(default_factory=dict)
-    confidence: np.ndarray | None = None  # float, same shape, nan = absent
+    confidence: np.ndarray | None = None  # float, same shape, nan = absent; None when none is filled
 
     def __post_init__(self):
         matrix = np.asarray(self.correctness)
@@ -100,7 +100,7 @@ class CorrectnessLog:
             conf = np.asarray(self.confidence, dtype=float)
             if conf.shape != matrix.shape:
                 raise ValueError("confidence matrix shape must match correctness")
-            self.confidence = conf
+            self.confidence = None if np.isnan(conf).all() else conf
 
     @property
     def n_problems(self) -> int:
@@ -211,12 +211,11 @@ def _read_record_rows(rows, metadata, default_label) -> dict[str, CorrectnessLog
                 )
         flat = (v for per in problems.values() for k in range(width) for v in per[k])
         cells = np.fromiter(flat, dtype=float, count=2 * len(problems) * width).reshape(len(problems), width, 2)
-        conf = cells[:, :, 1]
         logs[label] = CorrectnessLog(
             problem_ids=list(problems),
             correctness=cells[:, :, 0].astype(bool),
             metadata=dict(metadata),
-            confidence=None if np.isnan(conf).all() else conf,
+            confidence=cells[:, :, 1],
         )
     return logs
 
@@ -441,8 +440,6 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     if max(lengths) > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
     conf = log.confidence
-    if conf is not None and np.isnan(conf).all():
-        conf = None
     if form == "compact" and conf is not None:
         raise ValueError("the compact form holds no confidences; write this log in record form")
     meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
@@ -453,7 +450,7 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
         header = ",".join(["problem_id"] + [f"it{k}" for k in range(matrix.shape[1])])
     else:
         header = ",".join(_RECORD_HEADER)
-    head = _directives(meta) + header + "\n"
+    head = (_directives(meta) + header + "\n").encode("utf-8")
     quote = "," in joined or '"' in joined
     # rare: a '"', or ids of one width to quote; each id is quoted one at a time
     if quote and ('"' in joined or len(lengths) == 1):
@@ -480,7 +477,7 @@ def _items(buf: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
 
 
-def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -> bytearray:
+def _matrix_file(head: bytes, ids: str, matrix: np.ndarray, form: str, tag: str) -> bytearray:
     """The file for quoted ids of one width, ``ids`` their ASCII concatenation, built as one byte matrix.
 
     A template row holds every line of one problem, with "0" in its id
@@ -495,10 +492,9 @@ def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -
         id_cols.append(len(template))
         bit_cols += [len(template) + w + b for b in bits]
         template += b"0" * w + suffix
-    head_bytes = head.encode("utf-8")
-    out = bytearray(len(head_bytes) + n * len(template))  # filled in place: no copy to bytes
-    out[: len(head_bytes)] = head_bytes
-    body = np.frombuffer(out, dtype=np.uint8, offset=len(head_bytes)).reshape(n, len(template))
+    out = bytearray(len(head) + n * len(template))  # filled in place: no copy to bytes
+    out[: len(head)] = head
+    body = np.frombuffer(out, dtype=np.uint8, offset=len(head)).reshape(n, len(template))
     body[:] = np.frombuffer(template, dtype=np.uint8)
     if w:  # one V{w} item per id: each is copied as one unit
         id_items = np.frombuffer(ids.encode("ascii"), dtype=f"V{w}")
@@ -510,7 +506,7 @@ def _matrix_file(head: str, ids: str, matrix: np.ndarray, form: str, tag: str) -
     return out
 
 
-def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
+def _ragged_file(head: bytes, ids: list[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
                  conf: np.ndarray | None = None) -> bytearray:
     """The file for ids of varying width, or with a confidence filled, built in one byte array.
 
@@ -532,7 +528,6 @@ def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: 
         quoted[np.searchsorted(breaks, np.flatnonzero(raw == ord(",")))] = True
     written = size + 2 * quoted
     suffixes, bit_at = _line_suffixes(form, width, tag)
-    head_bytes = head.encode("utf-8")
     block = len(suffixes) * written + sum(map(len, suffixes))  # the bytes of each problem's lines
     if conf is not None:
         filled = ~np.isnan(conf.T)  # by line: line k's cells come together, in problem order
@@ -544,10 +539,10 @@ def _ragged_file(head: str, ids: list[str], matrix: np.ndarray, form: str, tag: 
         cell_size = np.zeros(filled.shape, dtype=np.uint8)  # 0 where empty
         cell_size[filled] = text_size[code]
         block += cell_size.sum(axis=0, dtype=np.int64)
-    out = bytearray(len(head_bytes) + int(block.sum()))  # filled in place: no copy to bytes
-    out[: len(head_bytes)] = head_bytes
+    out = bytearray(len(head) + int(block.sum()))  # filled in place: no copy to bytes
+    out[: len(head)] = head
     body = np.frombuffer(out, dtype=np.uint8)
-    at = np.cumsum(block) - block + len(head_bytes)  # where each problem's next line starts
+    at = np.cumsum(block) - block + len(head)  # where each problem's next line starts
     by_width = [(w, np.flatnonzero(size == w)) for w in np.flatnonzero(np.bincount(size)) if w]  # few widths
     groups = [(_items(body, w), g, _items(raw, w)[starts[g]]) for w, g in by_width]
     quotes = np.flatnonzero(quoted)

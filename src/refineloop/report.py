@@ -189,8 +189,8 @@ def build_report(
 # -- rendering ----------------------------------------------------------------
 
 
-def _pct(value: float) -> str:
-    return f"{value * 100.0:.1f}"
+def _pct(value: float | None, unit: str = "") -> str:
+    return "n/a" if value is None else f"{value * 100.0:.1f}{unit}"
 
 
 def _signed_pp(value: float) -> str:
@@ -326,19 +326,17 @@ def _report_text(report: DiagnosticReport) -> str:
         rate_rows.append([
             run.label,
             name,
-            _pct(item.eir) if item.eir is not None else "n/a",
-            _pct(item.ecr) if item.ecr is not None else "n/a",
+            _pct(item.eir),
+            _pct(item.ecr),
             (verdict.verdict.value if verdict is not None else "undefined"),
         ])
     lines += _text_table(["run", "transition", "eir", "ecr", "verdict"], rate_rows) + [""]
 
     for run in report.runs:
         c, est = run.classification, run.estimates
-        pooled_eir = f"{_pct(est.pooled_eir)}%" if est.pooled_eir is not None else "n/a"
-        pooled_ecr = f"{_pct(est.pooled_ecr)}%" if est.pooled_ecr is not None else "n/a"
         lines.append(
             f"{run.label}: delta {_signed_pp(c.delta_pp)} pp, "
-            f"pooled eir {pooled_eir}, pooled ecr {pooled_ecr} -> {c.tag}"
+            f"pooled eir {_pct(est.pooled_eir, '%')}, pooled ecr {_pct(est.pooled_ecr, '%')} -> {c.tag}"
         )
         if run.steady is not None and not run.steady.absorbing:
             lines.append(

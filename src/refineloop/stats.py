@@ -11,14 +11,13 @@ range of problems, so that a tile's temporaries stay in cache; past 2**16
 problems a resample is split into column chunks whose exact integer sums
 are added up. The tiles run on every usable core, up to a fixed cap: the
 calling thread works them alongside helper threads, and each tile writes
-only its own resamples' deltas. Every stream's counter keys are derived
+only its own resamples' sums. Every stream's counter keys are derived
 once per call, before the tiles, so a tile pays only for its draws. Any
 tile shape or worker count gives the same bits. When every problem's
 paired difference is the same (two runs that agree on every answer, or
 one that is right wherever the other is wrong), every resample sums to
-n times that difference whatever its draws, so no draw is made: each
-delta is computed from that sum by the tiles' own expression, and the
-interval has the same bits as a drawn one.
+n times that difference whatever its draws, so no draw is made. Either
+way each delta is computed once from its resample's exact sum.
 
 The chi-square tail is for one degree of freedom only, the case McNemar
 needs. It is computed here from the regularized incomplete gamma function
@@ -101,6 +100,8 @@ def chi_square_survival(x: float) -> float:
     half = _check_real("statistic", x, 0.0, math.inf) / 2.0
     if half == 0.0:  # tested after halving: the smallest subnormal halves to 0.0
         return 1.0
+    if half == math.inf:  # the prefactor would be exp(-inf + inf), nan
+        return 0.0
     scale = math.exp(-half + _A * math.log(half) - math.lgamma(_A))  # the prefactor x^a e^-x / Gamma(a)
     if half < _A + 1.0:
         return 1.0 - _regularized_gamma_series(half) * scale
@@ -217,20 +218,20 @@ def _run_tiles(tile, starts: range) -> None:
         raise errors[0]
 
 
-def _drawn_deltas(diff: np.ndarray, resamples: int, seed: int) -> np.ndarray:
-    """Each resample's mean of ``diff``, in percentage points, from its drawn indices.
+def _drawn_sums(diff: np.ndarray, resamples: int, seed: int) -> np.ndarray:
+    """Each resample's exact int64 sum of ``diff`` over its drawn indices.
 
     The keys of all ``resamples`` streams are derived once per call
     (``rng._stream_keys``) and each tile draws with its slice of them: the
     streams and their keys take 24 B per resample, beside the 8 B of the
-    returned deltas.
+    returned sums.
     """
     n = diff.shape[0]
     # u * n can round up to n, never past it; that index takes the last problem
     table = np.append(diff, diff[-1])
     rows = max(1, min(resamples, _TILE_DRAWS // n))
     cols = min(n, _TILE_DRAWS)
-    deltas = np.empty(resamples)
+    sums = np.zeros(resamples, dtype=np.int64)
     # rng's dtype, so no tile copies or checks them; each stream's keys
     # are derived here once, not again by every tile and column chunk
     streams = np.arange(resamples, dtype=np.uint64)[:, None] + np.uint64(rng.BOOTSTRAP_STREAM_BASE)
@@ -239,18 +240,16 @@ def _drawn_deltas(diff: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     def tile(start: int) -> np.ndarray:
         stop = min(start + rows, resamples)
         keys = (key[start:stop], gamma[start:stop])
-        sums = np.zeros(stop - start, dtype=np.int64)
         for col in range(0, n, cols):
             positions = np.arange(col, min(col + cols, n), dtype=np.uint64)
             u = rng.uniforms(seed, streams[start:stop], positions[None, :], keys=keys)
             u *= n
             # a chunk of at most 2**16 draws of -1, 0 or +1 sums exactly in int32
-            sums += np.add.reduce(table[u.astype(np.int64)], axis=1, dtype=np.int32)
-        deltas[start:stop] = sums / n * 100.0
+            sums[start:stop] += np.add.reduce(table[u.astype(np.int64)], axis=1, dtype=np.int32)
         return u
 
     _run_tiles(tile, range(0, resamples, rows))
-    return deltas
+    return sums
 
 
 def paired_bootstrap_delta(
@@ -267,9 +266,7 @@ def paired_bootstrap_delta(
     not depend on evaluation order or worker count. ValueError unless both
     columns hold only 0/1 entries. When every problem's difference is the
     same value v, nothing is drawn: every resample's exact sum is ``n * v``
-    whatever its indices, and each delta is that sum put through the same
-    ``sums / n * 100.0`` a drawn tile computes, so the interval's bits are
-    those of the drawn bootstrap.
+    whatever its indices.
     """
     diff = _paired_difference(col_a, col_b)
     resamples = _check_int("resamples", resamples, 1)
@@ -279,9 +276,9 @@ def paired_bootstrap_delta(
     delta_pp = float(diff.mean()) * 100.0
     if diff.min() == diff.max():
         sums = np.full(resamples, n * int(diff[0]), dtype=np.int64)
-        deltas = sums / n * 100.0
     else:
-        deltas = _drawn_deltas(diff, resamples, seed)
+        sums = _drawn_sums(diff, resamples, seed)
+    deltas = sums / n * 100.0
     tail = (1.0 - confidence) / 2.0
     lo, hi = np.percentile(deltas, [100.0 * tail, 100.0 * (1.0 - tail)])
     return BootstrapDelta(

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import importlib
+import inspect
 import json
 import pkgutil
 import shlex
@@ -490,6 +491,11 @@ def test_package_reexports_every_public_name():
             module = importlib.import_module(f"refineloop.{info.name}")
             missing = [name for name in getattr(module, "__all__", ()) if not hasattr(refineloop, name)]
             assert not missing, (info.name, missing)
+            if hasattr(module, "__all__"):  # every public class and function it defines is listed
+                unlisted = [name for name, obj in vars(module).items()
+                            if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+                            and obj.__module__ == module.__name__ and name not in module.__all__]
+                assert not unlisted, (info.name, unlisted)
 
 
 def test_module_public_names_are_disjoint():

@@ -259,6 +259,19 @@ def test_log_keeps_str_subclass_ids():
     assert all(isinstance(pid, str) for pid in log.problem_ids)
 
 
+def test_confidence_with_no_cell_filled_is_none():
+    shape = (2, 3)
+    empty = CorrectnessLog(problem_ids=["a", "b"], correctness=np.ones(shape, dtype=bool),
+                           confidence=np.full(shape, np.nan))
+    assert empty.confidence is None
+    conf = np.full(shape, np.nan)
+    conf[1, 2] = 0.25
+    one = CorrectnessLog(problem_ids=["a", "b"], correctness=np.ones(shape, dtype=bool), confidence=conf)
+    assert one.confidence is not None
+    assert one.confidence[1, 2] == 0.25
+    assert np.isnan(np.delete(one.confidence.ravel(), 5)).all()
+
+
 def test_accessors():
     log = _toy_log()
     assert log.n_problems == 4

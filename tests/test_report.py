@@ -231,7 +231,9 @@ def test_undefined_cells_render_empty_or_na():
     assert "undefined" in artifacts["verdicts.csv"]
     # no incorrect answer, so no pooled ecr: "n/a" takes no percent sign
     tag = report.runs[0].classification.tag
-    assert f"run: delta +0.0 pp, pooled eir 0.0%, pooled ecr n/a -> {tag}" in artifacts["report.txt"].splitlines()
+    lines = artifacts["report.txt"].splitlines()
+    assert f"run: delta +0.0 pp, pooled eir 0.0%, pooled ecr n/a -> {tag}" in lines
+    assert "run    it0->it1  0.0  n/a  undefined" in lines
 
 
 def test_run_without_flips_renders_as_absorbing():

@@ -111,7 +111,7 @@ def test_chi_square_quantile_self_check():
 
 def test_chi_square_against_erfc_oracle():
     # for one degree of freedom the survival function is erfc(sqrt(x/2))
-    for x in np.concatenate([np.linspace(0.0, 5.0, 41), np.linspace(5.0, 60.0, 23)]):
+    for x in np.concatenate([np.linspace(0.0, 5.0, 41), np.linspace(5.0, 60.0, 23), [math.inf]]):
         want = math.erfc(math.sqrt(x / 2.0))
         got = chi_square_survival(float(x))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
