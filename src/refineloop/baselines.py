@@ -136,10 +136,8 @@ def fit_common_cause_weight(p: float, k: int, target_accuracy: float) -> float:
         if mixture_sc_accuracy(p, end, k) == target_accuracy:
             return end
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    while hi - lo > 1e-12:  # 40 halvings of [0, 1]
         mid = (lo + hi) / 2.0
-        if hi - lo <= 1e-12:
-            break
         value = mixture_sc_accuracy(p, mid, k)
         # accuracy is decreasing in rho when iid >= p (and increasing otherwise):
         # rho moves up past mid exactly when that direction lowers a too-high value.

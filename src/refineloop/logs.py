@@ -72,9 +72,12 @@ def _check_correctness(values) -> np.ndarray:
     return array
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class CorrectnessLog:
-    """Per-problem, per-iteration correctness for one run."""
+    """Per-problem, per-iteration correctness for one run.
+
+    Every field is checked and set once, here; the arrays are kept as given, not copied.
+    """
 
     problem_ids: list[str]
     correctness: np.ndarray  # bool, shape (n_problems, n_iterations + 1)
@@ -85,22 +88,24 @@ class CorrectnessLog:
         matrix = np.asarray(self.correctness)
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ValueError(f"correctness must be a non-empty 2-d matrix, got shape {matrix.shape}")
-        matrix = self.correctness = _check_correctness(matrix)
-        ids = self.problem_ids = list(self.problem_ids)
+        matrix = _check_correctness(matrix)
+        ids = list(self.problem_ids)
         if not all(issubclass(t, str) for t in set(map(type, ids))):  # one test per type, not per id
             bad = next(p for p in ids if not isinstance(p, str))
             raise ValueError(f"problem ids must be strings, got {bad!r}")
-        if len(self.problem_ids) != matrix.shape[0]:
-            raise ValueError(
-                f"{len(self.problem_ids)} problem ids for {matrix.shape[0]} matrix rows"
-            )
-        if len(set(self.problem_ids)) != len(self.problem_ids):
+        if len(ids) != matrix.shape[0]:
+            raise ValueError(f"{len(ids)} problem ids for {matrix.shape[0]} matrix rows")
+        if len(set(ids)) != len(ids):
             raise ValueError("problem ids must be unique")
-        if self.confidence is not None:
-            conf = np.asarray(self.confidence, dtype=float)
+        conf = self.confidence
+        if conf is not None:
+            conf = np.asarray(conf, dtype=float)
             if conf.shape != matrix.shape:
                 raise ValueError("confidence matrix shape must match correctness")
-            self.confidence = None if np.isnan(conf).all() else conf
+            conf = None if np.isnan(conf).all() else conf
+        object.__setattr__(self, "correctness", matrix)
+        object.__setattr__(self, "problem_ids", ids)
+        object.__setattr__(self, "confidence", conf)
 
     @property
     def n_problems(self) -> int:

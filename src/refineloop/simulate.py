@@ -38,7 +38,7 @@ class SimConfig:
             raise ValueError("schedule must be a RateSchedule")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class SimTrajectory:
     """Simulated correctness log plus an echo of the config that made it."""
 

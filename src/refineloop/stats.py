@@ -73,21 +73,16 @@ def _regularized_gamma_series(x: float) -> float:
 
 def _regularized_gamma_cf(x: float) -> float:
     """Upper regularized Q(a, x) by Lentz's continued fraction, before its prefactor; x >= a + 1."""
-    tiny = 1e-300
     b = x + 1.0 - _A
-    c = 1.0 / tiny
+    c = math.inf  # Lentz's 1 / tiny: the first step sets c = b
     d = 1.0 / b
     h = d
+    # No tiny floor: at x >= a + 1 each denominator b_i + a_i / D is >= b_i / 2 >= i + 1 (by induction), c alike
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - _A)
         b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:

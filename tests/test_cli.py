@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -496,6 +497,15 @@ def test_package_reexports_every_public_name():
                             if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
                             and obj.__module__ == module.__name__ and name not in module.__all__]
                 assert not unlisted, (info.name, unlisted)
+
+
+def test_exported_dataclasses_are_frozen():
+    # a record is set once, by its checked constructor; no exported dataclass takes a later assignment
+    exported = [obj for name in dir(refineloop) if dataclasses.is_dataclass(obj := getattr(refineloop, name))
+                and inspect.isclass(obj)]
+    assert exported
+    mutable = sorted(cls.__name__ for cls in exported if not cls.__dataclass_params__.frozen)
+    assert not mutable, mutable
 
 
 def test_module_public_names_are_disjoint():

@@ -1,6 +1,7 @@
 """Correctness-log format: round trips and line-numbered failures."""
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -270,6 +271,24 @@ def test_confidence_with_no_cell_filled_is_none():
     assert one.confidence is not None
     assert one.confidence[1, 2] == 0.25
     assert np.isnan(np.delete(one.confidence.ravel(), 5)).all()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("correctness", np.array([[2, 0], [0, 1]])),
+    ("problem_ids", ["a", "a"]),
+    ("confidence", np.zeros((3, 3))),
+    ("confidence", np.full((2, 2), np.nan)),
+])
+def test_fields_cannot_be_reassigned(field, value):
+    # the constructor is the only place that checks a log, so it is the only way to set one
+    log = CorrectnessLog(problem_ids=["a", "b"], correctness=np.eye(2, dtype=bool))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(log, field, value)
+    assert log.problem_ids == ["a", "b"] and log.confidence is None
+    trajectory = simulate_population(SimConfig(n_problems=2, n_iterations=1, initial_accuracy=0.5, seed=1,
+                                               schedule=preset("o4-mini")))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trajectory.log = log
 
 
 def test_accessors():
