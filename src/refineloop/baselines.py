@@ -66,12 +66,15 @@ def theoretical_sc_accuracy(p: float, k: int) -> float:
     """Probability a strict majority of k i.i.d. Bernoulli(p) samples is correct.
 
     For k = 3 this is p**3 + 3 * p**2 * (1 - p). Odd k only, so there are
-    no ties to adjudicate.
+    no ties to adjudicate. The float sum can round above 1 (at p = 0.6275,
+    k = 1029 it reaches 1 + 4e-16), so it is capped at 1: a probability,
+    and the i.i.d. end that ``fit_common_cause_weight`` accepts.
     """
     p = _check_real("p", p)
     k = _check_odd_k(k)
     q = 1.0 - p
-    return sum(math.comb(k, j) * p**j * q ** (k - j) for j in range(k // 2 + 1, k + 1))
+    total = sum(math.comb(k, j) * p**j * q ** (k - j) for j in range(k // 2 + 1, k + 1))
+    return min(1.0, total)
 
 
 @dataclass(frozen=True)

@@ -72,11 +72,18 @@ def _check_correctness(values) -> np.ndarray:
     return array
 
 
+class _DistinctIds(list):
+    """Distinct strs by construction; only ``simulate._problem_ids`` builds one."""
+
+
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class CorrectnessLog:
     """Per-problem, per-iteration correctness for one run.
 
     Every field is checked and set once, here; the arrays are kept as given, not copied.
+    ``problem_ids`` is always held as a plain ``list``. Ids given as a
+    ``_DistinctIds``, which ``simulate`` builds as distinct strs, skip the
+    type and uniqueness passes; they still meet the row-count check.
     """
 
     problem_ids: list[str]
@@ -89,13 +96,15 @@ class CorrectnessLog:
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ValueError(f"correctness must be a non-empty 2-d matrix, got shape {matrix.shape}")
         matrix = _check_correctness(matrix)
+        distinct = type(self.problem_ids) is _DistinctIds
         ids = list(self.problem_ids)
-        if not all(issubclass(t, str) for t in set(map(type, ids))):  # one test per type, not per id
+        # one test per type, not per id
+        if not distinct and not all(issubclass(t, str) for t in set(map(type, ids))):
             bad = next(p for p in ids if not isinstance(p, str))
             raise ValueError(f"problem ids must be strings, got {bad!r}")
         if len(ids) != matrix.shape[0]:
             raise ValueError(f"{len(ids)} problem ids for {matrix.shape[0]} matrix rows")
-        if len(set(ids)) != len(ids):
+        if not distinct and len(set(ids)) != len(ids):
             raise ValueError("problem ids must be unique")
         conf = self.confidence
         if conf is not None:

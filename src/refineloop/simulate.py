@@ -6,7 +6,7 @@ schedule. All randomness comes from the counter-based generator in
 (seed, stream k+1, index i), so any subset of problems can be simulated
 in any order (or on any worker count) with bit-identical results.
 Iteration 0 is deterministic: exactly round(N * acc0) problems start
-correct, their slots chosen by a seeded shuffle.
+correct, those with the smallest seeded keys, ties to the lower index.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .dynamics import AccuracyPoint, TransitionRates, step_accuracy, _check_int, _check_real
-from .logs import CorrectnessLog
+from .logs import CorrectnessLog, _DistinctIds
 from .schedule import RateSchedule
 
 __all__ = ["SimConfig", "SimTrajectory", "simulate_population", "analytic_trajectory", "deterministic_replay"]
@@ -46,8 +46,13 @@ class SimTrajectory:
     config: SimConfig
 
 
-def _problem_ids(n: int) -> list[str]:
-    """``p`` and i zero-padded to the width of n - 1, for i < n; built as one byte grid, split once."""
+def _problem_ids(n: int) -> _DistinctIds:
+    """``p`` and i zero-padded to the width of n - 1, for i < n; built as one byte grid, split once.
+
+    Distinct indices at one width give distinct strs, so the result is a
+    ``_DistinctIds``, which ``CorrectnessLog`` takes without its type and
+    uniqueness passes.
+    """
     width = len(str(n - 1))
     grid = np.empty((n, width + 2), dtype=np.uint8)
     grid[:, 0], grid[:, -1] = ord("p"), ord("\n")
@@ -55,7 +60,7 @@ def _problem_ids(n: int) -> list[str]:
     for col in range(width, 0, -1):  # the last digit first
         index, grid[:, col] = np.divmod(index, 10)
     grid[:, 1:-1] += ord("0")
-    return grid.tobytes()[:-1].decode("ascii").split("\n")
+    return _DistinctIds(grid.tobytes()[:-1].decode("ascii").split("\n"))
 
 
 def _resolved_rates(schedule: RateSchedule, n_iterations: int) -> list[TransitionRates]:
@@ -79,10 +84,20 @@ def _chain_log(state: np.ndarray, rates: list, step, metadata: dict, name: str |
     )
 
 
-def _initial_column(order: np.ndarray, accuracy: float) -> np.ndarray:
-    """Iteration 0: the round(n * accuracy) problems first in ``order`` start correct."""
-    state = np.zeros(len(order), dtype=bool)
-    state[order[: int(round(len(order) * accuracy))]] = True
+def _initial_column(keys: np.ndarray, accuracy: float) -> np.ndarray:
+    """Iteration 0: the k = round(n * accuracy) problems with the smallest keys start correct.
+
+    Keys tied with the k-th smallest go to the lowest indices, so the set
+    is the first k of a stable argsort. ``np.partition`` finds the k-th
+    smallest key by selection, in O(n); nothing is sorted.
+    """
+    k = int(round(len(keys) * accuracy))
+    if k == 0:
+        return np.zeros(len(keys), dtype=bool)
+    kth = np.partition(keys, k - 1)[k - 1]
+    state = keys < kth
+    ties = np.flatnonzero(keys == kth)
+    state[ties[: k - np.count_nonzero(state)]] = True
     return state
 
 
@@ -91,7 +106,7 @@ def simulate_population(config: SimConfig) -> SimTrajectory:
     rates = _resolved_rates(config.schedule, config.n_iterations)
     indices = np.arange(config.n_problems, dtype=np.uint64)  # rng's dtype: no copy
     keys = rng.uniforms(config.seed, rng.SIM_INIT_STREAM, indices)
-    state = _initial_column(np.argsort(keys, kind="stable"), config.initial_accuracy)
+    state = _initial_column(keys, config.initial_accuracy)
 
     def step(t, state, r):
         u = rng.uniforms(config.seed, rng.SIM_TRANSITION_BASE + t, indices)

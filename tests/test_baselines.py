@@ -169,6 +169,13 @@ def test_fit_at_the_ends_of_the_range_is_exact(p, k, target, rho):
     assert fit_common_cause_weight(p, k, target) == rho
 
 
+def test_iid_accuracy_is_capped_at_one_and_its_fit_is_rho_zero():
+    # the float binomial sum rounds to 1 + 4e-16 here; the fit must accept its own i.i.d. end
+    iid = theoretical_sc_accuracy(0.6275, 1029)
+    assert iid <= 1.0
+    assert fit_common_cause_weight(0.6275, 1029, iid) == 0.0
+
+
 def test_fit_rejects_unattainable_target():
     with pytest.raises(ValueError, match="attainable"):
         fit_common_cause_weight(0.912, 3, 0.99)

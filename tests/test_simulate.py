@@ -7,12 +7,16 @@ whose one-decimal roundings are 91.2, 90.0, 89.6, 86.6, 85.0.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from refineloop import simulate
 from refineloop.dynamics import TransitionRates, closed_form_accuracy
+from refineloop.logs import CorrectnessLog, _DistinctIds
 from refineloop.schedule import RateSchedule, ScheduleExhaustedError, preset, preset_baseline
 from refineloop.simulate import (
     SimConfig,
+    _initial_column,
     _problem_ids,
     analytic_trajectory,
     deterministic_replay,
@@ -82,6 +86,17 @@ def test_initial_column_count_is_exact():
         assert int(traj.log.correctness[:, 0].sum()) == round(n * acc0)
 
 
+@given(
+    keys=st.lists(st.integers(0, 4), min_size=1, max_size=60),  # few values: ties are frequent
+    accuracy=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+)
+def test_initial_column_is_the_stable_argsort_prefix(keys, accuracy):
+    keys = np.array(keys)
+    want = np.zeros(len(keys), dtype=bool)
+    want[np.argsort(keys, kind="stable")[: round(len(keys) * accuracy)]] = True
+    assert np.array_equal(_initial_column(keys, accuracy), want)
+
+
 def test_simulation_is_bit_identical():
     config = SimConfig(
         n_problems=400,
@@ -142,6 +157,19 @@ def test_problem_ids_are_zero_padded_and_unique():
 def test_problem_ids_match_the_nested_format_spec(n):
     width = len(str(n - 1))
     assert _problem_ids(n) == [f"p{i:0{width}d}" for i in range(n)]
+
+
+def test_built_logs_hold_plain_list_ids():
+    config = SimConfig(n_problems=12, n_iterations=2, initial_accuracy=0.5, seed=3, schedule=preset("o4-mini"))
+    for log in (simulate_population(config).log, deterministic_replay(preset("o4-mini"), 0.5, 12, n_iterations=2)):
+        assert type(log.problem_ids) is list
+        assert log.problem_ids == _problem_ids(12)
+
+
+def test_distinct_ids_still_meet_the_row_count_check():
+    assert type(_problem_ids(3)) is _DistinctIds
+    with pytest.raises(ValueError, match="3 problem ids for 2 matrix rows"):
+        CorrectnessLog(problem_ids=_problem_ids(3), correctness=np.ones((2, 1), dtype=bool))
 
 
 _UNDERSPECIFIED = {  # gpt-4o-mini has 4 transitions and no tail; each run asks for 5
