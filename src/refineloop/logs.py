@@ -37,6 +37,7 @@ text (one ``repr`` per distinct float bit pattern), grouped by width.
 import csv
 import math
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,32 +73,47 @@ def _check_correctness(values) -> np.ndarray:
     return array
 
 
-class _DistinctIds(list):
-    """Distinct strs by construction; only ``simulate._problem_ids`` builds one."""
+class _DistinctIds(tuple):
+    """Distinct strs by construction, kept so as a tuple cannot change; only ``simulate._problem_ids`` builds one."""
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` whose cells cannot be written; nothing is copied, and ``array`` stays writable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class CorrectnessLog:
     """Per-problem, per-iteration correctness for one run.
 
-    Every field is checked and set once, here; the arrays are kept as given, not copied.
-    ``problem_ids`` is always held as a plain ``list``. Ids given as a
-    ``_DistinctIds``, which ``simulate`` builds as distinct strs, skip the
-    type and uniqueness passes; they still meet the row-count check.
+    Every field is checked and set once, here, and nothing written through
+    the log changes it: ``problem_ids`` is held as a ``tuple`` (any
+    sequence of strs is taken, a ``str`` is refused), and ``correctness``
+    and ``confidence`` as read-only views, not copies, so an array the
+    caller kept can still be written, and the log shows what is written
+    there. ``metadata`` must be a mapping. Ids given as a ``_DistinctIds``,
+    which ``simulate`` builds as distinct strs, skip the type and
+    uniqueness passes; they still meet the row-count check.
     """
 
-    problem_ids: list[str]
-    correctness: np.ndarray  # bool, shape (n_problems, n_iterations + 1)
+    problem_ids: tuple[str, ...]
+    correctness: np.ndarray  # bool, shape (n_problems, n_iterations + 1), read-only
     metadata: dict[str, str] = field(default_factory=dict)
-    confidence: np.ndarray | None = None  # float, same shape, nan = absent; None when none is filled
+    confidence: np.ndarray | None = None  # float, same shape, nan = absent, read-only; None when none is filled
 
     def __post_init__(self):
         matrix = np.asarray(self.correctness)
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ValueError(f"correctness must be a non-empty 2-d matrix, got shape {matrix.shape}")
         matrix = _check_correctness(matrix)
+        if isinstance(self.problem_ids, str):  # else taken as one id per character
+            raise ValueError("problem ids must be a sequence of strings, not one str")
+        if not isinstance(self.metadata, Mapping):
+            raise ValueError(f"metadata must be a mapping, got {type(self.metadata).__name__}")
         distinct = type(self.problem_ids) is _DistinctIds
-        ids = list(self.problem_ids)
+        ids = tuple(self.problem_ids)
         # one test per type, not per id
         if not distinct and not all(issubclass(t, str) for t in set(map(type, ids))):
             bad = next(p for p in ids if not isinstance(p, str))
@@ -111,8 +127,8 @@ class CorrectnessLog:
             conf = np.asarray(conf, dtype=float)
             if conf.shape != matrix.shape:
                 raise ValueError("confidence matrix shape must match correctness")
-            conf = None if np.isnan(conf).all() else conf
-        object.__setattr__(self, "correctness", matrix)
+            conf = None if np.isnan(conf).all() else _read_only(conf)
+        object.__setattr__(self, "correctness", _read_only(matrix))
         object.__setattr__(self, "problem_ids", ids)
         object.__setattr__(self, "confidence", conf)
 
@@ -520,7 +536,7 @@ def _matrix_file(head: bytes, ids: str, matrix: np.ndarray, form: str, tag: str)
     return out
 
 
-def _ragged_file(head: bytes, ids: list[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
+def _ragged_file(head: bytes, ids: Sequence[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
                  conf: np.ndarray | None = None) -> bytearray:
     """The file for ids of varying width, or with a confidence filled, built in one byte array.
 

@@ -16,6 +16,7 @@ import pytest
 
 from refineloop import cli
 from refineloop.asc import StopReason, load_scenario, run_scenario
+from refineloop.logs import CorrectnessLog, read_log, write_log
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -91,3 +92,20 @@ def test_traced_log_roundtrip_report_draws_nothing_but_still_counts_its_bootstra
     assert counts.get("rng.uniforms.calls", 0) == 0
     assert counts["stats.paired_bootstrap_delta.index_draws"] == size["resamples"] * size["n"]
     assert "stats.paired_bootstrap_delta" in {span["name"] for span in tracer.spans}
+
+
+def test_log_roundtrip_pass_reads_back_as_simulated(tmp_path):
+    # the bench's read-back check compares ids with "!=", so an id type for which
+    # that is not one bool breaks it; it fails here, not as a failed bench pass
+    workloads = _bench_module("workloads")
+    size = workloads.SIZES["smoke"]["log-roundtrip"]
+    out = tmp_path / "out"
+    for step, argv in workloads.pass_steps("log-roundtrip", 1, size, tmp_path / "inputs", out):
+        assert cli.main(argv) == 0, step
+    assert workloads.readback("log-roundtrip", 1, size, out) == {}
+    path = out / "compact" / "log.csv"  # one id changed: the check must see it
+    log = read_log(path)
+    ids = ["q" + log.problem_ids[0], *log.problem_ids[1:]]
+    write_log(CorrectnessLog(problem_ids=ids, correctness=log.correctness, metadata=log.metadata), path,
+              form="compact", run_label=workloads.ROUNDTRIP_COMPACT_LABEL)
+    assert workloads.readback("log-roundtrip", 1, size, out) == {"compact": "problem ids differ from the simulation"}

@@ -26,6 +26,7 @@ from refineloop.logs import (
     read_runs,
     write_log,
 )
+from refineloop.simulate import _problem_ids
 
 
 _FIELD_LIMIT = csv.field_size_limit()
@@ -147,7 +148,7 @@ def test_blank_lines_between_directives_are_skipped(tmp_path):
     path.write_text(f"#{FORMAT_VERSION}\n#meta:seed=7\n\n  \n#meta:source=x\nproblem_id,it0\np,1\n")
     log = read_log(path)
     assert log.metadata == {"seed": "7", "source": "x"}
-    assert log.problem_ids == ["p"]
+    assert list(log.problem_ids) == ["p"]
 
 
 @pytest.mark.parametrize(
@@ -256,7 +257,7 @@ def test_log_validation():
 def test_log_keeps_str_subclass_ids():
     ids = np.array(["a", "b"])  # numpy str_ items are a str subclass
     log = CorrectnessLog(problem_ids=ids, correctness=np.ones((2, 1), dtype=bool))
-    assert log.problem_ids == ["a", "b"]
+    assert list(log.problem_ids) == ["a", "b"]
     assert all(isinstance(pid, str) for pid in log.problem_ids)
 
 
@@ -284,11 +285,67 @@ def test_fields_cannot_be_reassigned(field, value):
     log = CorrectnessLog(problem_ids=["a", "b"], correctness=np.eye(2, dtype=bool))
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(log, field, value)
-    assert log.problem_ids == ["a", "b"] and log.confidence is None
+    assert list(log.problem_ids) == ["a", "b"] and log.confidence is None
     trajectory = simulate_population(SimConfig(n_problems=2, n_iterations=1, initial_accuracy=0.5, seed=1,
                                                schedule=preset("o4-mini")))
     with pytest.raises(dataclasses.FrozenInstanceError):
         trajectory.log = log
+
+
+def _frozen_logs(tmp_path):
+    """A hand-built log with a confidence filled, the same log read back, and a simulated log."""
+    conf = np.full((2, 3), np.nan)
+    conf[0, 1] = 0.75
+    built = CorrectnessLog(problem_ids=["a", "b"], correctness=np.eye(2, 3, dtype=bool), confidence=conf)
+    write_log(built, tmp_path / "built.csv")
+    simulated = simulate_population(SimConfig(n_problems=12, n_iterations=2, initial_accuracy=0.5, seed=3,
+                                              schedule=preset("o4-mini"))).log
+    return {"built": built, "read": read_log(tmp_path / "built.csv"), "simulated": simulated}
+
+
+def test_ids_and_cells_cannot_be_written(tmp_path):
+    # a write into a log could make write_log produce a file that read_runs refuses or reads differently
+    for name, log in _frozen_logs(tmp_path).items():
+        with pytest.raises(TypeError):
+            log.problem_ids[1] = log.problem_ids[0]
+        with pytest.raises(ValueError, match="read-only"):
+            log.correctness[0, 0] = not log.correctness[0, 0]
+        if log.confidence is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                log.confidence[:] = np.nan
+        path = tmp_path / f"{name}-again.csv"
+        write_log(log, path)
+        back = read_log(path)
+        assert back.problem_ids == log.problem_ids, name
+        assert np.array_equal(back.correctness, log.correctness), name
+        assert (back.confidence is None) == (log.confidence is None), name
+        if log.confidence is not None:
+            assert np.array_equal(back.confidence, log.confidence, equal_nan=True), name
+
+
+def test_arrays_the_caller_kept_stay_writable():
+    # the log holds read-only views, not copies, so the caller's own arrays are not frozen
+    bits, conf = np.eye(2, dtype=bool), np.full((2, 2), 0.5)
+    CorrectnessLog(problem_ids=["a", "b"], correctness=bits, confidence=conf)
+    bits[0, 0], conf[0, 0] = False, 0.25
+    assert not bits[0, 0] and conf[0, 0] == 0.25
+
+
+def test_simulated_ids_cannot_grow():
+    assert not hasattr(_problem_ids(3), "append")
+
+
+def test_str_ids_are_refused():
+    # a str is a sequence of strs: "abc" would be taken as the ids "a", "b" and "c"
+    with pytest.raises(ValueError, match="problem ids must be a sequence of strings, not one str"):
+        CorrectnessLog(problem_ids="abc", correctness=np.ones((3, 1), dtype=bool))
+
+
+@pytest.mark.parametrize("metadata", [None, [("seed", "7")], "seed=7"])
+def test_metadata_that_is_not_a_mapping_is_refused(metadata):
+    # write_log reads metadata as a mapping: None would fail there with an AttributeError
+    with pytest.raises(ValueError, match="metadata must be a mapping"):
+        CorrectnessLog(problem_ids=["a"], correctness=np.ones((1, 1), dtype=bool), metadata=metadata)
 
 
 def test_accessors():
@@ -420,7 +477,7 @@ def test_fields_at_the_limit_read_back(tmp_path, form):
     log = CorrectnessLog(problem_ids=ids, correctness=np.array([[1, 0], [0, 1]]))
     path = tmp_path / "log.csv"
     write_log(log, path, form=form, run_label="y" * _FIELD_LIMIT)
-    assert read_runs(path)["y" * _FIELD_LIMIT].problem_ids == ids
+    assert list(read_runs(path)["y" * _FIELD_LIMIT].problem_ids) == ids
 
 
 @pytest.mark.parametrize("form", ["records", "compact"])
@@ -450,7 +507,7 @@ def test_accepted_logs_read_back_equal(tmp_path, monkeypatch, form, ids, width, 
     runs = read_runs(path)
     assert list(runs) == [label]
     back = runs[label]
-    assert back.problem_ids == ids
+    assert list(back.problem_ids) == ids
     assert np.array_equal(back.correctness, matrix)
     assert back.metadata == {k: v for k, v in metadata.items() if k != "run_label"}
     if conf is None or np.isnan(conf).all():
@@ -722,7 +779,7 @@ def test_varying_width_logs_take_the_byte_array_paths(tmp_path, monkeypatch, for
         back = read_runs(path)["bench"]
     assert ragged.call_count == 2  # the write, and the check of the read
     assert path.read_bytes() == _csv_writer_bytes(log, form, "bench")
-    assert back.problem_ids == ids
+    assert list(back.problem_ids) == ids
     assert np.array_equal(back.correctness, log.correctness)
     assert back.metadata == {"seed": "5"}
 

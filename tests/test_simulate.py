@@ -156,13 +156,13 @@ def test_problem_ids_are_zero_padded_and_unique():
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 1000, 1001, 100001])
 def test_problem_ids_match_the_nested_format_spec(n):
     width = len(str(n - 1))
-    assert _problem_ids(n) == [f"p{i:0{width}d}" for i in range(n)]
+    assert list(_problem_ids(n)) == [f"p{i:0{width}d}" for i in range(n)]
 
 
-def test_built_logs_hold_plain_list_ids():
+def test_built_logs_hold_plain_tuple_ids():
     config = SimConfig(n_problems=12, n_iterations=2, initial_accuracy=0.5, seed=3, schedule=preset("o4-mini"))
     for log in (simulate_population(config).log, deterministic_replay(preset("o4-mini"), 0.5, 12, n_iterations=2)):
-        assert type(log.problem_ids) is list
+        assert type(log.problem_ids) is tuple
         assert log.problem_ids == _problem_ids(12)
 
 
