@@ -27,11 +27,15 @@ included, is read through numpy and checked by encoding the result
 again; any other file (a ``\r``, a blank line, rows out of order, a hand
 edit) is read with ``csv``, with the same result. Ids are read in one
 numpy pass: when every id, quotes dropped, has one width, as one byte
-grid, else through one keep-mask over the body. A log is written without
-a string per row: when every id, as written, is ASCII of one width and
-no confidence is filled (every log ``simulate`` writes), as one byte
-matrix, else as one byte array with its ids, and its filled confidences'
-text (one ``repr`` per distinct float bit pattern), grouped by width.
+grid, else through one keep-mask over the body. When that grid holds
+distinct ASCII ids and none was quoted (every log ``simulate`` writes),
+the log keeps it (``_IdGrid``): its ``tuple`` of ids is split from the
+grid once, with no other pass over them in Python, and it is written
+again from the grid. A log is written without a string per row: when
+every id, as written, is ASCII of one width and no confidence is filled,
+as one byte matrix, else as one byte array with its ids, and its filled
+confidences' text (one ``repr`` per distinct float bit pattern), grouped
+by width.
 """
 
 import csv
@@ -42,6 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .dynamics import _check_int
 
 __all__ = ["FORMAT_VERSION", "LogFormatError", "CorrectnessLog", "align_rows", "read_log", "read_runs", "write_log"]
 
@@ -73,8 +79,50 @@ def _check_correctness(values) -> np.ndarray:
     return array
 
 
-class _DistinctIds(tuple):
-    """Distinct strs by construction, kept so as a tuple cannot change; only ``simulate._problem_ids`` builds one."""
+def _joined(grid: np.ndarray) -> bytes:
+    """The rows of a uint8 byte grid, joined by "\\n"."""
+    n, width = grid.shape
+    lines = np.empty((n, width + 1), dtype=np.uint8)
+    lines[:, :width] = grid
+    lines[:, width] = ord("\n")
+    return lines.tobytes()[:-1]
+
+
+class _IdGrid:
+    """Distinct ASCII ids of one width, no "\\n" among them, as the rows of an ``(n, w)`` uint8 grid.
+
+    Given as a log's ``problem_ids``, it skips the type and uniqueness
+    passes, and the log keeps the grid. Only ``simulate._problem_ids``,
+    whose ids are distinct by construction, and the reader, after
+    ``_distinct_rows``, build one.
+    """
+
+    __slots__ = ("grid",)
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+
+    def __iter__(self):
+        return iter(_joined(self.grid).decode("ascii").split("\n"))
+
+
+def _distinct_rows(grid: np.ndarray) -> bool:
+    """True if the rows of a uint8 grid are known to differ: one uint64 key per row, sorted, neighbours compared.
+
+    A row of up to 8 bytes is its own key; a wider row's 8-byte words are
+    folded into one, so a repeated key may be a collision, not a repeat,
+    and False then means "not known".
+    """
+    n, width = grid.shape
+    words = np.zeros((n, max(1, -(-width // 8)) * 8), dtype=np.uint8)
+    words[:, :width] = grid
+    words = words.view(np.uint64)
+    keys = words[:, 0].copy()
+    for col in range(1, words.shape[1]):
+        keys *= np.uint64(0x9E3779B97F4A7C15)  # wraps: a hash, not a sum
+        keys ^= words[:, col]
+    keys.sort()
+    return not (keys[1:] == keys[:-1]).any()
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -93,15 +141,19 @@ class CorrectnessLog:
     sequence of strs is taken, a ``str`` is refused), and ``correctness``
     and ``confidence`` as read-only views, not copies, so an array the
     caller kept can still be written, and the log shows what is written
-    there. ``metadata`` must be a mapping. Ids given as a ``_DistinctIds``,
-    which ``simulate`` builds as distinct strs, skip the type and
-    uniqueness passes; they still meet the row-count check.
+    there. ``metadata`` must be a mapping. Ids given as an ``_IdGrid``, the
+    byte grid of distinct one-width ASCII ids that ``simulate`` and the
+    reader build, are split from it once and skip the type and uniqueness
+    passes (they still meet the row-count check); the log keeps a
+    read-only view of the grid as ``_id_grid`` (else None), from which
+    ``write_log`` takes the ids' bytes.
     """
 
     problem_ids: tuple[str, ...]
     correctness: np.ndarray  # bool, shape (n_problems, n_iterations + 1), read-only
     metadata: dict[str, str] = field(default_factory=dict)
     confidence: np.ndarray | None = None  # float, same shape, nan = absent, read-only; None when none is filled
+    _id_grid: np.ndarray | None = field(default=None, init=False, repr=False)  # uint8, (n_problems, id width)
 
     def __post_init__(self):
         matrix = np.asarray(self.correctness)
@@ -112,15 +164,15 @@ class CorrectnessLog:
             raise ValueError("problem ids must be a sequence of strings, not one str")
         if not isinstance(self.metadata, Mapping):
             raise ValueError(f"metadata must be a mapping, got {type(self.metadata).__name__}")
-        distinct = type(self.problem_ids) is _DistinctIds
+        grid = self.problem_ids.grid if type(self.problem_ids) is _IdGrid else None
         ids = tuple(self.problem_ids)
         # one test per type, not per id
-        if not distinct and not all(issubclass(t, str) for t in set(map(type, ids))):
+        if grid is None and not all(issubclass(t, str) for t in set(map(type, ids))):
             bad = next(p for p in ids if not isinstance(p, str))
             raise ValueError(f"problem ids must be strings, got {bad!r}")
         if len(ids) != matrix.shape[0]:
             raise ValueError(f"{len(ids)} problem ids for {matrix.shape[0]} matrix rows")
-        if not distinct and len(set(ids)) != len(ids):
+        if grid is None and len(set(ids)) != len(ids):
             raise ValueError("problem ids must be unique")
         conf = self.confidence
         if conf is not None:
@@ -131,6 +183,7 @@ class CorrectnessLog:
         object.__setattr__(self, "correctness", _read_only(matrix))
         object.__setattr__(self, "problem_ids", ids)
         object.__setattr__(self, "confidence", conf)
+        object.__setattr__(self, "_id_grid", None if grid is None else _read_only(grid))
 
     @property
     def n_problems(self) -> int:
@@ -142,6 +195,8 @@ class CorrectnessLog:
         return self.correctness.shape[1] - 1
 
     def accuracy(self, k: int) -> float:
+        """The share of problems correct at iteration ``k``, for k in 0..K; ValueError for any other ``k``."""
+        k = _check_int("k", k, 0, self.n_iterations + 1)
         return float(np.count_nonzero(self.correctness[:, k])) / self.n_problems
 
 
@@ -367,24 +422,32 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
         matrix = buf[ends[:, None] + np.arange(1 - 2 * width, 0, 2)] == ord("1")
         id_ends = ends - 2 * width
     del ends  # no array per line outlives the parse: the ids are built next
+    ids = _read_ids(buf, starts, id_ends)
+    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=confidence)
+    return log, form, label
+
+
+def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid | list[str]:
+    """The ids written at ``buf[starts[i]:ends[i]]``, as ``_quote`` wrote them; ``starts`` and ``ends`` change in place.
+
+    Ids of one width are gathered as one byte grid, kept as an
+    ``_IdGrid`` when none was quoted and its rows are distinct ASCII; a
+    repeat, if any, is then named by the log's constructor.
+    """
     quoted = buf[starts] == ord('"')  # a quoted id: its enclosing quotes are dropped here
     starts += quoted
-    id_ends -= quoted  # at the "," after each id, or at its closing quote
-    spans = id_ends - starts
+    ends -= quoted  # at the "," after each id, or at its closing quote
+    spans = ends - starts
     if not spans.size or spans.min() < 0:
         raise ValueError("a row too short for its id")
-    if spans.min() == spans.max():  # every id one width: gather them as one byte grid
-        id_width = int(spans[0])
-        grid = np.empty((len(spans), id_width + 1), dtype=np.uint8)
-        grid[:, :id_width] = sliding_window_view(buf, id_width)[starts]
-        grid[:, id_width] = ord("\n")
-        text = grid.tobytes()[:-1].decode("utf-8")
+    if spans.min() == spans.max():
+        grid = sliding_window_view(buf, int(spans[0]))[starts]
+        if not quoted.any() and (grid < 128).all() and _distinct_rows(grid):
+            return _IdGrid(grid)
+        text = _joined(grid).decode("utf-8")
     else:
-        text = _kept_ids(buf, starts, id_ends)
-    if '""' in text:  # undo _quote's doubling
-        text = text.replace('""', '"')
-    log = CorrectnessLog(problem_ids=text.split("\n"), correctness=matrix, metadata=metadata, confidence=confidence)
-    return log, form, label
+        text = _kept_ids(buf, starts, ends)
+    return text.replace('""', '"').split("\n")  # undo _quote's doubling
 
 
 def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
@@ -450,26 +513,39 @@ def _directives(metadata) -> str:
     return "".join(lines)
 
 
+# the bytes that end a line for str.splitlines, and the two that csv quotes a field for
+_LINE_BREAK_OR_QUOTE = np.frombuffer(b'\n\v\f\r\x1c\x1d\x1e,"', dtype=np.uint8)
+
+
 def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged.
 
     With no confidence filled, ids of one width in ASCII, as written, are
     laid out as one byte matrix (``_matrix_file``); any other log, filled
-    confidences included, in one byte array (``_ragged_file``).
+    confidences included, in one byte array (``_ragged_file``). A log that
+    keeps its ids' grid hands it to ``_matrix_file`` as it is, unless a
+    confidence is filled or a byte of it ends a line or needs quoting; its
+    ids are then read as strs, as any other log's.
     """
     if form not in ("records", "compact"):
         raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
-    ids = log.problem_ids
-    joined = "".join(ids)
-    if not _one_line(joined):
-        bad = next(pid for pid in ids if not _one_line(pid))
-        raise ValueError(f"problem id {bad!r} contains a line break")
+    conf = log.confidence
+    grid = log._id_grid
+    if grid is not None and (conf is not None or np.isin(grid, _LINE_BREAK_OR_QUOTE).any()):
+        grid = None
+    if grid is None:
+        ids = log.problem_ids
+        joined = "".join(ids)
+        if not _one_line(joined):
+            bad = next(pid for pid in ids if not _one_line(pid))
+            raise ValueError(f"problem id {bad!r} contains a line break")
+        lengths = set(map(len, ids))
+    else:
+        lengths = {grid.shape[1]}
     _check_label(label, form)
     limit = csv.field_size_limit()
-    lengths = set(map(len, ids))
     if max(lengths) > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
-    conf = log.confidence
     if form == "compact" and conf is not None:
         raise ValueError("the compact form holds no confidences; write this log in record form")
     meta = {k: v for k, v in log.metadata.items() if k != "run_label"}
@@ -481,16 +557,18 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     else:
         header = ",".join(_RECORD_HEADER)
     head = (_directives(meta) + header + "\n").encode("utf-8")
-    quote = "," in joined or '"' in joined
-    # rare: a '"', or ids of one width to quote; each id is quoted one at a time
-    if quote and ('"' in joined or len(lengths) == 1):
-        ids = [_quote(pid) for pid in ids]
-        joined, lengths, quote = "".join(ids), set(map(len, ids)), False
-    # str.isascii reads a flag; an ASCII id takes one byte per character. Rows of one width
-    # are copied by column: _ragged_file's scatters took 2.5 times as long on these logs
-    if len(lengths) == 1 and joined.isascii() and conf is None:
-        return _matrix_file(head, joined, matrix, form, tag)
-    return _ragged_file(head, ids, matrix, form, tag, quote, conf)
+    if grid is None:
+        quote = "," in joined or '"' in joined
+        # rare: a '"', or ids of one width to quote; each id is quoted one at a time
+        if quote and ('"' in joined or len(lengths) == 1):
+            ids = [_quote(pid) for pid in ids]
+            joined, lengths, quote = "".join(ids), set(map(len, ids)), False
+        # str.isascii reads a flag; an ASCII id takes one byte per character. Rows of one width
+        # are copied by column: _ragged_file's scatters took 2.5 times as long on these logs
+        if len(lengths) != 1 or not joined.isascii() or conf is not None:
+            return _ragged_file(head, ids, matrix, form, tag, quote, conf)
+        grid = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
+    return _matrix_file(head, grid, matrix, form, tag)
 
 
 def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[list[int]]]:
@@ -507,8 +585,8 @@ def _items(buf: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
 
 
-def _matrix_file(head: bytes, ids: str, matrix: np.ndarray, form: str, tag: str) -> bytearray:
-    """The file for quoted ids of one width, ``ids`` their ASCII concatenation, built as one byte matrix.
+def _matrix_file(head: bytes, grid: np.ndarray, matrix: np.ndarray, form: str, tag: str) -> bytearray:
+    """The file for quoted ids of one width, ``grid`` their ASCII bytes by row, built as one byte matrix.
 
     A template row holds every line of one problem, with "0" in its id
     columns and at its bits; each row of the matrix is that template,
@@ -516,7 +594,7 @@ def _matrix_file(head: bytes, ids: str, matrix: np.ndarray, form: str, tag: str)
     bits added at their columns.
     """
     n, width = matrix.shape
-    w = len(ids) // n
+    w = grid.shape[1]
     template, id_cols, bit_cols = b"", [], []
     for suffix, bits in zip(*_line_suffixes(form, width, tag)):
         id_cols.append(len(template))
@@ -527,7 +605,7 @@ def _matrix_file(head: bytes, ids: str, matrix: np.ndarray, form: str, tag: str)
     body = np.frombuffer(out, dtype=np.uint8, offset=len(head)).reshape(n, len(template))
     body[:] = np.frombuffer(template, dtype=np.uint8)
     if w:  # one V{w} item per id: each is copied as one unit
-        id_items = np.frombuffer(ids.encode("ascii"), dtype=f"V{w}")
+        id_items = grid.view(f"V{w}")[:, 0]
         for col in id_cols:
             body[:, col : col + w].view(f"V{w}")[:, 0] = id_items
     bits = matrix.view(np.uint8)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .dynamics import AccuracyPoint, TransitionRates, step_accuracy, _check_int, _check_real
-from .logs import CorrectnessLog, _DistinctIds
+from .logs import CorrectnessLog, _IdGrid
 from .schedule import RateSchedule
 
 __all__ = ["SimConfig", "SimTrajectory", "simulate_population", "analytic_trajectory", "deterministic_replay"]
@@ -46,21 +46,21 @@ class SimTrajectory:
     config: SimConfig
 
 
-def _problem_ids(n: int) -> _DistinctIds:
-    """``p`` and i zero-padded to the width of n - 1, for i < n; built as one byte grid, split once.
+def _problem_ids(n: int) -> _IdGrid:
+    """``p`` and i zero-padded to the width of n - 1, for i < n, as one byte grid.
 
-    Distinct indices at one width give distinct strs, so the result is a
-    ``_DistinctIds``, which ``CorrectnessLog`` takes without its type and
-    uniqueness passes.
+    Distinct indices at one width give distinct ids, so the grid is an
+    ``_IdGrid``, which ``CorrectnessLog`` takes without its type and
+    uniqueness passes and keeps for ``write_log``.
     """
     width = len(str(n - 1))
-    grid = np.empty((n, width + 2), dtype=np.uint8)
-    grid[:, 0], grid[:, -1] = ord("p"), ord("\n")
+    grid = np.empty((n, width + 1), dtype=np.uint8)
+    grid[:, 0] = ord("p")
     index = np.arange(n)
     for col in range(width, 0, -1):  # the last digit first
         index, grid[:, col] = np.divmod(index, 10)
-    grid[:, 1:-1] += ord("0")
-    return _DistinctIds(grid.tobytes()[:-1].decode("ascii").split("\n"))
+    grid[:, 1:] += ord("0")
+    return _IdGrid(grid)
 
 
 def _resolved_rates(schedule: RateSchedule, n_iterations: int) -> list[TransitionRates]:

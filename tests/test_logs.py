@@ -356,6 +356,14 @@ def test_accessors():
     assert log.accuracy(2) == 0.25
 
 
+@pytest.mark.parametrize("k", [-1, True, 2])
+def test_accuracy_refuses_k_outside_0_to_k(k):
+    # -1 read the last column, True column 1, and 2 raised numpy's IndexError
+    log = CorrectnessLog(problem_ids=["a", "b"], correctness=np.array([[1, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="^k must be"):
+        log.accuracy(k)
+
+
 def test_integer_matrix_coerced_to_bool():
     log = CorrectnessLog(problem_ids=["a", "b"], correctness=np.array([[1, 0], [0, 1]]))
     assert log.correctness.dtype == np.bool_
@@ -755,6 +763,144 @@ def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     assert back.problem_ids == log.problem_ids
     assert np.array_equal(back.correctness, log.correctness)
     assert back.metadata == log.metadata
+
+
+def _encoded(log, form, label):
+    """``_encode``'s bytes, or the type and message of its refusal."""
+    try:
+        return bytes(logs._encode(log, form, label))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _grid_log(ids, **fields):
+    """A log whose ids come as the byte grid the reader and ``simulate`` build."""
+    grid = np.frombuffer("".join(ids).encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
+    return CorrectnessLog(problem_ids=logs._IdGrid(grid), **fields)
+
+
+# one-width ASCII: the bytes that break a line or make csv quote, NUL and DEL among plain ones
+_GRID_ALPHABET = "ab0 #\x00\x7f" + ',"\r\x0b\x0c\x1c\x1d\x1e'
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@given(
+    width=st.integers(1, 12),  # past 8 bytes, where a row's uniqueness key becomes a hash of its words
+    data=st.data(),
+    label=st.sampled_from(["run", 'say "hi", run']),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_kept_grid_encodes_as_its_strs_do(form, width, data, label):
+    ids = data.draw(st.lists(st.text(_GRID_ALPHABET, min_size=width, max_size=width), min_size=1, max_size=6,
+                             unique=True))
+    matrix = data.draw(arrays(bool, (len(ids), data.draw(st.integers(1, 12)))))
+    conf = None
+    if form == "records":
+        conf = data.draw(st.none() | arrays(float, matrix.shape, elements=_CONFIDENCES))
+    encoded = _encoded(_grid_log(ids, correctness=matrix, confidence=conf), form, label)
+    assert encoded == _encoded(CorrectnessLog(problem_ids=ids, correctness=matrix, confidence=conf), form, label)
+    if isinstance(encoded, bytes):  # read back, the log keeps a grid unless an id was quoted
+        (back,) = logs._read_canonical(encoded).values()
+        assert back.problem_ids == tuple(ids)
+        assert (back._id_grid is None) == any("," in pid or '"' in pid for pid in ids)
+
+
+@given(rows=st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=8), width=st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_never_passes_a_repeat(rows, width):
+    # rows of `width` bytes, drawn from few byte strings so that repeats are common
+    grid = np.array([list((row * width)[:width]) for row in rows], dtype=np.uint8).reshape(len(rows), width)
+    distinct = len({row.tobytes() for row in grid}) == len(grid)
+    if width <= 8:  # the row is its own key
+        assert logs._distinct_rows(grid) == distinct
+    else:  # a repeated key may be a collision
+        assert distinct or not logs._distinct_rows(grid)
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("ids", [["p0", "p1", "p2"], ["problem-000001", "problem-000002", "problem-000003"]],
+                         ids=["up-to-8-bytes", "over-8-bytes"])
+def test_repeated_one_width_ids_fall_to_csv_and_name_their_line(tmp_path, form, ids):
+    # write_log's bytes with the second id made the first: no grid is kept, and the csv reader names the line
+    data = logs._encode(CorrectnessLog(problem_ids=ids, correctness=np.eye(3, dtype=bool)), form, "run")
+    path = tmp_path / "log.csv"
+    path.write_bytes(bytes(data).replace(ids[1].encode() + b",", ids[0].encode() + b","))
+    with mock.patch.object(logs, "_read_csv", wraps=logs._read_csv) as read_csv:
+        with pytest.raises(LogFormatError) as err:
+            read_runs(path)
+    assert read_csv.call_count == 1
+    if form == "records":  # p0's line for iteration 0, then p1's, made p0's
+        assert (str(err.value), err.value.line) == (
+            f"line 6: duplicate record for problem {ids[0]!r}, run 'run', iteration 0", 6)
+    else:
+        assert (str(err.value), err.value.line) == (f"line 5: duplicate row for problem {ids[0]!r}", 5)
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("byte", [",", '"', "\x1c", "\x0b"])
+def test_one_width_ids_to_quote_or_that_break_a_line_keep_their_bytes_and_refusals(tmp_path, form, byte):
+    ids = [f"a{byte}{i}" for i in range(3)]
+    bits = np.eye(3, dtype=bool)
+    log = CorrectnessLog(problem_ids=ids, correctness=bits)
+    path = tmp_path / "log.csv"
+    if byte in ',"':  # quoted as csv quotes them, and read back without a grid
+        write_log(_grid_log(ids, correctness=bits), path, form=form, run_label="run")
+        assert path.read_bytes() == _csv_writer_bytes(log, form, "run")
+        back = read_log(path)
+        assert list(back.problem_ids) == ids and back._id_grid is None
+    else:
+        with pytest.raises(ValueError, match="contains a line break"):
+            write_log(_grid_log(ids, correctness=bits), path, form=form, run_label="run")
+        assert not path.exists()
+    # the same ids left unquoted and unrefused, as a hand edit would: read as csv reads them
+    data = bytes(logs._encode(CorrectnessLog(problem_ids=[f"a_{i}" for i in range(3)], correctness=bits),
+                              form, "run")).replace(b"a_", b"a" + byte.encode())
+    path.write_bytes(data)
+    assert _outcome(lambda: read_runs(path)) == _outcome(lambda: logs._read_csv(data))
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("ids,kept", [
+    (None, True),  # simulate's
+    ([f"problem-{i:06d}" for i in range(50)], True),
+    ([f"p,{i:02d}" for i in range(50)], False),  # quoted
+    ([f"\u00e9{i:02d}" for i in range(50)], False),  # non-ASCII
+    ([f"p{i}" for i in range(50)], False),  # varying width
+], ids=["simulated", "ascii-over-8-bytes", "quoted", "non-ascii", "varying-width"])
+def test_which_read_logs_keep_their_id_grid(tmp_path, monkeypatch, form, ids, kept):
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    bits = np.arange(250).reshape(50, 5) % 3 == 0
+    if ids is None:
+        log = simulate_population(SimConfig(n_problems=50, n_iterations=4, initial_accuracy=0.5, seed=2,
+                                            schedule=preset("o4-mini"))).log
+    else:
+        log = CorrectnessLog(problem_ids=ids, correctness=bits)
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form, run_label="run")
+    back = read_log(path)
+    assert back.problem_ids == log.problem_ids
+    assert (back._id_grid is not None) == kept
+    if kept:
+        assert not back._id_grid.flags.writeable
+        assert bytes(logs._encode(back, form, "run")) == path.read_bytes()
+
+
+def test_simulated_record_read_peaks_no_higher_than_before_the_grid_was_kept(tmp_path):
+    # 50,000 x 7 from simulate: before logs kept their ids' grid this read peaked at 16.36 MiB
+    # (17,153,648 B, over 3 times the 5.6 MB file); the uniqueness keys and the grid come
+    # after the read's per-line arrays are dropped, so they must not raise that peak
+    log = simulate_population(SimConfig(n_problems=50_000, n_iterations=6, initial_accuracy=0.5, seed=1,
+                                        schedule=preset("o4-mini"))).log
+    path = tmp_path / "log.csv"
+    write_log(log, path, form="records")
+    tracemalloc.start()
+    try:
+        back = read_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back._id_grid is not None and back.problem_ids == log.problem_ids
+    assert peak < 16.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ids of varying width: quoted like the paired bench logs' ("<word>,<n>", 9-21 bytes on disk), and

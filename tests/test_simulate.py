@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from refineloop import simulate
 from refineloop.dynamics import TransitionRates, closed_form_accuracy
-from refineloop.logs import CorrectnessLog, _DistinctIds
+from refineloop.logs import CorrectnessLog, _IdGrid
 from refineloop.schedule import RateSchedule, ScheduleExhaustedError, preset, preset_baseline
 from refineloop.simulate import (
     SimConfig,
@@ -163,11 +163,11 @@ def test_built_logs_hold_plain_tuple_ids():
     config = SimConfig(n_problems=12, n_iterations=2, initial_accuracy=0.5, seed=3, schedule=preset("o4-mini"))
     for log in (simulate_population(config).log, deterministic_replay(preset("o4-mini"), 0.5, 12, n_iterations=2)):
         assert type(log.problem_ids) is tuple
-        assert log.problem_ids == _problem_ids(12)
+        assert log.problem_ids == tuple(_problem_ids(12))
 
 
 def test_distinct_ids_still_meet_the_row_count_check():
-    assert type(_problem_ids(3)) is _DistinctIds
+    assert type(_problem_ids(3)) is _IdGrid
     with pytest.raises(ValueError, match="3 problem ids for 2 matrix rows"):
         CorrectnessLog(problem_ids=_problem_ids(3), correctness=np.ones((2, 1), dtype=bool))
 
