@@ -25,17 +25,20 @@ the offending line number rather than guessing. A file byte for byte as
 ``write_log`` writes it, quoted ids and labels and filled confidences
 included, is read through numpy and checked by encoding the result
 again; any other file (a ``\r``, a blank line, rows out of order, a hand
-edit) is read with ``csv``, with the same result. Ids are read in one
-numpy pass: when every id, quotes dropped, has one width, as one byte
-grid, else through one keep-mask over the body. When that grid holds
-distinct ASCII ids and none was quoted (every log ``simulate`` writes),
-the log keeps it (``_IdGrid``): its ``tuple`` of ids is split from the
-grid once, with no other pass over them in Python, and it is written
-again from the grid. A log is written without a string per row: when
-every id, as written, is ASCII of one width and no confidence is filled,
-as one byte matrix, else as one byte array with its ids, and its filled
-confidences' text (one ``repr`` per distinct float bit pattern), grouped
-by width.
+edit) is read with ``csv``, with the same result. Each of ``write_log``'s
+two writers has its own reader: a file ``_matrix_file`` writes is read as
+rows of one template (``_matrix_candidate``), with no array per line; any
+other, from one scan for its line ends (``_canonical_candidate``). Ids
+are read in one numpy pass: when every id, quotes dropped, has one width,
+as one byte grid, else through one keep-mask over the body. When that
+grid holds distinct ASCII ids and none was quoted (every log ``simulate``
+writes), the log keeps it (``_IdGrid``): its ``tuple`` of ids is split
+from the grid once, with no other pass over them in Python, and it is
+written again from the grid. A log is written without a string per row:
+when every id, as written, is ASCII of one width and no confidence is
+filled, as one byte matrix, else as one byte array with its ids, and its
+filled confidences' text (one ``repr`` per distinct float bit pattern),
+grouped by width.
 """
 
 import csv
@@ -374,24 +377,72 @@ def _kept_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
     return str(kept[:-1], "utf-8")
 
 
-def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
-    """(log, form, label) read from ``data`` on the guess that ``write_log`` wrote it.
-
-    Nothing is checked here: ``_read_canonical`` keeps the guess only if
-    ``_encode`` turns it back into ``data``.
-    """
+def _head(data: bytes) -> tuple[dict[str, str], str, str, int]:
+    """(metadata, run label, column header, where the body starts) of ``data``, read as ``write_log`` writes them."""
     end = 0
     while data.startswith(b"#", end):  # the directives
         end = data.index(b"\n", end) + 1
     body = data.index(b"\n", end) + 1  # past the column header
     head = data[: body - 1].decode("utf-8").split("\n")
     metadata, label, _ = _parse_directives(head)
+    return metadata, label, head[-1], body
+
+
+def _matrix_candidate(data: bytes) -> tuple[CorrectnessLog, str, str] | None:
+    """(log, form, label) read from ``data`` on the guess that ``_matrix_file`` wrote it, else None.
+
+    The first problem's lines give the template row (``_matrix_layout``);
+    the body is read as rows of it, with no array per line. None, before
+    any encode, unless the body is a whole number of rows with a "\\n" at
+    every line end. Nothing else is checked here: ``_read_canonical`` keeps
+    the guess only if ``_encode`` turns it back into ``data``.
+    """
+    metadata, label, header, body = _head(data)
+    line = data.index(b"\n", body) + 1 - body  # the first line, its "\n" included
+    if header == ",".join(_RECORD_HEADER):
+        form, width = "records", 1
+        label = next(csv.reader([data[body : body + line - 1].decode("utf-8")]))[4]  # pid,0,b,conf,label
+    else:
+        form, width = "compact", header.count(",")
+    tag = _quote(label)
+    w = line - len(_matrix_layout(form, width, tag, 0)[0])  # the id's width as written
+    if w < 0:
+        return None
+    if form == "records":  # one line per iteration, while the lines start with the first id
+        prefix, at = data[body : body + w] + b",", body + line
+        while data.startswith(prefix, at):
+            at = data.index(b"\n", at) + 1
+            width += 1
+    template, _, bit_cols, end_cols = _matrix_layout(form, width, tag, w)
+    size = len(template)
+    if (len(data) - body) % size:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    rows = buf[body:].reshape(-1, size)
+    if not (rows.take(end_cols, axis=1) == ord("\n")).all():  # take: a third of rows[:, cols]'s time
+        return None
+    starts = np.arange(body, len(data), size)  # each row's first id, at column 0
+    ids = _read_ids(buf, starts, starts + w)
+    # a copy, as the id grid is: no view keeps ``data`` alive. Made after the ids, it takes the space their
+    # temporaries freed; made first, it sat above them and kept the heap from shrinking after the read
+    matrix = rows.take(bit_cols, axis=1) == ord("1")
+    return CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata), form, label
+
+
+def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
+    """(log, form, label) read from ``data`` on the guess that ``_ragged_file`` wrote it.
+
+    Every line is found by one scan for its "\\n". Nothing is checked
+    here: ``_read_canonical`` keeps the guess only if ``_encode`` turns it
+    back into ``data``.
+    """
+    metadata, label, header, body = _head(data)
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf[body:] == ord("\n"))
     ends += body  # where each line's "\n" is
     starts = np.concatenate(([body], ends[:-1] + 1))
     confidence = None
-    if head[-1] == ",".join(_RECORD_HEADER):
+    if header == ",".join(_RECORD_HEADER):
         form = "records"
         first = next(csv.reader([data[body : ends[0]].decode("utf-8")]))  # pid,0,b,conf,label
         label = first[4]
@@ -415,7 +466,7 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
         del cells  # a per-line array, dropped like ends below
     else:  # compact: "pid,b0,...,bK"
         form = "compact"
-        width = head[-1].count(",")
+        width = header.count(",")
         # rows too short for the header are not canonical, and their index matrix could dwarf the file
         if len(ends) * (2 * width + 1) > len(data) - body:
             raise ValueError("rows shorter than the header")
@@ -451,24 +502,34 @@ def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid 
 
 
 def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
-    """The run in ``data`` if ``data`` is byte for byte what ``write_log`` writes for it, else None."""
+    """The run in ``data`` if ``data`` is byte for byte what ``write_log`` writes for it, else None.
+
+    Each writer's reader guesses in turn, ``_matrix_file``'s first: a file
+    of one-width ASCII ids with no confidence filled, every log ``simulate``
+    writes among them, is read as rows of one template, and any other from
+    its line ends. A guess is kept only if ``_encode`` gives ``data`` back.
+    """
     if b"\r" in data:  # write_log writes no "\r"; csv and str.splitlines read it as a line break
         return None
-    try:
-        log, form, label = _canonical_candidate(data)
-        if _encode(log, form, label) == data:
-            return {label: log}
-    except (ValueError, IndexError, csv.Error):  # not canonical; _read_csv names the fault, if any
-        pass
+    for candidate in (_matrix_candidate, _canonical_candidate):
+        try:
+            found = candidate(data)
+            if found is not None:
+                log, form, label = found
+                if _encode(log, form, label) == data:
+                    return {label: log}
+        except (ValueError, IndexError, csv.Error):  # not this writer's; _read_csv names the fault, if any
+            pass
     return None
 
 
 def read_runs(path) -> dict[str, CorrectnessLog]:
     """Read every run in a log file, keyed by run label.
 
-    A file exactly as ``write_log`` writes it is parsed with numpy and
-    kept only when encoding the result gives the file's bytes back; every
-    other file goes through ``csv`` line by line, with the same result.
+    A file exactly as ``write_log`` writes it is parsed with numpy, by
+    the reader of the writer that wrote it, and kept only when encoding
+    the result gives the file's bytes back; every other file goes through
+    ``csv`` line by line, with the same result.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -580,6 +641,21 @@ def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[l
     return [b",%d,0,,%s\n" % (k, tag_bytes) for k in range(width)], [[len(str(k)) + 2] for k in range(width)]
 
 
+def _matrix_layout(form: str, width: int, tag: str, w: int) -> tuple[bytes, list[int], list[int], list[int]]:
+    """The template row of ``_matrix_file`` for ids ``w`` bytes wide, and its id, bit and line-end columns.
+
+    The row holds every line of one problem, with "0" in its id columns
+    and at its bits; ``_matrix_candidate`` reads a file by the same row.
+    """
+    template, id_cols, bit_cols, end_cols = b"", [], [], []
+    for suffix, bits in zip(*_line_suffixes(form, width, tag)):
+        id_cols.append(len(template))
+        bit_cols += [len(template) + w + b for b in bits]
+        template += b"0" * w + suffix
+        end_cols.append(len(template) - 1)
+    return template, id_cols, bit_cols, end_cols
+
+
 def _items(buf: np.ndarray, width: int) -> np.ndarray:
     """Each run of ``width`` bytes of ``buf`` as one V{width} item, item i starting at byte i (a view)."""
     return np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
@@ -588,18 +664,13 @@ def _items(buf: np.ndarray, width: int) -> np.ndarray:
 def _matrix_file(head: bytes, grid: np.ndarray, matrix: np.ndarray, form: str, tag: str) -> bytearray:
     """The file for quoted ids of one width, ``grid`` their ASCII bytes by row, built as one byte matrix.
 
-    A template row holds every line of one problem, with "0" in its id
-    columns and at its bits; each row of the matrix is that template,
-    with the problem's id written into each line's id columns and its
-    bits added at their columns.
+    Each row of the matrix is the template row of ``_matrix_layout``, with
+    the problem's id written into each line's id columns and its bits
+    added at their columns.
     """
     n, width = matrix.shape
     w = grid.shape[1]
-    template, id_cols, bit_cols = b"", [], []
-    for suffix, bits in zip(*_line_suffixes(form, width, tag)):
-        id_cols.append(len(template))
-        bit_cols += [len(template) + w + b for b in bits]
-        template += b"0" * w + suffix
+    template, id_cols, bit_cols, _ = _matrix_layout(form, width, tag, w)
     out = bytearray(len(head) + n * len(template))  # filled in place: no copy to bytes
     out[: len(head)] = head
     body = np.frombuffer(out, dtype=np.uint8, offset=len(head)).reshape(n, len(template))

@@ -681,6 +681,57 @@ def test_fast_and_csv_paths_agree_on_mutated_files(tmp_path, form, ids, width, d
     assert _outcome(lambda: read_runs(path)) == _outcome(lambda: logs._read_csv(path.read_bytes()))
 
 
+_SAME_LENGTH_MUTATIONS = ("flip", "swap", "relabel", "duplicate", "copy-id")
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@given(
+    width=st.integers(0, 4),
+    columns=st.integers(1, 13),  # past k = 10, where a record line's iteration widens
+    data=st.data(),
+    label=st.sampled_from(["run", 'a "b", c']),
+    mutation=st.sampled_from(_SAME_LENGTH_MUTATIONS),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fast_and_csv_paths_agree_on_mutated_one_width_files(tmp_path, form, width, columns, data, label, mutation):
+    # ids of one width (all quoted, if each holds a comma) are written by _matrix_file and read as rows of one
+    # template; each mutation keeps every line's length, so the file still splits into rows of it
+    ids = data.draw(st.lists(st.text("ab0 #,", min_size=width, max_size=width), min_size=1, max_size=5, unique=True))
+    log = CorrectnessLog(problem_ids=ids, correctness=data.draw(arrays(bool, (len(ids), columns))))
+    text = logs._encode(log, form, label).decode("utf-8")
+    lines = text.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    row = data.draw(st.integers(header + 1, len(lines) - 1))
+    if mutation == "flip":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c in "01"]))
+        text = text[:at] + "10"[int(text[at])] + text[at + 1:]
+    else:
+        if mutation == "swap":  # with another line of its length, the header among them
+            other = data.draw(st.sampled_from([i for i, line in enumerate(lines) if len(line) == len(lines[row])]))
+            lines[row], lines[other] = lines[other], lines[row]
+        elif mutation == "relabel":  # the row's last field, at its length
+            head, last = lines[row].rstrip("\n").rsplit(",", 1)
+            lines[row] = head + "," + "x" * len(last) + "\n"
+        elif mutation == "duplicate":
+            lines.insert(row, lines[row])
+        else:  # copy-id: another line's first `width` characters over this line's: often a repeated id
+            other = data.draw(st.integers(header + 1, len(lines) - 1))
+            lines[row] = lines[other][:width] + lines[row][width:]
+        text = "".join(lines)
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: read_runs(path)) == _outcome(lambda: logs._read_csv(path.read_bytes()))
+
+
+def _read_by_line_ends(path):
+    """``read_runs(path)`` for a file ``_ragged_file`` wrote: the template guess is turned away before any encode."""
+    assert logs._matrix_candidate(path.read_bytes()) is None
+    with mock.patch.object(logs, "_encode", wraps=logs._encode) as encode:
+        runs = read_runs(path)
+    assert encode.call_count == 1  # the check of the line-end reader's guess
+    return runs
+
+
 _FAST_IDS = [f"p{i}" for i in range(300)]
 _PADDED_IDS = [f"p{i:03d}" for i in range(300)]  # _FAST_IDS at one width
 _QUOTED_IDS = ["a,1", 'say "hi"', '"', ","] + _FAST_IDS[4:]
@@ -711,7 +762,7 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, labe
     path = tmp_path / "log.csv"
     with mock.patch.object(logs, "_ragged_file", wraps=logs._ragged_file) as ragged:
         write_log(log, path, form=form, run_label=label)
-        back = read_runs(path)[label]
+        back = _read_by_line_ends(path)[label]
     if conf is not None:  # any filled log, ids of one width too, is written in one byte array
         assert ragged.call_count == 2  # the write, and the check of the read
     assert back.problem_ids == log.problem_ids
@@ -721,6 +772,23 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, labe
         assert back.confidence is None
     else:
         assert repr(back.confidence.tolist()) == repr(conf.tolist())  # nan where empty, each float's bits
+
+
+def test_a_filled_log_that_splits_into_template_rows_is_read_by_its_line_ends(tmp_path, monkeypatch):
+    # every confidence "0.25" and k < 10: every line has one length, so the template reader's guess (one
+    # problem per line, ids "p000,0,1") passes its row tests; its encode differs, and the line-end reader runs
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    bits = np.arange(100).reshape(20, 5) % 3 == 0
+    log = CorrectnessLog(problem_ids=_PADDED_IDS[:20], correctness=bits, confidence=np.full(bits.shape, 0.25))
+    path = tmp_path / "log.csv"
+    write_log(log, path, form="records")
+    guess, _, _ = logs._matrix_candidate(path.read_bytes())
+    assert guess.correctness.shape == (100, 1) and guess.problem_ids[0] == "p000,0,1"
+    with mock.patch.object(logs, "_encode", wraps=logs._encode) as encode:
+        back = read_log(path)
+    assert encode.call_count == 2
+    assert back.problem_ids == log.problem_ids
+    assert np.array_equal(back.correctness, bits) and np.array_equal(back.confidence, log.confidence)
 
 
 def test_labels_quoted_where_write_log_would_not_read_through_csv(tmp_path):
@@ -751,11 +819,18 @@ def _no_ragged(*args):
     raise AssertionError("a log of one-width ids took the varying-width writer")
 
 
+def _no_line_ends(data):
+    raise AssertionError("a file _matrix_file wrote was read by its line ends")
+
+
+_MATRIX_PATH_SPIES = (("_read_csv", _no_csv), ("_ragged_file", _no_ragged), ("_canonical_candidate", _no_line_ends))
+
+
 @pytest.mark.parametrize("form", ["records", "compact"])
 def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     log = simulate_population(SimConfig(n_problems=1001, n_iterations=11, initial_accuracy=0.6, seed=4,
                                         schedule=preset("o4-mini"))).log
-    for name, spy in (("_read_csv", _no_csv), ("_ragged_file", _no_ragged)):
+    for name, spy in _MATRIX_PATH_SPIES:
         monkeypatch.setattr(logs, name, spy)
     path = tmp_path / "log.csv"
     write_log(log, path, form=form, run_label="sim")
@@ -763,6 +838,25 @@ def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     assert back.problem_ids == log.problem_ids
     assert np.array_equal(back.correctness, log.correctness)
     assert back.metadata == log.metadata
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("ids,label", [
+    ([f"a,{i:03d}" for i in range(300)], "run"),  # each id quoted, so one width as written
+    (_PADDED_IDS, 'a "fast", run'),  # a label to quote
+    ([""], "run"),  # one empty id: rows of bits only
+], ids=["quoted-ids", "quoted-label", "empty-id"])
+def test_one_width_logs_are_read_as_rows_of_one_template(tmp_path, monkeypatch, form, ids, label):
+    for name, spy in _MATRIX_PATH_SPIES:
+        monkeypatch.setattr(logs, name, spy)
+    # 12 columns: a record line's ",k," widens at k = 10
+    log = CorrectnessLog(problem_ids=ids, correctness=np.arange(12 * len(ids)).reshape(-1, 12) % 7 < 3)
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form, run_label=label)
+    assert path.read_bytes() == _csv_writer_bytes(log, form, label)
+    back = read_runs(path)[label]
+    assert back.problem_ids == log.problem_ids
+    assert np.array_equal(back.correctness, log.correctness)
 
 
 def _encoded(log, form, label):
@@ -903,6 +997,30 @@ def test_simulated_record_read_peaks_no_higher_than_before_the_grid_was_kept(tmp
     assert peak < 16.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("form,mib", [("records", 14.5), ("compact", 5.75)])
+def test_simulated_reads_peak_below_their_pinned_bounds_and_keep_no_view_of_the_file(tmp_path, form, mib):
+    # 50,000 x 7 from simulate, read as rows of one template: 14.31 MiB (records, 5.6 MB file) and 5.63 MiB
+    # (compact, 1.1 MB). Found by a scan for line ends, with per-line arrays, they peaked at 16.36 and 5.89 MiB
+    log = simulate_population(SimConfig(n_problems=50_000, n_iterations=6, initial_accuracy=0.5, seed=1,
+                                        schedule=preset("o4-mini"))).log
+    path = tmp_path / "log.csv"
+    write_log(log, path, form=form)
+    tracemalloc.start()
+    try:
+        back = read_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.problem_ids == log.problem_ids
+    assert peak < mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    # the matrix and the kept grid are copies: a view would keep the whole file's bytes alive
+    data = path.read_bytes()
+    (back,) = logs._read_canonical(data).values()
+    assert back._id_grid is not None
+    for array in (back.correctness, back._id_grid):
+        assert not np.shares_memory(array, np.frombuffer(data, dtype=np.uint8))
+
+
 # ids of varying width: quoted like the paired bench logs' ("<word>,<n>", 9-21 bytes on disk), and
 # 1-20 symbols wide, some non-ASCII, some all commas
 _WORDS = ("algebra", "geometry", "counting", "number theory", "probability", "calculus", "logic", "word problem")
@@ -913,7 +1031,9 @@ _RAGGED_IDS = ["\u00e9\u2603,abcdefgh0123456789xyz"[i // 20] * (1 + i % 20) for 
 @pytest.mark.parametrize(
     "form,ids",
     [pytest.param("compact", _BENCH_SHAPED_IDS, id="compact-bench-shaped"),
-     pytest.param("records", _RAGGED_IDS, id="records-1-to-20-wide")],
+     pytest.param("records", _RAGGED_IDS, id="records-1-to-20-wide"),
+     # lines of 12 and 24 bytes: whole rows of the first line's length, turned away by their line ends
+     pytest.param("compact", ["a", "b" * 13], id="compact-whole-rows-of-the-first-line")],
 )
 def test_varying_width_logs_take_the_byte_array_paths(tmp_path, monkeypatch, form, ids):
     monkeypatch.setattr(logs, "_read_csv", _no_csv)
@@ -922,7 +1042,7 @@ def test_varying_width_logs_take_the_byte_array_paths(tmp_path, monkeypatch, for
     path = tmp_path / "log.csv"
     with mock.patch.object(logs, "_ragged_file", wraps=logs._ragged_file) as ragged:
         write_log(log, path, form=form, run_label="bench")
-        back = read_runs(path)["bench"]
+        back = _read_by_line_ends(path)["bench"]
     assert ragged.call_count == 2  # the write, and the check of the read
     assert path.read_bytes() == _csv_writer_bytes(log, form, "bench")
     assert list(back.problem_ids) == ids
