@@ -35,16 +35,17 @@ grid holds distinct ASCII ids and none was quoted (every log ``simulate``
 writes), the log keeps it (``_IdGrid``): its ``tuple`` of ids is split
 from the grid once, with no other pass over them in Python, and it is
 written again from the grid. A log is written without a string per row:
-when every id, as written, is ASCII of one width and no confidence is
-filled, as one byte matrix, else as one byte array with its ids, and its
-filled confidences' text (one ``repr`` per distinct float bit pattern),
-grouped by width.
+when it keeps its id grid, with no confidence filled and no grid byte
+that ends a line or needs quoting, as one byte matrix, else as one byte
+array with its ids, and its filled confidences' text (one ``repr`` per
+distinct float bit pattern), grouped by width.
 """
 
 import csv
 import math
 import re
 from collections.abc import Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,19 +378,31 @@ def _kept_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> str:
     return str(kept[:-1], "utf-8")
 
 
-def _head(data: bytes) -> tuple[dict[str, str], str, str, int]:
-    """(metadata, run label, column header, where the body starts) of ``data``, read as ``write_log`` writes them."""
+def _head(data: bytes) -> tuple[dict[str, str], str, str, int, int, int]:
+    """(metadata, form, run label, body start, first line end, K + 1) of ``data``, read as ``write_log`` writes them.
+
+    In record form the label is the first line's, read with ``csv``, and
+    K + 1 the count of the lines that start with ``_quote(first id) + ","``.
+    """
     end = 0
     while data.startswith(b"#", end):  # the directives
         end = data.index(b"\n", end) + 1
     body = data.index(b"\n", end) + 1  # past the column header
-    head = data[: body - 1].decode("utf-8").split("\n")
-    metadata, label, _ = _parse_directives(head)
-    return metadata, label, head[-1], body
+    lines = data[: body - 1].decode("utf-8").split("\n")
+    metadata, label, _ = _parse_directives(lines)
+    first = data.index(b"\n", body)
+    if lines[-1] != ",".join(_RECORD_HEADER):
+        return metadata, "compact", label, body, first, lines[-1].count(",")
+    pid, _, _, _, label = next(csv.reader([data[body:first].decode("utf-8")]))  # pid,0,b,conf,label
+    prefix, at, width = (_quote(pid) + ",").encode("utf-8"), first + 1, 1
+    while data.startswith(prefix, at):  # one line per iteration
+        at = data.index(b"\n", at) + 1
+        width += 1
+    return metadata, "records", label, body, first, width
 
 
-def _matrix_candidate(data: bytes) -> tuple[CorrectnessLog, str, str] | None:
-    """(log, form, label) read from ``data`` on the guess that ``_matrix_file`` wrote it, else None.
+def _matrix_candidate(data: bytes, head) -> CorrectnessLog | None:
+    """The log read from ``data`` on the guess that ``_matrix_file`` wrote it, else None; ``head`` is ``_head(data)``.
 
     The first problem's lines give the template row (``_matrix_layout``);
     the body is read as rows of it, with no array per line. None, before
@@ -397,22 +410,11 @@ def _matrix_candidate(data: bytes) -> tuple[CorrectnessLog, str, str] | None:
     every line end. Nothing else is checked here: ``_read_canonical`` keeps
     the guess only if ``_encode`` turns it back into ``data``.
     """
-    metadata, label, header, body = _head(data)
-    line = data.index(b"\n", body) + 1 - body  # the first line, its "\n" included
-    if header == ",".join(_RECORD_HEADER):
-        form, width = "records", 1
-        label = next(csv.reader([data[body : body + line - 1].decode("utf-8")]))[4]  # pid,0,b,conf,label
-    else:
-        form, width = "compact", header.count(",")
+    metadata, form, label, body, first, width = head
     tag = _quote(label)
-    w = line - len(_matrix_layout(form, width, tag, 0)[0])  # the id's width as written
+    w = first + 1 - body - len(_line_suffixes(form, width, tag)[0][0])  # the id's width as written
     if w < 0:
         return None
-    if form == "records":  # one line per iteration, while the lines start with the first id
-        prefix, at = data[body : body + w] + b",", body + line
-        while data.startswith(prefix, at):
-            at = data.index(b"\n", at) + 1
-            width += 1
     template, _, bit_cols, end_cols = _matrix_layout(form, width, tag, w)
     size = len(template)
     if (len(data) - body) % size:
@@ -426,33 +428,26 @@ def _matrix_candidate(data: bytes) -> tuple[CorrectnessLog, str, str] | None:
     # a copy, as the id grid is: no view keeps ``data`` alive. Made after the ids, it takes the space their
     # temporaries freed; made first, it sat above them and kept the heap from shrinking after the read
     matrix = rows.take(bit_cols, axis=1) == ord("1")
-    return CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata), form, label
+    return CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata)
 
 
-def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
-    """(log, form, label) read from ``data`` on the guess that ``_ragged_file`` wrote it.
+def _canonical_candidate(data: bytes, head) -> CorrectnessLog:
+    """The log read from ``data`` on the guess that ``_ragged_file`` wrote it; ``head`` is ``_head(data)``.
 
     Every line is found by one scan for its "\\n". Nothing is checked
     here: ``_read_canonical`` keeps the guess only if ``_encode`` turns it
     back into ``data``.
     """
-    metadata, label, header, body = _head(data)
+    metadata, form, label, body, _, width = head
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf[body:] == ord("\n"))
     ends += body  # where each line's "\n" is
     starts = np.concatenate(([body], ends[:-1] + 1))
     confidence = None
-    if header == ",".join(_RECORD_HEADER):
-        form = "records"
-        first = next(csv.reader([data[body : ends[0]].decode("utf-8")]))  # pid,0,b,conf,label
-        label = first[4]
+    if form == "records":
         tag = _quote(label).encode("utf-8")
         if not data.endswith(tag, body, ends[0]):  # else a slice below could reach past its line
             raise ValueError("the first row does not end with its label as write_log quotes it")
-        prefix = (_quote(first[0]) + ",").encode("utf-8")
-        width = 1
-        while width < len(starts) and data.startswith(prefix, starts[width]):
-            width += 1
         cells = ends - len(tag) - 1  # each line ends "b,conf,label": where conf starts if empty, the "," before label
         filled = np.flatnonzero(buf[cells - 1] != ord(","))  # not ",,"
         if len(filled):  # the one loop per line, over filled cells only
@@ -465,8 +460,6 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
         starts, id_ends = starts[::width].copy(), cells[::width] - 5  # the k = 0 line: "pid,0,b,conf"
         del cells  # a per-line array, dropped like ends below
     else:  # compact: "pid,b0,...,bK"
-        form = "compact"
-        width = header.count(",")
         # rows too short for the header are not canonical, and their index matrix could dwarf the file
         if len(ends) * (2 * width + 1) > len(data) - body:
             raise ValueError("rows shorter than the header")
@@ -474,8 +467,7 @@ def _canonical_candidate(data: bytes) -> tuple[CorrectnessLog, str, str]:
         id_ends = ends - 2 * width
     del ends  # no array per line outlives the parse: the ids are built next
     ids = _read_ids(buf, starts, id_ends)
-    log = CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=confidence)
-    return log, form, label
+    return CorrectnessLog(problem_ids=ids, correctness=matrix, metadata=metadata, confidence=confidence)
 
 
 def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid | list[str]:
@@ -504,22 +496,21 @@ def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid 
 def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
     """The run in ``data`` if ``data`` is byte for byte what ``write_log`` writes for it, else None.
 
-    Each writer's reader guesses in turn, ``_matrix_file``'s first: a file
-    of one-width ASCII ids with no confidence filled, every log ``simulate``
-    writes among them, is read as rows of one template, and any other from
+    With the head parsed once (``_head``), each writer's reader guesses in
+    turn, ``_matrix_file``'s first: a file of one-width ASCII ids with no
+    confidence filled is read as rows of one template, and any other from
     its line ends. A guess is kept only if ``_encode`` gives ``data`` back.
     """
     if b"\r" in data:  # write_log writes no "\r"; csv and str.splitlines read it as a line break
         return None
-    for candidate in (_matrix_candidate, _canonical_candidate):
-        try:
-            found = candidate(data)
-            if found is not None:
-                log, form, label = found
-                if _encode(log, form, label) == data:
+    with suppress(ValueError, IndexError, csv.Error):  # not write_log's; _read_csv names the fault, if any
+        head = _head(data)
+        _, form, label, *_ = head
+        for candidate in (_matrix_candidate, _canonical_candidate):
+            with suppress(ValueError, IndexError, csv.Error):  # not this writer's
+                log = candidate(data, head)
+                if log is not None and _encode(log, form, label) == data:
                     return {label: log}
-        except (ValueError, IndexError, csv.Error):  # not this writer's; _read_csv names the fault, if any
-            pass
     return None
 
 
@@ -581,12 +572,11 @@ _LINE_BREAK_OR_QUOTE = np.frombuffer(b'\n\v\f\r\x1c\x1d\x1e,"', dtype=np.uint8)
 def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     """The bytes of ``log`` in ``form``; ValueError for input ``read_runs`` would not give back unchanged.
 
-    With no confidence filled, ids of one width in ASCII, as written, are
-    laid out as one byte matrix (``_matrix_file``); any other log, filled
-    confidences included, in one byte array (``_ragged_file``). A log that
-    keeps its ids' grid hands it to ``_matrix_file`` as it is, unless a
-    confidence is filled or a byte of it ends a line or needs quoting; its
-    ids are then read as strs, as any other log's.
+    The writer follows the log's representation: a log that keeps its
+    ids' grid is laid out as one byte matrix (``_matrix_file``), unless a
+    confidence is filled or a byte of the grid ends a line or needs
+    quoting; any other log, its ids read as strs, in one byte array
+    (``_ragged_file``).
     """
     if form not in ("records", "compact"):
         raise ValueError(f"form must be 'records' or 'compact', got {form!r}")
@@ -600,12 +590,12 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
         if not _one_line(joined):
             bad = next(pid for pid in ids if not _one_line(pid))
             raise ValueError(f"problem id {bad!r} contains a line break")
-        lengths = set(map(len, ids))
+        longest = max(map(len, ids))
     else:
-        lengths = {grid.shape[1]}
+        longest = grid.shape[1]
     _check_label(label, form)
     limit = csv.field_size_limit()
-    if max(lengths) > limit or (form == "records" and len(label) > limit):
+    if longest > limit or (form == "records" and len(label) > limit):
         raise ValueError(f"problem ids and record-form run labels may not exceed {limit} characters")
     if form == "compact" and conf is not None:
         raise ValueError("the compact form holds no confidences; write this log in record form")
@@ -618,18 +608,11 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     else:
         header = ",".join(_RECORD_HEADER)
     head = (_directives(meta) + header + "\n").encode("utf-8")
-    if grid is None:
-        quote = "," in joined or '"' in joined
-        # rare: a '"', or ids of one width to quote; each id is quoted one at a time
-        if quote and ('"' in joined or len(lengths) == 1):
-            ids = [_quote(pid) for pid in ids]
-            joined, lengths, quote = "".join(ids), set(map(len, ids)), False
-        # str.isascii reads a flag; an ASCII id takes one byte per character. Rows of one width
-        # are copied by column: _ragged_file's scatters took 2.5 times as long on these logs
-        if len(lengths) != 1 or not joined.isascii() or conf is not None:
-            return _ragged_file(head, ids, matrix, form, tag, quote, conf)
-        grid = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
-    return _matrix_file(head, grid, matrix, form, tag)
+    if grid is not None:
+        return _matrix_file(head, grid, matrix, form, tag)
+    if '"' in joined:  # rare: each id is quoted one at a time
+        return _ragged_file(head, [_quote(pid) for pid in ids], matrix, form, tag, False, conf)
+    return _ragged_file(head, ids, matrix, form, tag, "," in joined, conf)
 
 
 def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[list[int]]]:
@@ -662,7 +645,7 @@ def _items(buf: np.ndarray, width: int) -> np.ndarray:
 
 
 def _matrix_file(head: bytes, grid: np.ndarray, matrix: np.ndarray, form: str, tag: str) -> bytearray:
-    """The file for quoted ids of one width, ``grid`` their ASCII bytes by row, built as one byte matrix.
+    """The file for a log that keeps its id grid ``grid`` (ASCII, no byte to quote), built as one byte matrix.
 
     Each row of the matrix is the template row of ``_matrix_layout``, with
     the problem's id written into each line's id columns and its bits
@@ -687,7 +670,7 @@ def _matrix_file(head: bytes, grid: np.ndarray, matrix: np.ndarray, form: str, t
 
 def _ragged_file(head: bytes, ids: Sequence[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
                  conf: np.ndarray | None = None) -> bytearray:
-    """The file for ids of varying width, or with a confidence filled, built in one byte array.
+    """The file for any log ``_matrix_file`` does not take, built in one byte array.
 
     ``ids`` are as written, or with ``quote`` (no id then holds '"') each
     id holding "," gets its two quotes here. Line k of every problem is

@@ -585,7 +585,7 @@ def test_encode_matches_the_csv_writer(form, ids, width, data, metadata, label):
 
 
 # ids of one width: plain ASCII; all quoted (a comma, or a comma and a quote, in every id); and
-# non-ASCII of one character width, which takes the byte array writer unless it draws only "a"
+# non-ASCII of one character width. Given as strs, every one takes the byte array writer
 _ONE_WIDTH_IDS = {
     "ascii": lambda w: st.text("ab0 #", min_size=w, max_size=w),
     "comma": lambda w: st.text("ab", min_size=w, max_size=w).map(lambda s: s + ",1"),
@@ -617,8 +617,7 @@ def test_encode_of_one_width_ids_matches_the_csv_writer(form, kind, width, colum
         except ValueError:
             return
     assert encoded == _csv_writer_bytes(log, form, label)
-    filled = conf is not None and not np.isnan(conf).all()
-    assert matrix_file.called == ("".join(ids).isascii() and not filled)
+    assert not matrix_file.called  # a log of strs keeps no id grid
 
 
 def _outcome(read):
@@ -694,8 +693,8 @@ _SAME_LENGTH_MUTATIONS = ("flip", "swap", "relabel", "duplicate", "copy-id")
 )
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fast_and_csv_paths_agree_on_mutated_one_width_files(tmp_path, form, width, columns, data, label, mutation):
-    # ids of one width (all quoted, if each holds a comma) are written by _matrix_file and read as rows of one
-    # template; each mutation keeps every line's length, so the file still splits into rows of it
+    # ids of one width (all quoted, if each holds a comma) are read as rows of one template; each mutation
+    # keeps every line's length, so the file still splits into rows of it
     ids = data.draw(st.lists(st.text("ab0 #,", min_size=width, max_size=width), min_size=1, max_size=5, unique=True))
     log = CorrectnessLog(problem_ids=ids, correctness=data.draw(arrays(bool, (len(ids), columns))))
     text = logs._encode(log, form, label).decode("utf-8")
@@ -725,7 +724,8 @@ def test_fast_and_csv_paths_agree_on_mutated_one_width_files(tmp_path, form, wid
 
 def _read_by_line_ends(path):
     """``read_runs(path)`` for a file ``_ragged_file`` wrote: the template guess is turned away before any encode."""
-    assert logs._matrix_candidate(path.read_bytes()) is None
+    data = path.read_bytes()
+    assert logs._matrix_candidate(data, logs._head(data)) is None
     with mock.patch.object(logs, "_encode", wraps=logs._encode) as encode:
         runs = read_runs(path)
     assert encode.call_count == 1  # the check of the line-end reader's guess
@@ -775,20 +775,36 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, form, ids, labe
 
 
 def test_a_filled_log_that_splits_into_template_rows_is_read_by_its_line_ends(tmp_path, monkeypatch):
-    # every confidence "0.25" and k < 10: every line has one length, so the template reader's guess (one
-    # problem per line, ids "p000,0,1") passes its row tests; its encode differs, and the line-end reader runs
+    # every confidence "0.25" and k < 10: every line has one length, so the template reader's guess (five
+    # lines per problem, counted from the parsed id, and ids "p000,0,1") passes its row tests; its encode
+    # differs, and the line-end reader runs
     monkeypatch.setattr(logs, "_read_csv", _no_csv)
     bits = np.arange(100).reshape(20, 5) % 3 == 0
     log = CorrectnessLog(problem_ids=_PADDED_IDS[:20], correctness=bits, confidence=np.full(bits.shape, 0.25))
     path = tmp_path / "log.csv"
     write_log(log, path, form="records")
-    guess, _, _ = logs._matrix_candidate(path.read_bytes())
-    assert guess.correctness.shape == (100, 1) and guess.problem_ids[0] == "p000,0,1"
+    data = path.read_bytes()
+    guess = logs._matrix_candidate(data, logs._head(data))
+    assert guess.correctness.shape == (20, 5) and guess.problem_ids[0] == "p000,0,1"
     with mock.patch.object(logs, "_encode", wraps=logs._encode) as encode:
         back = read_log(path)
     assert encode.call_count == 2
     assert back.problem_ids == log.problem_ids
     assert np.array_equal(back.correctness, bits) and np.array_equal(back.confidence, log.confidence)
+
+
+def test_a_template_guess_that_raises_leaves_the_file_to_the_line_end_reader(tmp_path, monkeypatch):
+    # the body '"b""",0\n,0\naa,0\n' splits into two rows of the first line's 8 bytes; the second row's guessed
+    # id ",0\naa" holds a line break, so the guess holds three ids for two rows and raises, and the line-end
+    # reader must still read the file
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    log = CorrectnessLog(problem_ids=['b"', "", "aa"], correctness=np.zeros((3, 1), dtype=bool))
+    path = tmp_path / "log.csv"
+    write_log(log, path, form="compact")
+    data = path.read_bytes()
+    with pytest.raises(ValueError, match="3 problem ids for 2 matrix rows"):
+        logs._matrix_candidate(data, logs._head(data))
+    assert read_log(path).problem_ids == log.problem_ids
 
 
 def test_labels_quoted_where_write_log_would_not_read_through_csv(tmp_path):
@@ -819,11 +835,12 @@ def _no_ragged(*args):
     raise AssertionError("a log of one-width ids took the varying-width writer")
 
 
-def _no_line_ends(data):
-    raise AssertionError("a file _matrix_file wrote was read by its line ends")
+def _no_line_ends(*args):
+    raise AssertionError("a file of one template was read by its line ends")
 
 
-_MATRIX_PATH_SPIES = (("_read_csv", _no_csv), ("_ragged_file", _no_ragged), ("_canonical_candidate", _no_line_ends))
+_TEMPLATE_READ_SPIES = (("_read_csv", _no_csv), ("_canonical_candidate", _no_line_ends))
+_MATRIX_PATH_SPIES = _TEMPLATE_READ_SPIES + (("_ragged_file", _no_ragged),)
 
 
 @pytest.mark.parametrize("form", ["records", "compact"])
@@ -847,7 +864,8 @@ def test_simulated_logs_take_the_byte_matrix_paths(tmp_path, monkeypatch, form):
     ([""], "run"),  # one empty id: rows of bits only
 ], ids=["quoted-ids", "quoted-label", "empty-id"])
 def test_one_width_logs_are_read_as_rows_of_one_template(tmp_path, monkeypatch, form, ids, label):
-    for name, spy in _MATRIX_PATH_SPIES:
+    # a log of strs keeps no id grid, so _ragged_file writes it and checks the read; the template reads it
+    for name, spy in _TEMPLATE_READ_SPIES:
         monkeypatch.setattr(logs, name, spy)
     # 12 columns: a record line's ",k," widens at k = 10
     log = CorrectnessLog(problem_ids=ids, correctness=np.arange(12 * len(ids)).reshape(-1, 12) % 7 < 3)
@@ -860,11 +878,14 @@ def test_one_width_logs_are_read_as_rows_of_one_template(tmp_path, monkeypatch, 
 
 
 def _encoded(log, form, label):
-    """``_encode``'s bytes, or the type and message of its refusal."""
-    try:
-        return bytes(logs._encode(log, form, label))
-    except ValueError as err:
-        return type(err), str(err)
+    """``_encode``'s bytes, or the type and message of its refusal, and the writers it ran."""
+    with mock.patch.object(logs, "_matrix_file", wraps=logs._matrix_file) as matrix_file, \
+            mock.patch.object(logs, "_ragged_file", wraps=logs._ragged_file) as ragged_file:
+        try:
+            encoded = bytes(logs._encode(log, form, label))
+        except ValueError as err:
+            encoded = type(err), str(err)
+    return encoded, [name for name, spy in (("_matrix_file", matrix_file), ("_ragged_file", ragged_file)) if spy.called]
 
 
 def _grid_log(ids, **fields):
@@ -879,24 +900,34 @@ _GRID_ALPHABET = "ab0 #\x00\x7f" + ',"\r\x0b\x0c\x1c\x1d\x1e'
 
 @pytest.mark.parametrize("form", ["records", "compact"])
 @given(
-    width=st.integers(1, 12),  # past 8 bytes, where a row's uniqueness key becomes a hash of its words
+    width=st.integers(0, 12),  # from the empty id to past 8 bytes, where a row's uniqueness key becomes a hash
     data=st.data(),
     label=st.sampled_from(["run", 'say "hi", run']),
 )
 @settings(max_examples=150, deadline=None)
 def test_a_kept_grid_encodes_as_its_strs_do(form, width, data, label):
+    # the two writers are each other's oracle: a kept grid takes _matrix_file unless a confidence is filled or
+    # an id is quoted, the same ids as strs take _ragged_file, and both give the same bytes or the same refusal
     ids = data.draw(st.lists(st.text(_GRID_ALPHABET, min_size=width, max_size=width), min_size=1, max_size=6,
                              unique=True))
     matrix = data.draw(arrays(bool, (len(ids), data.draw(st.integers(1, 12)))))
     conf = None
     if form == "records":
         conf = data.draw(st.none() | arrays(float, matrix.shape, elements=_CONFIDENCES))
-    encoded = _encoded(_grid_log(ids, correctness=matrix, confidence=conf), form, label)
-    assert encoded == _encoded(CorrectnessLog(problem_ids=ids, correctness=matrix, confidence=conf), form, label)
-    if isinstance(encoded, bytes):  # read back, the log keeps a grid unless an id was quoted
-        (back,) = logs._read_canonical(encoded).values()
-        assert back.problem_ids == tuple(ids)
-        assert (back._id_grid is None) == any("," in pid or '"' in pid for pid in ids)
+    grid_log = _grid_log(ids, correctness=matrix, confidence=conf)
+    encoded, grid_writers = _encoded(grid_log, form, label)
+    by_strs, str_writers = _encoded(CorrectnessLog(problem_ids=ids, correctness=matrix, confidence=conf), form, label)
+    assert encoded == by_strs
+    quoted = any("," in pid or '"' in pid for pid in ids)
+    if not isinstance(encoded, bytes):  # an id that breaks a line: refused before either writer
+        assert grid_writers == str_writers == []
+        return
+    plain = grid_log.confidence is None and not quoted
+    assert grid_writers == ["_matrix_file" if plain else "_ragged_file"]
+    assert str_writers == ["_ragged_file"]
+    (back,) = logs._read_canonical(encoded).values()  # read back, the log keeps a grid unless an id was quoted
+    assert back.problem_ids == tuple(ids)
+    assert (back._id_grid is None) == quoted
 
 
 @given(rows=st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=8), width=st.integers(0, 12))
@@ -1076,18 +1107,19 @@ def test_varying_width_memory_stays_bounded(tmp_path, form, filled, write_mib, r
 
 
 def test_one_width_write_memory_stays_near_the_file_size(tmp_path):
-    # the byte matrix is the file: no list of rows, no joined string, no copy to bytes
-    log = CorrectnessLog(problem_ids=[f"p{i:05d}" for i in range(50_000)],
-                         correctness=np.arange(350_000).reshape(50_000, 7) % 3 == 0)
+    # no list of rows, no joined string, no copy to bytes. As strs the ids take _ragged_file (9.9 MiB for a
+    # 5.3 MiB file); kept as a grid they take _matrix_file, whose byte matrix is the file (5.9 MiB)
+    ids, bits = [f"p{i:05d}" for i in range(50_000)], np.arange(350_000).reshape(50_000, 7) % 3 == 0
     path = tmp_path / "log.csv"
-    tracemalloc.start()
-    try:
-        write_log(log, path, form="records")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = path.stat().st_size
-    assert peak < 2 * size, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"
+    for log in (CorrectnessLog(problem_ids=ids, correctness=bits), _grid_log(ids, correctness=bits)):
+        tracemalloc.start()
+        try:
+            write_log(log, path, form="records")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 2 * size, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"
 
 
 # -- row alignment ---------------------------------------------------------------------
