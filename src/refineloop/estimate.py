@@ -73,15 +73,20 @@ class RateEstimates:
 def transition_counts(matrix) -> np.ndarray:
     """(K, 4) int array of n_cc, n_ci, n_ic, n_ii per transition t -> t+1 of an N x (K+1) matrix.
 
-    ValueError unless ``matrix`` is 2-d with every entry 0 or 1.
+    ValueError unless ``matrix`` is 2-d with every entry 0 or 1. Each
+    transition takes three counts of set cells, over whole columns: of the
+    column before (a), the column after (b), and both (a and b).
     """
     m = _check_correctness(matrix)
     if m.ndim != 2:
         raise ValueError(f"correctness must be a 2-d matrix, got shape {m.shape}")
-    k = m.shape[1] - 1
-    # cell code 2*(not before) + (not after) is the column index: cc=0 .. ii=3
-    codes = 2 * (~m[:, :-1]).astype(np.intp) + ~m[:, 1:] + 4 * np.arange(k)
-    return np.bincount(codes.ravel(), minlength=4 * k).reshape(k, 4)
+    columns = np.ascontiguousarray(m.T)  # each column one row, counted in one pass
+    ones = [np.count_nonzero(column) for column in columns]
+    both = [np.count_nonzero(a & b) for a, b in zip(columns[:-1], columns[1:])]
+    # n_cc = |a and b|, n_ci = |a| - n_cc, n_ic = |b| - n_cc, n_ii = N - |a| - |b| + n_cc
+    table = np.array([[cc, a - cc, b - cc, len(m) - a - b + cc] for cc, a, b in zip(both, ones, ones[1:])],
+                     dtype=np.intp)
+    return table.reshape(len(both), 4)
 
 
 def pooled_rates(counts: np.ndarray) -> tuple[float | None, float | None]:
@@ -93,7 +98,7 @@ def pooled_rates(counts: np.ndarray) -> tuple[float | None, float | None]:
 def accuracy_series(log: CorrectnessLog) -> list[AccuracyPoint]:
     """Per-iteration accuracy and net benefit, derived from integer counts."""
     n = log.n_problems
-    counts = np.count_nonzero(log.correctness, axis=0).tolist()
+    counts = [int(np.count_nonzero(column)) for column in np.ascontiguousarray(log.correctness.T)]
     points = [AccuracyPoint(iteration=0, accuracy=counts[0] / n)]
     for k in range(1, len(counts)):
         points.append(

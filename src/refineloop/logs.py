@@ -32,13 +32,14 @@ other, from one scan for its line ends (``_canonical_candidate``). Ids
 are read in one numpy pass: when every id, quotes dropped, has one width,
 as one byte grid, else through one keep-mask over the body. When that
 grid holds distinct ASCII ids and none was quoted (every log ``simulate``
-writes), the log keeps it (``_IdGrid``): its ``tuple`` of ids is split
-from the grid once, with no other pass over them in Python, and it is
-written again from the grid. A log is written without a string per row:
-when it keeps its id grid, with no confidence filled and no grid byte
-that ends a line or needs quoting, as one byte matrix, else as one byte
-array with its ids, and its filled confidences' text (one ``repr`` per
-distinct float bit pattern), grouped by width.
+writes), the log keeps it (``_IdGrid``) and no str per id: its ``tuple``
+of ids is built on first read, two such logs are paired by their grids,
+and it is written again from the grid. A log is written without a
+string per row: when it keeps its id grid, with no confidence filled and
+no grid byte that ends a line or needs quoting, as one byte matrix
+filled by runs of equal-length lines, else as one byte array with its
+ids, and its filled confidences' text (one ``repr`` per distinct float
+bit pattern), grouped by width.
 """
 
 import csv
@@ -47,9 +48,9 @@ import re
 from collections.abc import Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import _check_int
 
@@ -96,9 +97,9 @@ class _IdGrid:
     """Distinct ASCII ids of one width, no "\\n" among them, as the rows of an ``(n, w)`` uint8 grid.
 
     Given as a log's ``problem_ids``, it skips the type and uniqueness
-    passes, and the log keeps the grid. Only ``simulate._problem_ids``,
-    whose ids are distinct by construction, and the reader, after
-    ``_distinct_rows``, build one.
+    passes, and the log keeps the grid: its ``tuple`` of ids is built on
+    first read. Only ``simulate._problem_ids``, whose ids are distinct by
+    construction, and the reader, after ``_distinct_rows``, build one.
     """
 
     __slots__ = ("grid",)
@@ -110,12 +111,11 @@ class _IdGrid:
         return iter(_joined(self.grid).decode("ascii").split("\n"))
 
 
-def _distinct_rows(grid: np.ndarray) -> bool:
-    """True if the rows of a uint8 grid are known to differ: one uint64 key per row, sorted, neighbours compared.
+def _row_keys(grid: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of a uint8 grid.
 
     A row of up to 8 bytes is its own key; a wider row's 8-byte words are
-    folded into one, so a repeated key may be a collision, not a repeat,
-    and False then means "not known".
+    folded into one, so two wider rows may share a key and still differ.
     """
     n, width = grid.shape
     words = np.zeros((n, max(1, -(-width // 8)) * 8), dtype=np.uint8)
@@ -125,8 +125,21 @@ def _distinct_rows(grid: np.ndarray) -> bool:
     for col in range(1, words.shape[1]):
         keys *= np.uint64(0x9E3779B97F4A7C15)  # wraps: a hash, not a sum
         keys ^= words[:, col]
-    keys.sort()
-    return not (keys[1:] == keys[:-1]).any()
+    return keys
+
+
+def _repeats(keys: np.ndarray) -> bool:
+    """True if sorted ``keys`` hold a value twice."""
+    return bool((keys[1:] == keys[:-1]).any())
+
+
+def _distinct_rows(grid: np.ndarray) -> bool:
+    """True if the rows of a uint8 grid are known to differ: their ``_row_keys``, sorted, hold no repeat.
+
+    A repeated key of rows over 8 bytes may be a collision, not a repeat,
+    and False then means "not known".
+    """
+    return not _repeats(np.sort(_row_keys(grid)))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -147,10 +160,11 @@ class CorrectnessLog:
     caller kept can still be written, and the log shows what is written
     there. ``metadata`` must be a mapping. Ids given as an ``_IdGrid``, the
     byte grid of distinct one-width ASCII ids that ``simulate`` and the
-    reader build, are split from it once and skip the type and uniqueness
-    passes (they still meet the row-count check); the log keeps a
-    read-only view of the grid as ``_id_grid`` (else None), from which
-    ``write_log`` takes the ids' bytes.
+    reader build, skip the type and uniqueness passes (they still meet the
+    row-count check). The log keeps a read-only view of the grid as
+    ``_id_grid`` (else None), from which ``write_log`` takes the ids'
+    bytes and ``align_rows`` pairs two logs; their ``tuple`` is built on
+    first read of ``problem_ids``, once.
     """
 
     problem_ids: tuple[str, ...]
@@ -169,13 +183,15 @@ class CorrectnessLog:
         if not isinstance(self.metadata, Mapping):
             raise ValueError(f"metadata must be a mapping, got {type(self.metadata).__name__}")
         grid = self.problem_ids.grid if type(self.problem_ids) is _IdGrid else None
-        ids = tuple(self.problem_ids)
-        # one test per type, not per id
-        if grid is None and not all(issubclass(t, str) for t in set(map(type, ids))):
-            bad = next(p for p in ids if not isinstance(p, str))
-            raise ValueError(f"problem ids must be strings, got {bad!r}")
-        if len(ids) != matrix.shape[0]:
-            raise ValueError(f"{len(ids)} problem ids for {matrix.shape[0]} matrix rows")
+        if grid is None:
+            ids = tuple(self.problem_ids)
+            # one test per type, not per id
+            if not all(issubclass(t, str) for t in set(map(type, ids))):
+                bad = next(p for p in ids if not isinstance(p, str))
+                raise ValueError(f"problem ids must be strings, got {bad!r}")
+        n_ids = len(ids) if grid is None else grid.shape[0]
+        if n_ids != matrix.shape[0]:
+            raise ValueError(f"{n_ids} problem ids for {matrix.shape[0]} matrix rows")
         if grid is None and len(set(ids)) != len(ids):
             raise ValueError("problem ids must be unique")
         conf = self.confidence
@@ -185,9 +201,21 @@ class CorrectnessLog:
                 raise ValueError("confidence matrix shape must match correctness")
             conf = None if np.isnan(conf).all() else _read_only(conf)
         object.__setattr__(self, "correctness", _read_only(matrix))
-        object.__setattr__(self, "problem_ids", ids)
         object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "_id_grid", None if grid is None else _read_only(grid))
+        if grid is None:
+            object.__setattr__(self, "problem_ids", ids)
+        else:  # built from the grid by __getattr__, on first read
+            object.__delattr__(self, "problem_ids")
+            object.__setattr__(self, "_id_grid", _read_only(grid))
+
+    def __getattr__(self, name):
+        # reached only for a name the instance and its class lack: ``problem_ids``
+        # of a log that keeps its grid, before its first read, is the one it builds
+        grid = self.__dict__.get("_id_grid")
+        if name != "problem_ids" or grid is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ids = self.__dict__["problem_ids"] = tuple(_IdGrid(grid))  # cached as functools.cached_property does
+        return ids
 
     @property
     def n_problems(self) -> int:
@@ -204,16 +232,56 @@ class CorrectnessLog:
         return float(np.count_nonzero(self.correctness[:, k])) / self.n_problems
 
 
+_DIFFERENT_SETS = "paired runs cover different problem sets"
+
+
 def align_rows(log_a: CorrectnessLog, log_b: CorrectnessLog) -> np.ndarray:
-    """``log_b``'s correctness rows in ``log_a``'s problem-id order; ValueError unless the ids match."""
-    if log_a.problem_ids == log_b.problem_ids:
+    """``log_b``'s correctness rows in ``log_a``'s problem-id order; ValueError unless the ids match.
+
+    Two logs that keep their id grids are paired with no str per id: one
+    comparison of the grids finds the same order, and one sorted key per id
+    any other (``_grid_order``). Any other pair, or two wide ids of one log
+    that share a key, is paired through a ``dict`` of ``log_b``'s ids.
+    """
+    grid_a, grid_b = log_a._id_grid, log_b._id_grid
+    if grid_a is None or grid_b is None:
+        if log_a.problem_ids == log_b.problem_ids:
+            return log_b.correctness
+        order = None
+    elif grid_a.shape != grid_b.shape:  # another count, or ids of another width: an id of one log is not in the other
+        raise ValueError(_DIFFERENT_SETS)
+    elif np.array_equal(grid_a, grid_b):
         return log_b.correctness
-    pos = dict(zip(log_b.problem_ids, range(log_b.n_problems)))
-    order = list(map(pos.get, log_a.problem_ids))
-    # ids are unique within a log: equal counts and no missing id mean equal sets
-    if log_a.n_problems != log_b.n_problems or None in order:
-        raise ValueError("paired runs cover different problem sets")
+    else:
+        order = _grid_order(grid_a, grid_b)
+    if order is None:
+        pos = dict(zip(log_b.problem_ids, range(log_b.n_problems)))
+        order = list(map(pos.get, log_a.problem_ids))
+        # ids are unique within a log: equal counts and no missing id mean equal sets
+        if log_a.n_problems != log_b.n_problems or None in order:
+            raise ValueError(_DIFFERENT_SETS)
     return log_b.correctness[order]
+
+
+def _grid_order(grid_a: np.ndarray, grid_b: np.ndarray) -> np.ndarray | None:
+    """The rows of ``grid_b`` that give ``grid_a``, in order, found by sorting one ``_row_keys`` key per row.
+
+    ValueError if the grids hold different rows; None, for the caller's
+    ``dict``, if a key repeats within a grid (two rows over 8 bytes whose
+    folded keys collide). A row over 8 bytes may share its key with a
+    different row of the other grid, so such a pairing is confirmed on the
+    rows themselves.
+    """
+    keys_a, keys_b = _row_keys(grid_a), _row_keys(grid_b)
+    by_a, by_b = keys_a.argsort(), keys_b.argsort()
+    keys_a, keys_b = keys_a[by_a], keys_b[by_b]
+    if _repeats(keys_a) or _repeats(keys_b):
+        return None
+    order = np.empty_like(by_b)
+    order[by_a] = by_b  # the row of grid_b with the key of grid_a's row
+    if not np.array_equal(keys_a, keys_b) or (grid_a.shape[1] > 8 and not np.array_equal(grid_b[order], grid_a)):
+        raise ValueError(_DIFFERENT_SETS)
+    return order
 
 
 def _parse_directives(lines) -> tuple[dict[str, str], str, int]:
@@ -415,7 +483,7 @@ def _matrix_candidate(data: bytes, head) -> CorrectnessLog | None:
     w = first + 1 - body - len(_line_suffixes(form, width, tag)[0][0])  # the id's width as written
     if w < 0:
         return None
-    template, _, bit_cols, end_cols = _matrix_layout(form, width, tag, w)
+    template, bit_cols, end_cols = _matrix_layout(form, width, tag, w)
     size = len(template)
     if (len(data) - body) % size:
         return None
@@ -484,7 +552,10 @@ def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid 
     if not spans.size or spans.min() < 0:
         raise ValueError("a row too short for its id")
     if spans.min() == spans.max():
-        grid = sliding_window_view(buf, int(spans[0]))[starts]
+        width = int(spans[0])
+        grid = np.empty((len(starts), width), dtype=np.uint8)
+        if width:  # one V{width} item per id, gathered as one unit
+            grid.view(f"V{width}")[:, 0] = _items(buf, width)[starts]
         if not quoted.any() and (grid < 128).all() and _distinct_rows(grid):
             return _IdGrid(grid)
         text = _joined(grid).decode("utf-8")
@@ -624,19 +695,18 @@ def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[l
     return [b",%d,0,,%s\n" % (k, tag_bytes) for k in range(width)], [[len(str(k)) + 2] for k in range(width)]
 
 
-def _matrix_layout(form: str, width: int, tag: str, w: int) -> tuple[bytes, list[int], list[int], list[int]]:
-    """The template row of ``_matrix_file`` for ids ``w`` bytes wide, and its id, bit and line-end columns.
+def _matrix_layout(form: str, width: int, tag: str, w: int) -> tuple[bytes, list[int], list[int]]:
+    """The template row of ``_matrix_file`` for ids ``w`` bytes wide, and its bit and line-end columns.
 
     The row holds every line of one problem, with "0" in its id columns
     and at its bits; ``_matrix_candidate`` reads a file by the same row.
     """
-    template, id_cols, bit_cols, end_cols = b"", [], [], []
+    template, bit_cols, end_cols = b"", [], []
     for suffix, bits in zip(*_line_suffixes(form, width, tag)):
-        id_cols.append(len(template))
         bit_cols += [len(template) + w + b for b in bits]
         template += b"0" * w + suffix
         end_cols.append(len(template) - 1)
-    return template, id_cols, bit_cols, end_cols
+    return template, bit_cols, end_cols
 
 
 def _items(buf: np.ndarray, width: int) -> np.ndarray:
@@ -647,24 +717,31 @@ def _items(buf: np.ndarray, width: int) -> np.ndarray:
 def _matrix_file(head: bytes, grid: np.ndarray, matrix: np.ndarray, form: str, tag: str) -> bytearray:
     """The file for a log that keeps its id grid ``grid`` (ASCII, no byte to quote), built as one byte matrix.
 
-    Each row of the matrix is the template row of ``_matrix_layout``, with
-    the problem's id written into each line's id columns and its bits
-    added at their columns.
+    Each row of the matrix is the template row of ``_matrix_layout``. Its
+    lines are filled in runs of one length (in record form one run per
+    digit width of k, in compact form the one line), each run as an
+    ``(n, lines, length)`` block: the ids go into every line of it as one
+    broadcast copy, and the bits as one add per bit column of a line.
     """
     n, width = matrix.shape
     w = grid.shape[1]
-    template, id_cols, bit_cols, _ = _matrix_layout(form, width, tag, w)
+    template, _, _ = _matrix_layout(form, width, tag, w)
     out = bytearray(len(head) + n * len(template))  # filled in place: no copy to bytes
     out[: len(head)] = head
     body = np.frombuffer(out, dtype=np.uint8, offset=len(head)).reshape(n, len(template))
     body[:] = np.frombuffer(template, dtype=np.uint8)
-    if w:  # one V{w} item per id: each is copied as one unit
-        id_items = grid.view(f"V{w}")[:, 0]
-        for col in id_cols:
-            body[:, col : col + w].view(f"V{w}")[:, 0] = id_items
     bits = matrix.view(np.uint8)
-    for k, col in enumerate(bit_cols):
-        body[:, col] += bits[:, k]  # "0" + 1 is "1"
+    suffixes, bit_at = _line_suffixes(form, width, tag)
+    at = line = k = 0  # the run's first column in the row, its first line and its first bit
+    for size, run in groupby(map(len, suffixes)):
+        lines, length, cols = len(list(run)), w + size, bit_at[line]  # its lines hold their bits at one place
+        block = np.ndarray((n, lines, length), dtype=np.uint8, buffer=body, offset=at,
+                           strides=(len(template), length, 1))
+        if w:  # one V{w} item per id, copied as one unit
+            block[:, :, :w].view(f"V{w}")[..., 0] = grid.view(f"V{w}")
+        for j, col in enumerate(cols):  # "0" + 1 is "1"
+            block[:, :, w + col] += bits[:, k + j : k + lines * len(cols) : len(cols)]
+        at, line, k = at + lines * length, line + lines, k + lines * len(cols)
     return out
 
 

@@ -241,3 +241,31 @@ def test_simulated_rates_inside_99_percent_intervals():
         assert lo <= 0.05 <= hi
         lo, hi = item.ecr_interval
         assert lo <= 0.15 <= hi
+
+
+def _layouts(matrix):
+    """``matrix`` as C, Fortran-order, non-contiguous, read-only and int 0/1 arrays."""
+    wide = np.repeat(matrix, 2, axis=1)
+    frozen = matrix.copy()
+    frozen.flags.writeable = False
+    return {"c": matrix, "fortran": np.asfortranarray(matrix), "strided": wide[:, ::2], "read-only": frozen,
+            "int": matrix.astype(np.int64)}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (5, 1), (5, 2), (37, 6)])
+def test_column_counts_match_naive_masks_on_any_layout(shape):
+    matrix = np.random.default_rng(sum(shape)).random(shape) < 0.6
+    naive = [
+        [int(np.count_nonzero(mask)) for mask in (b & a, b & ~a, ~b & a, ~b & ~a)]
+        for b, a in zip(matrix[:, :-1].T, matrix[:, 1:].T)
+    ]
+    correct = matrix.sum(axis=0).tolist()
+    for name, layout in _layouts(matrix).items():
+        table = transition_counts(layout)
+        assert table.shape == (shape[1] - 1, 4) and table.tolist() == naive, name
+        series = accuracy_series(CorrectnessLog(problem_ids=[f"p{i}" for i in range(shape[0])], correctness=layout))
+        # plain floats: a numpy scalar would change every repr'd artifact cell
+        assert [type(point.accuracy) for point in series] == [float] * shape[1], name
+        assert [point.accuracy for point in series] == [c / shape[0] for c in correct], name
+        assert [point.net_benefit for point in series[1:]] == [
+            (b - a) / shape[0] for a, b in zip(correct, correct[1:])], name

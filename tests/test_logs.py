@@ -1,9 +1,11 @@
 """Correctness-log format: round trips and line-numbered failures."""
 
+import copy
 import csv
 import dataclasses
 import io
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -1142,3 +1144,136 @@ def test_align_rows_requires_same_problems(ids):
     for first, second in ((_toy_log(), other), (other, _toy_log())):
         with pytest.raises(ValueError, match="different problem sets"):
             align_rows(first, second)
+
+
+# two 16-byte ids whose 8-byte words fold into one key (found by a seeded search over the second id's first word)
+_COLLIDING = ("problem-00000001", "qpfinaveEfEQgoKu")
+_ALIGN_ALPHABET = "ab0,\" "
+
+
+def _bit_rows(n):
+    """n distinct rows, so a row out of place shows."""
+    return (np.arange(n)[:, None] >> np.arange(9) & 1).astype(bool)
+
+
+def _aligned_or_refused(log_a, log_b):
+    try:
+        return align_rows(log_a, log_b).tolist()
+    except ValueError as err:
+        return str(err)
+
+
+def test_colliding_ids_share_one_key():
+    grid = np.frombuffer("".join(_COLLIDING).encode("ascii"), dtype=np.uint8).reshape(2, 16)
+    keys = logs._row_keys(grid)
+    assert keys[0] == keys[1] and not logs._distinct_rows(grid)
+
+
+@given(data=st.data(), width=st.sampled_from([0, 1, 3, 8, 9, 12, 16]))
+@settings(max_examples=300, deadline=None)
+def test_grid_pairing_matches_the_dict(data, width):
+    # the dict of list logs is the oracle: two logs' grids give the same rows or the same refusal
+    text = st.text(_ALIGN_ALPHABET, min_size=width, max_size=width)
+    ids_a = data.draw(st.lists(text, min_size=1 if width == 0 else 3, max_size=8, unique=True))
+    wider = st.text(_ALIGN_ALPHABET, min_size=width + 1, max_size=width + 1)
+    extra = data.draw(st.lists(text | wider, max_size=3))
+    if width == 16:  # one key for two ids, of one log (the dict pairs them) or of two (the rows refute it)
+        ids_a += data.draw(st.sampled_from([[], [_COLLIDING[0]], list(_COLLIDING)]))
+        extra += data.draw(st.sampled_from([[], [_COLLIDING[1]], list(_COLLIDING)]))
+    ids_a = list(dict.fromkeys(ids_a))
+    pool = list(dict.fromkeys(ids_a + extra))
+    permuted = data.draw(st.permutations(ids_a))
+    fresh = [pid for pid in extra if pid not in ids_a]
+    ids_b = data.draw(st.sampled_from([
+        ids_a,  # the same order
+        permuted if permuted != ids_a else ids_a[1:] + ids_a[:1],  # another order
+        permuted[:-1] + fresh[:1] or ids_a,  # one id swapped for another, of the same width or not
+        data.draw(st.permutations(pool))[: data.draw(st.integers(1, len(pool)))],  # a subset or a superset
+    ]))
+    listed = [CorrectnessLog(problem_ids=ids, correctness=_bit_rows(len(ids))) for ids in (ids_a, ids_b)]
+    one_width = [len(set(map(len, ids))) == 1 for ids in (ids_a, ids_b)]
+    # a grid for each log of one width, or for one of them: one grid log paired with one list log
+    as_grid = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    kept = [_grid_log(ids, correctness=log.correctness) if grid and width_ok else log
+            for ids, log, grid, width_ok in zip((ids_a, ids_b), listed, as_grid, one_width)]
+    assert _aligned_or_refused(*kept) == _aligned_or_refused(*listed)
+
+
+def test_a_key_shared_within_a_log_falls_to_the_dict_and_one_across_logs_is_refused():
+    others = ["problem-00000002", "problem-00000003"]
+    a = _grid_log([_COLLIDING[0], *others], correctness=_bit_rows(3))
+    partner = _grid_log([others[1], _COLLIDING[1], others[0]], correctness=_bit_rows(3))
+    rotated = _grid_log([*others, _COLLIDING[0]], correctness=_bit_rows(3))
+    assert logs._grid_order(a._id_grid, rotated._id_grid).tolist() == [2, 0, 1]
+    with pytest.raises(ValueError, match="different problem sets"):  # the keys pair, the rows do not
+        logs._grid_order(a._id_grid, partner._id_grid)
+    pair = _grid_log([*_COLLIDING, others[0]], correctness=_bit_rows(3))
+    swapped = _grid_log([others[0], *_COLLIDING[::-1]], correctness=_bit_rows(3))
+    assert logs._grid_order(pair._id_grid, swapped._id_grid) is None
+    assert align_rows(pair, swapped).tolist() == _bit_rows(3)[[2, 1, 0]].tolist()
+
+
+def test_grid_pairing_builds_no_ids():
+    ids = [f"p{i:02d}" for i in range(40)]
+    order = np.random.default_rng(3).permutation(40)
+    a = _grid_log(ids, correctness=_bit_rows(40))
+    b = _grid_log([ids[i] for i in order], correctness=_bit_rows(40)[order])
+    with mock.patch.object(logs._IdGrid, "__iter__", autospec=True, side_effect=logs._IdGrid.__iter__) as split:
+        assert np.array_equal(align_rows(a, b), a.correctness)
+        same = _grid_log(ids, correctness=~a.correctness)
+        assert align_rows(a, same) is same.correctness  # the same order, found by one comparison: no gather
+        with pytest.raises(ValueError, match="different problem sets"):
+            align_rows(a, _grid_log(ids[1:], correctness=_bit_rows(39)))
+        assert split.call_count == 0
+        assert a.problem_ids == tuple(ids)  # the spy sees a split
+        assert split.call_count == 1
+
+
+# -- ids built on first read -----------------------------------------------------------
+
+
+def _simulated(n=12):
+    return simulate_population(SimConfig(n_problems=n, n_iterations=2, initial_accuracy=0.5, seed=3,
+                                         schedule=preset("o4-mini"))).log
+
+
+def test_kept_grid_ids_are_one_plain_tuple_built_on_first_read(tmp_path):
+    write_log(_simulated(), tmp_path / "log.csv")
+    for log in (_simulated(), read_log(tmp_path / "log.csv")):
+        assert "problem_ids" not in vars(log)
+        ids = log.problem_ids
+        assert type(ids) is tuple and ids == tuple(f"p{i:02d}" for i in range(12))
+        assert log.problem_ids is ids and vars(log)["problem_ids"] is ids
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        _simulated().missing
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_kept_grid_ids_survive_repr_replace_copy_and_pickle(read_first):
+    log = _simulated()
+    want = tuple(f"p{i:02d}" for i in range(12))
+    if read_first:
+        assert log.problem_ids == want
+    assert repr(want) in repr(log)
+    replaced = dataclasses.replace(log, metadata={"x": "1"})  # reads the ids: the new log holds their tuple
+    assert replaced.problem_ids == want and replaced._id_grid is None and replaced.metadata == {"x": "1"}
+    for other in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+        assert np.array_equal(other._id_grid, log._id_grid)  # the grid goes along, and the ids come from it
+        assert other.problem_ids == want and type(other.problem_ids) is tuple
+        assert np.array_equal(other.correctness, log.correctness) and other.metadata == log.metadata
+
+
+# -- the byte-matrix writer ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+@pytest.mark.parametrize("columns", [1, 2, 10, 11, 12, 101])  # the lines of k widen at k = 10 and k = 100
+@pytest.mark.parametrize("ids", [[""], ["ab", "cd", "ef"], ["problem-000001", "problem-000002"]],
+                         ids=["width-0", "width-2", "width-14"])
+def test_matrix_file_writes_the_bytes_of_the_ragged_file(form, columns, ids):
+    matrix = np.arange(len(ids) * columns).reshape(len(ids), columns) % 3 == 1
+    for label in ("run", 'say "hi", run'):
+        head = b"#head\n"
+        grid = np.frombuffer("".join(ids).encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
+        by_grid = logs._matrix_file(head, grid, matrix, form, logs._quote(label))
+        assert by_grid == logs._ragged_file(head, ids, matrix, form, logs._quote(label), False)
