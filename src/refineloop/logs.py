@@ -33,8 +33,8 @@ are read in one numpy pass: when every id, quotes dropped, has one width,
 as one byte grid, else through one keep-mask over the body. When that
 grid holds distinct ASCII ids and none was quoted (every log ``simulate``
 writes), the log keeps it (``_IdGrid``) and no str per id: its ``tuple``
-of ids is built on first read, two such logs are paired by their grids,
-and it is written again from the grid. A log is written without a
+of ids is built on first read, two such logs in one order are paired by
+their grids, and it is written again from the grid. A log is written without a
 string per row: when it keeps its id grid, with no confidence filled and
 no grid byte that ends a line or needs quoting, as one byte matrix
 filled by runs of equal-length lines, else as one byte array with its
@@ -111,11 +111,12 @@ class _IdGrid:
         return iter(_joined(self.grid).decode("ascii").split("\n"))
 
 
-def _row_keys(grid: np.ndarray) -> np.ndarray:
-    """One uint64 key per row of a uint8 grid.
+def _distinct_rows(grid: np.ndarray) -> bool:
+    """True if the rows of a uint8 grid are known to differ: one uint64 key per row, sorted, neighbours compared.
 
     A row of up to 8 bytes is its own key; a wider row's 8-byte words are
-    folded into one, so two wider rows may share a key and still differ.
+    folded into one, so a repeated key may be a collision, not a repeat,
+    and False then means "not known".
     """
     n, width = grid.shape
     words = np.zeros((n, max(1, -(-width // 8)) * 8), dtype=np.uint8)
@@ -125,21 +126,8 @@ def _row_keys(grid: np.ndarray) -> np.ndarray:
     for col in range(1, words.shape[1]):
         keys *= np.uint64(0x9E3779B97F4A7C15)  # wraps: a hash, not a sum
         keys ^= words[:, col]
-    return keys
-
-
-def _repeats(keys: np.ndarray) -> bool:
-    """True if sorted ``keys`` hold a value twice."""
-    return bool((keys[1:] == keys[:-1]).any())
-
-
-def _distinct_rows(grid: np.ndarray) -> bool:
-    """True if the rows of a uint8 grid are known to differ: their ``_row_keys``, sorted, hold no repeat.
-
-    A repeated key of rows over 8 bytes may be a collision, not a repeat,
-    and False then means "not known".
-    """
-    return not _repeats(np.sort(_row_keys(grid)))
+    keys.sort()
+    return not (keys[1:] == keys[:-1]).any()
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -238,50 +226,24 @@ _DIFFERENT_SETS = "paired runs cover different problem sets"
 def align_rows(log_a: CorrectnessLog, log_b: CorrectnessLog) -> np.ndarray:
     """``log_b``'s correctness rows in ``log_a``'s problem-id order; ValueError unless the ids match.
 
-    Two logs that keep their id grids are paired with no str per id: one
-    comparison of the grids finds the same order, and one sorted key per id
-    any other (``_grid_order``). Any other pair, or two wide ids of one log
-    that share a key, is paired through a ``dict`` of ``log_b``'s ids.
+    Two logs that keep their id grids in one order are paired by one
+    comparison of the grids, with no str per id; any other pair through a
+    ``dict`` of ``log_b``'s ids.
     """
     grid_a, grid_b = log_a._id_grid, log_b._id_grid
     if grid_a is None or grid_b is None:
         if log_a.problem_ids == log_b.problem_ids:
             return log_b.correctness
-        order = None
     elif grid_a.shape != grid_b.shape:  # another count, or ids of another width: an id of one log is not in the other
         raise ValueError(_DIFFERENT_SETS)
     elif np.array_equal(grid_a, grid_b):
         return log_b.correctness
-    else:
-        order = _grid_order(grid_a, grid_b)
-    if order is None:
-        pos = dict(zip(log_b.problem_ids, range(log_b.n_problems)))
-        order = list(map(pos.get, log_a.problem_ids))
-        # ids are unique within a log: equal counts and no missing id mean equal sets
-        if log_a.n_problems != log_b.n_problems or None in order:
-            raise ValueError(_DIFFERENT_SETS)
-    return log_b.correctness[order]
-
-
-def _grid_order(grid_a: np.ndarray, grid_b: np.ndarray) -> np.ndarray | None:
-    """The rows of ``grid_b`` that give ``grid_a``, in order, found by sorting one ``_row_keys`` key per row.
-
-    ValueError if the grids hold different rows; None, for the caller's
-    ``dict``, if a key repeats within a grid (two rows over 8 bytes whose
-    folded keys collide). A row over 8 bytes may share its key with a
-    different row of the other grid, so such a pairing is confirmed on the
-    rows themselves.
-    """
-    keys_a, keys_b = _row_keys(grid_a), _row_keys(grid_b)
-    by_a, by_b = keys_a.argsort(), keys_b.argsort()
-    keys_a, keys_b = keys_a[by_a], keys_b[by_b]
-    if _repeats(keys_a) or _repeats(keys_b):
-        return None
-    order = np.empty_like(by_b)
-    order[by_a] = by_b  # the row of grid_b with the key of grid_a's row
-    if not np.array_equal(keys_a, keys_b) or (grid_a.shape[1] > 8 and not np.array_equal(grid_b[order], grid_a)):
+    pos = dict(zip(log_b.problem_ids, range(log_b.n_problems)))
+    order = list(map(pos.get, log_a.problem_ids))
+    # ids are unique within a log: equal counts and no missing id mean equal sets
+    if log_a.n_problems != log_b.n_problems or None in order:
         raise ValueError(_DIFFERENT_SETS)
-    return order
+    return log_b.correctness[order]
 
 
 def _parse_directives(lines) -> tuple[dict[str, str], str, int]:

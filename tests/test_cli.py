@@ -546,17 +546,10 @@ def test_readme_commands_parse():
         assert callable(parser.parse_args(argv).run)
 
 
-@pytest.mark.parametrize("permuted", [False, True])
-def test_report_on_simulated_logs_builds_no_id_strs(tmp_path, permuted):
+def test_report_on_simulated_logs_builds_no_id_strs(tmp_path):
     # every id of a simulated log stays in its byte grid, through the read, the pairing and the report
     paths = [_simulate(tmp_path, "--preset", name, "--seed", "2", "--n", "300", "--iterations", "4", out=name)
              for name in ("gpt-4o-mini", "o4-mini")]
-    if permuted:
-        log = read_log(paths[1])
-        order = np.random.default_rng(5).permutation(log.n_problems)
-        grid = logs._IdGrid(log._id_grid[order])
-        write_log(CorrectnessLog(problem_ids=grid, correctness=log.correctness[order], metadata=log.metadata),
-                  paths[1])
     with mock.patch.object(logs._IdGrid, "__iter__", autospec=True, side_effect=logs._IdGrid.__iter__) as split:
         assert main(["report", *map(str, paths), "--resamples", "50", "--out", str(tmp_path / "report")]) == EXIT_OK
     assert split.call_count == 0
