@@ -29,17 +29,18 @@ edit) is read with ``csv``, with the same result. Each of ``write_log``'s
 two writers has its own reader: a file ``_matrix_file`` writes is read as
 rows of one template (``_matrix_candidate``), with no array per line; any
 other, from one scan for its line ends (``_canonical_candidate``). Ids
-are read in one numpy pass: when every id, quotes dropped, has one width,
-as one byte grid, else through one keep-mask over the body. When that
-grid holds distinct ASCII ids and none was quoted (every log ``simulate``
-writes), the log keeps it (``_IdGrid``) and no str per id: its ``tuple``
-of ids is built on first read, two such logs in one order are paired by
-their grids, and it is written again from the grid. A log is written without a
-string per row: when it keeps its id grid, with no confidence filled and
-no grid byte that ends a line or needs quoting, as one byte matrix
-filled by runs of equal-length lines, else as one byte array with its
-ids, and its filled confidences' text (one ``repr`` per distinct float
-bit pattern), grouped by width.
+are read in one numpy pass: when none was quoted and all have one width,
+as one byte grid, which the log keeps (``_IdGrid``) if its ids are
+distinct ASCII (every log ``simulate`` writes), with no str per id: its
+``tuple`` of ids is built on first read, two such logs in one order are
+paired by their grids, and it is written again from the grid. Any other
+ids are read as strs through one keep-mask over the body. A log is
+written without a string per row: when it keeps its id grid, with no
+confidence filled and no grid byte that ends a line or needs quoting,
+as one byte matrix filled by runs of equal-length lines, else as one
+byte array with its ids (every '"' doubled in one pass, quoted where
+they hold "," or '"'), and its filled confidences' text (one ``repr``
+per distinct float bit pattern), grouped by width.
 """
 
 import csv
@@ -84,15 +85,6 @@ def _check_correctness(values) -> np.ndarray:
     return array
 
 
-def _joined(grid: np.ndarray) -> bytes:
-    """The rows of a uint8 byte grid, joined by "\\n"."""
-    n, width = grid.shape
-    lines = np.empty((n, width + 1), dtype=np.uint8)
-    lines[:, :width] = grid
-    lines[:, width] = ord("\n")
-    return lines.tobytes()[:-1]
-
-
 class _IdGrid:
     """Distinct ASCII ids of one width, no "\\n" among them, as the rows of an ``(n, w)`` uint8 grid.
 
@@ -108,7 +100,11 @@ class _IdGrid:
         self.grid = grid
 
     def __iter__(self):
-        return iter(_joined(self.grid).decode("ascii").split("\n"))
+        n, width = self.grid.shape
+        lines = np.empty((n, width + 1), dtype=np.uint8)  # each row and a "\n"
+        lines[:, :width] = self.grid
+        lines[:, width] = ord("\n")
+        return iter(lines.tobytes()[:-1].decode("ascii").split("\n"))
 
 
 def _distinct_rows(grid: np.ndarray) -> bool:
@@ -152,7 +148,10 @@ class CorrectnessLog:
     row-count check). The log keeps a read-only view of the grid as
     ``_id_grid`` (else None), from which ``write_log`` takes the ids'
     bytes and ``align_rows`` pairs two logs; their ``tuple`` is built on
-    first read of ``problem_ids``, once.
+    first read of ``problem_ids``, once. ``repr`` reads it, so it builds
+    the tuple (about 100 ms and 61 MiB at 1M ids), and so does
+    ``dataclasses.replace``, which returns a log of str ids with no grid:
+    the same values, written with the same bytes.
     """
 
     problem_ids: tuple[str, ...]
@@ -431,28 +430,28 @@ def _head(data: bytes) -> tuple[dict[str, str], str, str, int, int, int]:
     return metadata, "records", label, body, first, width
 
 
-def _matrix_candidate(data: bytes, head) -> CorrectnessLog | None:
-    """The log read from ``data`` on the guess that ``_matrix_file`` wrote it, else None; ``head`` is ``_head(data)``.
+def _matrix_candidate(data: bytes, head) -> CorrectnessLog:
+    """The log read from ``data`` on the guess that ``_matrix_file`` wrote it; ``head`` is ``_head(data)``.
 
     The first problem's lines give the template row (``_matrix_layout``);
-    the body is read as rows of it, with no array per line. None, before
-    any encode, unless the body is a whole number of rows with a "\\n" at
-    every line end. Nothing else is checked here: ``_read_canonical`` keeps
-    the guess only if ``_encode`` turns it back into ``data``.
+    the body is read as rows of it, with no array per line. ValueError
+    before any encode unless the body is a whole number of rows with a
+    "\\n" at every line end. Nothing else is checked here: ``_read_canonical``
+    keeps the guess only if ``_encode`` turns it back into ``data``.
     """
     metadata, form, label, body, first, width = head
     tag = _quote(label)
     w = first + 1 - body - len(_line_suffixes(form, width, tag)[0][0])  # the id's width as written
     if w < 0:
-        return None
+        raise ValueError("the first line is too short for a template row")
     template, bit_cols, end_cols = _matrix_layout(form, width, tag, w)
     size = len(template)
     if (len(data) - body) % size:
-        return None
+        raise ValueError("the body is not a whole number of template rows")
     buf = np.frombuffer(data, dtype=np.uint8)
     rows = buf[body:].reshape(-1, size)
     if not (rows.take(end_cols, axis=1) == ord("\n")).all():  # take: a third of rows[:, cols]'s time
-        return None
+        raise ValueError("a line ends off the template row's line ends")
     starts = np.arange(body, len(data), size)  # each row's first id, at column 0
     ids = _read_ids(buf, starts, starts + w)
     # a copy, as the id grid is: no view keeps ``data`` alive. Made after the ids, it takes the space their
@@ -503,9 +502,10 @@ def _canonical_candidate(data: bytes, head) -> CorrectnessLog:
 def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid | list[str]:
     """The ids written at ``buf[starts[i]:ends[i]]``, as ``_quote`` wrote them; ``starts`` and ``ends`` change in place.
 
-    Ids of one width are gathered as one byte grid, kept as an
-    ``_IdGrid`` when none was quoted and its rows are distinct ASCII; a
-    repeat, if any, is then named by the log's constructor.
+    Ids of one width, none of them quoted, are gathered as one byte grid,
+    kept as an ``_IdGrid`` when its rows are distinct ASCII. Any other ids
+    are read as strs through one keep-mask over the body (``_kept_ids``);
+    a repeat, if any, is then named by the log's constructor.
     """
     quoted = buf[starts] == ord('"')  # a quoted id: its enclosing quotes are dropped here
     starts += quoted
@@ -513,17 +513,14 @@ def _read_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _IdGrid 
     spans = ends - starts
     if not spans.size or spans.min() < 0:
         raise ValueError("a row too short for its id")
-    if spans.min() == spans.max():
+    if not quoted.any() and spans.min() == spans.max():
         width = int(spans[0])
         grid = np.empty((len(starts), width), dtype=np.uint8)
         if width:  # one V{width} item per id, gathered as one unit
             grid.view(f"V{width}")[:, 0] = _items(buf, width)[starts]
-        if not quoted.any() and (grid < 128).all() and _distinct_rows(grid):
+        if (grid < 128).all() and _distinct_rows(grid):
             return _IdGrid(grid)
-        text = _joined(grid).decode("utf-8")
-    else:
-        text = _kept_ids(buf, starts, ends)
-    return text.replace('""', '"').split("\n")  # undo _quote's doubling
+    return _kept_ids(buf, starts, ends).replace('""', '"').split("\n")  # undo _quote's doubling
 
 
 def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
@@ -542,7 +539,7 @@ def _read_canonical(data: bytes) -> dict[str, CorrectnessLog] | None:
         for candidate in (_matrix_candidate, _canonical_candidate):
             with suppress(ValueError, IndexError, csv.Error):  # not this writer's
                 log = candidate(data, head)
-                if log is not None and _encode(log, form, label) == data:
+                if _encode(log, form, label) == data:
                     return {label: log}
     return None
 
@@ -619,8 +616,7 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
         grid = None
     if grid is None:
         ids = log.problem_ids
-        joined = "".join(ids)
-        if not _one_line(joined):
+        if not _one_line("".join(ids)):
             bad = next(pid for pid in ids if not _one_line(pid))
             raise ValueError(f"problem id {bad!r} contains a line break")
         longest = max(map(len, ids))
@@ -643,9 +639,7 @@ def _encode(log: CorrectnessLog, form: str, label: str) -> bytes | bytearray:
     head = (_directives(meta) + header + "\n").encode("utf-8")
     if grid is not None:
         return _matrix_file(head, grid, matrix, form, tag)
-    if '"' in joined:  # rare: each id is quoted one at a time
-        return _ragged_file(head, [_quote(pid) for pid in ids], matrix, form, tag, False, conf)
-    return _ragged_file(head, ids, matrix, form, tag, "," in joined, conf)
+    return _ragged_file(head, ids, matrix, form, tag, conf)
 
 
 def _line_suffixes(form: str, width: int, tag: str) -> tuple[list[bytes], list[list[int]]]:
@@ -707,12 +701,13 @@ def _matrix_file(head: bytes, grid: np.ndarray, matrix: np.ndarray, form: str, t
     return out
 
 
-def _ragged_file(head: bytes, ids: Sequence[str], matrix: np.ndarray, form: str, tag: str, quote: bool,
+def _ragged_file(head: bytes, ids: Sequence[str], matrix: np.ndarray, form: str, tag: str,
                  conf: np.ndarray | None = None) -> bytearray:
     """The file for any log ``_matrix_file`` does not take, built in one byte array.
 
-    ``ids`` are as written, or with ``quote`` (no id then holds '"') each
-    id holding "," gets its two quotes here. Line k of every problem is
+    Each id is quoted as ``_quote`` quotes it, over the ids as a whole:
+    every '"' is doubled in one pass over the joined ids, and each id that
+    holds "," or '"' goes between two quotes. Line k of every problem is
     written as one V item per id (the ids grouped by byte width) and one
     V item per suffix (its bits added). ``conf``, record form only, has a
     cell filled: each distinct bit pattern (-0.0 is not 0.0) takes one
@@ -720,13 +715,13 @@ def _ragged_file(head: bytes, ids: Sequence[str], matrix: np.ndarray, form: str,
     width) after its line's ",k,b,", with the line's ",tag\n" after it.
     """
     n, width = matrix.shape
-    raw = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)  # an unencodable id fails here
+    # every '"' doubled in one pass (no copy if there is none); an unencodable id fails here
+    raw = np.frombuffer("\n".join(ids).replace('"', '""').encode("utf-8"), dtype=np.uint8)
     breaks = np.append(np.flatnonzero(raw == ord("\n")), len(raw))  # where each id ends
     starts = np.concatenate(([0], breaks[:-1] + 1))
-    size = breaks - starts  # each id's bytes
+    size = breaks - starts  # each id's bytes, its '"' doubled
     quoted = np.zeros(n, dtype=bool)
-    if quote:
-        quoted[np.searchsorted(breaks, np.flatnonzero(raw == ord(",")))] = True
+    quoted[np.searchsorted(breaks, np.flatnonzero((raw == ord(",")) | (raw == ord('"'))))] = True
     written = size + 2 * quoted
     suffixes, bit_at = _line_suffixes(form, width, tag)
     block = len(suffixes) * written + sum(map(len, suffixes))  # the bytes of each problem's lines

@@ -727,7 +727,8 @@ def test_fast_and_csv_paths_agree_on_mutated_one_width_files(tmp_path, form, wid
 def _read_by_line_ends(path):
     """``read_runs(path)`` for a file ``_ragged_file`` wrote: the template guess is turned away before any encode."""
     data = path.read_bytes()
-    assert logs._matrix_candidate(data, logs._head(data)) is None
+    with pytest.raises(ValueError, match="template row"):  # refused by its row tests
+        logs._matrix_candidate(data, logs._head(data))
     with mock.patch.object(logs, "_encode", wraps=logs._encode) as encode:
         runs = read_runs(path)
     assert encode.call_count == 1  # the check of the line-end reader's guess
@@ -1108,6 +1109,40 @@ def test_varying_width_memory_stays_bounded(tmp_path, form, filled, write_mib, r
     assert peaks[0] < write_mib and peaks[1] < read_mib, f"write {peaks[0]:.1f} MiB, read {peaks[1]:.1f} MiB"
 
 
+# every id holds '"', some also ",", in widths of 1 to 14 bytes, non-ASCII among them
+_QUOTE_IDS = ['"', '""', '","', "é\"☃,"] + [f'say "{i}"' + "," * (i % 3) for i in range(4, 50_000)]
+
+
+@pytest.mark.parametrize("form", ["records", "compact"])
+def test_ids_that_hold_a_quote_are_quoted_over_the_ids_as_a_whole(tmp_path, monkeypatch, form):
+    monkeypatch.setattr(logs, "_read_csv", _no_csv)
+    calls = []
+    for n in (10, 1000):
+        ids = _QUOTE_IDS[:n]
+        log = CorrectnessLog(problem_ids=ids, correctness=np.arange(3 * n).reshape(n, 3) % 5 < 2)
+        with mock.patch.object(logs, "_quote", wraps=logs._quote) as quote:
+            encoded = logs._encode(log, form, "run")
+        calls.append(quote.call_count)
+        assert encoded == _csv_writer_bytes(log, form, "run")
+        path = tmp_path / "log.csv"
+        path.write_bytes(encoded)
+        back = read_log(path)
+        assert back.problem_ids == log.problem_ids and np.array_equal(back.correctness, log.correctness)
+    assert calls[0] == calls[1]  # no call per id: the label's, and no other
+
+
+def test_quote_ids_encode_in_little_memory():
+    # quoted one id at a time, these 50,000 ids peaked at 11.1 MiB; doubled in one pass, at 6.7 MiB
+    log = CorrectnessLog(problem_ids=_QUOTE_IDS, correctness=np.arange(350_000).reshape(50_000, 7) % 3 == 0)
+    tracemalloc.start()
+    try:
+        logs._encode(log, "compact", "run")
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5, f"peak {peak:.1f} MiB"
+
+
 def test_one_width_write_memory_stays_near_the_file_size(tmp_path):
     # no list of rows, no joined string, no copy to bytes. As strs the ids take _ragged_file (9.9 MiB for a
     # 5.3 MiB file); kept as a grid they take _matrix_file, whose byte matrix is the file (5.9 MiB)
@@ -1247,4 +1282,4 @@ def test_matrix_file_writes_the_bytes_of_the_ragged_file(form, columns, ids):
         head = b"#head\n"
         grid = np.frombuffer("".join(ids).encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
         by_grid = logs._matrix_file(head, grid, matrix, form, logs._quote(label))
-        assert by_grid == logs._ragged_file(head, ids, matrix, form, logs._quote(label), False)
+        assert by_grid == logs._ragged_file(head, ids, matrix, form, logs._quote(label))
