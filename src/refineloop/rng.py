@@ -16,12 +16,12 @@ break and must bump the version suffix.
 A draw has two stages. The derivation stage, ``_stream_keys``, mixes
 each stream's ``(key, gamma)`` pair: three finalizers per stream, a fixed
 cost of about 30 small numpy calls whatever the number of streams. The
-draw stage mixes one ``key + index * gamma`` per coordinate. A caller
-that draws from the same streams many times (the bootstrap, one tile of
-problems at a time) derives the pair once and hands it to ``uniforms``
-as ``keys``; it must be ``_stream_keys(seed, stream)`` for the same seed
-and streams, two uint64 arrays of the streams' shape. Its values are
-trusted, not checked against ``stream``.
+draw stage, ``_fill``, mixes one ``key + index * gamma`` per coordinate
+into a buffer its caller owns, and keeps its top 53 bits. ``uniforms``
+runs both stages on checked arguments and scales the bits to [0, 1). A
+caller that draws from the same streams many times (the bootstrap, one
+tile of problems at a time) derives the keys once and calls ``_fill``
+itself, with buffers it reuses; ``_fill`` checks nothing.
 """
 
 import numpy as np
@@ -60,14 +60,14 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """The splitmix64 finalizer, in place on the uint64 array ``z``.
 
-    One scratch buffer holds each shifted copy. uint64 arithmetic wraps
-    modulo 2**64, which is exactly what the scalar reference
-    implementation does with explicit masking.
+    One scratch buffer of ``z``'s shape, ``tmp`` or a new one, holds each
+    shifted copy. uint64 arithmetic wraps modulo 2**64, which is exactly
+    what the scalar reference implementation does with explicit masking.
     """
-    tmp = np.empty_like(z)
+    tmp = np.empty_like(z) if tmp is None else tmp
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= np.uint64(_MIX_A)
@@ -96,8 +96,7 @@ def _coordinates(name: str, value) -> np.ndarray:
 def _stream_keys(seed: int, stream) -> tuple[np.ndarray, np.ndarray]:
     """The starting state ``key`` and odd increment ``gamma`` of each stream.
 
-    Both are new uint64 arrays of ``stream``'s shape; ``uniforms`` takes
-    the pair as its ``keys``.
+    Both are new uint64 arrays of ``stream``'s shape, as ``_fill`` takes them.
     """
     base = np.uint64(_mix_int(check_seed(seed) + _GOLDEN))
     st = _coordinates("stream", stream)
@@ -112,29 +111,32 @@ def _stream_keys(seed: int, stream) -> tuple[np.ndarray, np.ndarray]:
     return key, gamma
 
 
-def uniforms(seed: int, stream, index, *, keys=None) -> np.ndarray:
+def _fill(key: np.ndarray, gamma: np.ndarray, index: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Write each draw's 53 random bits, ``mix(key + index * gamma) >> 11``, into ``out``.
+
+    ``key`` and ``gamma`` (``_stream_keys``' pair) broadcast against the
+    uint64 ``index`` to the shape of ``out`` and of the scratch ``tmp``:
+    two uint64 arrays that share no memory with the others. Nothing is checked.
+    """
+    np.multiply(index, gamma, out=out)
+    out += key
+    _mix(out, tmp)
+    out >>= np.uint64(11)
+
+
+def uniforms(seed: int, stream, index) -> np.ndarray:
     """Uniform [0, 1) draws at the given ``(stream, index)`` coordinates.
 
     ``stream`` and ``index`` may be non-negative ints or integer arrays;
     they broadcast against each other. Each draw carries 53 random bits.
-    ``keys``, when given, is ``_stream_keys(seed, stream)`` (see the
-    module docstring). The arguments are never written to.
+    The arguments are never written to.
     """
     seed = check_seed(seed)
     st = _coordinates("stream", stream)
     ix = _coordinates("index", index)
-    if keys is None:
-        key, gamma = _stream_keys(seed, st)
-    else:
-        key, gamma = keys
-        for part in (key, gamma):
-            if not isinstance(part, np.ndarray) or part.dtype != np.uint64 or part.shape != st.shape:
-                raise ValueError(f"keys must be two uint64 arrays of stream's shape {st.shape}")
-    with np.errstate(over="ignore"):
-        bits = np.asarray(ix * gamma)  # new: never the caller's index or keys
-        bits += key
-        _mix(bits)
-        bits >>= np.uint64(11)
+    key, gamma = _stream_keys(seed, st)
+    bits = np.empty(np.broadcast_shapes(st.shape, ix.shape), dtype=np.uint64)
+    _fill(key, gamma, ix, bits, np.empty_like(bits))  # uint64 arrays wrap without a warning
     # the value is below 2**53: converting it as signed is exact and faster
     u = bits.view(np.int64).astype(np.float64)
     u *= 2.0**-53

@@ -11,13 +11,15 @@ range of problems, so that a tile's temporaries stay in cache; past 2**16
 problems a resample is split into column chunks whose exact integer sums
 are added up. The tiles run on every usable core, up to a fixed cap: the
 calling thread works them alongside helper threads, and each tile writes
-only its own resamples' sums. Every stream's counter keys are derived
-once per call, before the tiles, so a tile pays only for its draws. Any
-tile shape or worker count gives the same bits. When every problem's
-paired difference is the same (two runs that agree on every answer, or
-one that is right wherever the other is wrong), every resample sums to
-n times that difference whatever its draws, so no draw is made. Either
-way each delta is computed once from its resample's exact sum.
+only its own resamples' sums. Every stream's counter keys, and the
+positions that serve every column chunk, are derived once per call, and
+each worker draws into scratch it allocates once, so a tile pays only for
+its draws. Any tile shape or worker count gives the same bits. When every
+problem's paired difference is the same (two runs that agree on every
+answer, or one that is right wherever the other is wrong), every
+resample sums to n times that difference whatever its draws, so no draw
+is made. Either way each delta is computed once from its resample's
+exact sum.
 
 The chi-square tail is for one degree of freedom only, the case McNemar
 needs. It is computed here from the regularized incomplete gamma function
@@ -174,16 +176,14 @@ def _workers() -> int:
     return min(usable, _MAX_WORKERS)
 
 
-def _run_tiles(tile, starts: range) -> None:
+def _run_tiles(new_tile, starts: range) -> None:
     """Call ``tile(start)`` once for every start, on the caller's thread and helpers.
 
-    Tiles are handed out one at a time, so a worker that falls behind
-    takes fewer. The first exception any worker raises is re-raised here
-    after every helper has stopped. A worker holds the array a tile
-    returns until its next tile has returned: were all of a tile's memory
-    freed at once, glibc would trim the heap and fault it back in on the
-    next tile (187,000 page faults and twice the time at n=20,000,
-    R=2,000).
+    Each worker makes its own ``tile = new_tile()`` once, so a tile's
+    scratch is set up once per worker, not once per tile. Tiles are handed
+    out one at a time, so a worker that falls behind takes fewer. The first
+    exception any worker raises is re-raised here after every helper has
+    stopped.
     """
     pending = iter(starts)
     lock = threading.Lock()
@@ -191,12 +191,13 @@ def _run_tiles(tile, starts: range) -> None:
 
     def work() -> None:
         try:
+            tile = new_tile()
             while True:
                 with lock:
                     start = None if errors else next(pending, None)
                 if start is None:
                     return
-                held = tile(start)  # freed after the next tile returns, see above
+                tile(start)
         except BaseException as exc:  # re-raised on the caller's thread below
             with lock:
                 errors.append(exc)
@@ -217,33 +218,43 @@ def _drawn_sums(diff: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     """Each resample's exact int64 sum of ``diff`` over its drawn indices.
 
     The keys of all ``resamples`` streams are derived once per call
-    (``rng._stream_keys``) and each tile draws with its slice of them: the
-    streams and their keys take 24 B per resample, beside the 8 B of the
-    returned sums.
+    (``rng._stream_keys``): 24 B per resample, beside the 8 B of the
+    returned sums. Each worker draws its tiles through ``rng._fill`` into
+    three buffers of one tile's size that it allocates once.
     """
     n = diff.shape[0]
-    # u * n can round up to n, never past it; that index takes the last problem
-    table = np.append(diff, diff[-1])
     rows = max(1, min(resamples, _TILE_DRAWS // n))
     cols = min(n, _TILE_DRAWS)
     sums = np.zeros(resamples, dtype=np.int64)
-    # rng's dtype, so no tile copies or checks them; each stream's keys
-    # are derived here once, not again by every tile and column chunk
     streams = np.arange(resamples, dtype=np.uint64)[:, None] + np.uint64(rng.BOOTSTRAP_STREAM_BASE)
     key, gamma = rng._stream_keys(seed, streams)
+    positions = np.arange(cols, dtype=np.uint64)  # of every chunk, counted from its first column
+    # n * 2**-53 is exact, so m * scale rounds m * n / 2**53 once, as (m * 2**-53) * n does.
+    # The top draw m = 2**53 - 1 floors to n - 1: take's mode="clip" is a guard, moving no index
+    scale = n * 2.0**-53
 
-    def tile(start: int) -> np.ndarray:
-        stop = min(start + rows, resamples)
-        keys = (key[start:stop], gamma[start:stop])
-        for col in range(0, n, cols):
-            positions = np.arange(col, min(col + cols, n), dtype=np.uint64)
-            u = rng.uniforms(seed, streams[start:stop], positions[None, :], keys=keys)
-            u *= n
-            # a chunk of at most 2**16 draws of -1, 0 or +1 sums exactly in int32
-            sums[start:stop] += np.add.reduce(table[u.astype(np.int64)], axis=1, dtype=np.int32)
-        return u
+    def new_tile():
+        bits, tmp = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.uint64)
+        picked = np.empty(rows * cols, dtype=np.int8)
 
-    _run_tiles(tile, range(0, resamples, rows))
+        def tile(start: int) -> None:
+            stop = min(start + rows, resamples)
+            for col in range(0, n, cols):
+                shape = (stop - start, min(cols, n - col))
+                size = shape[0] * shape[1]
+                out, scratch = bits[:size].reshape(shape), tmp[:size].reshape(shape)
+                # (key + col * gamma) + i * gamma wraps to key + (col + i) * gamma: the draw at col + i
+                keys = key[start:stop] + np.uint64(col) * gamma[start:stop] if col else key[start:stop]
+                rng._fill(keys, gamma[start:stop], positions[: shape[1]], out, scratch)
+                np.multiply(out.view(np.int64), scale, out=scratch.view(np.float64))
+                np.copyto(out.view(np.int64), scratch.view(np.float64), casting="unsafe")
+                g = np.take(diff, out.view(np.int64), out=picked[:size].reshape(shape), mode="clip")
+                # a chunk of at most 2**16 draws of -1, 0 or +1 sums exactly in int32
+                sums[start:stop] += np.add.reduce(g, axis=1, dtype=np.int32)
+
+        return tile
+
+    _run_tiles(new_tile, range(0, resamples, rows))
     return sums
 
 

@@ -87,7 +87,8 @@ def test_arguments_are_never_written():
     keys = rng._stream_keys(11, streams[:, None])
     saved = tuple(part.copy() for part in keys)
     for ix in (indices[None, :], indices[None, :2]):
-        rng.uniforms(11, streams[:, None], ix, keys=keys)
+        out = np.empty((5, ix.shape[1]), dtype=np.uint64)
+        rng._fill(*keys, ix, out, np.empty_like(out))
         assert all(np.array_equal(part, copy) for part, copy in zip(keys, saved))
         assert np.array_equal(streams, np.arange(5, dtype=np.uint64))
         assert np.array_equal(indices, np.arange(5, dtype=np.uint64) + np.uint64(2**63))
@@ -112,22 +113,15 @@ _coordinate = st.integers(0, 2**64 - 1)
     ),
 )
 def test_keys_change_no_bit(seed, coordinates):
+    # the bootstrap draws through rng._fill with keys derived once per call;
+    # scaled as uniforms scales them, its bits are uniforms' bits
     stream, index = coordinates
-    derived = rng.uniforms(seed, stream, index, keys=rng._stream_keys(seed, stream))
+    index = np.asarray(index, dtype=np.uint64)
+    out = np.empty(np.broadcast_shapes(np.shape(stream), index.shape), dtype=np.uint64)
+    rng._fill(*rng._stream_keys(seed, stream), index, out, np.empty_like(out))
     direct = rng.uniforms(seed, stream, index)
-    assert derived.dtype == direct.dtype and np.shape(derived) == np.shape(direct)
-    assert np.asarray(derived).tobytes() == np.asarray(direct).tobytes()
-
-
-def test_keys_of_another_shape_are_refused():
-    streams = np.arange(4, dtype=np.uint64)[:, None]
-    key, gamma = rng._stream_keys(3, streams)
-    for keys in ((key[:3], gamma[:3]), (key.ravel(), gamma.ravel()), (key, gamma[:2]), (key[0, 0], gamma[0, 0])):
-        with pytest.raises(ValueError, match="keys must be two uint64 arrays of stream's shape"):
-            rng.uniforms(3, streams, np.arange(5, dtype=np.uint64)[None, :], keys=keys)
-    for keys in ((key.astype(np.int64), gamma), (key, gamma.tolist())):
-        with pytest.raises(ValueError, match="keys must be two uint64 arrays"):
-            rng.uniforms(3, streams, np.arange(5, dtype=np.uint64)[None, :], keys=keys)
+    assert out.shape == np.shape(direct) and (out >> np.uint64(53) == 0).all()
+    assert (out * 2.0**-53).tobytes() == np.asarray(direct).tobytes()
 
 
 @pytest.mark.parametrize(

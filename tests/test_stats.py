@@ -232,17 +232,19 @@ def test_bootstrap_memory_stays_cache_sized():
 
 
 def test_bootstrap_memory_stays_cache_sized_past_one_tile_of_columns():
-    # one whole resample of 300,000 draws would need four 2.4 MB temporaries
-    gen = np.random.default_rng(9)
-    a = gen.random(300_000) < 0.8
-    b = gen.random(300_000) < 0.82
-    tracemalloc.start()
-    try:
-        paired_bootstrap_delta(a, b, resamples=2, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # one whole resample of 300,000 draws would need four 2.4 MB temporaries,
+    # and draw positions built for each of 1,000,000 problems, 8 B each, 8 MB
+    for n in (300_000, 1_000_000):
+        gen = np.random.default_rng(n)
+        a = gen.random(n) < 0.8
+        b = gen.random(n) < 0.82
+        tracemalloc.start()
+        try:
+            paired_bootstrap_delta(a, b, resamples=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, n
 
 
 def _force_workers(monkeypatch, workers):
@@ -262,14 +264,14 @@ def test_bootstrap_bits_do_not_depend_on_worker_count(monkeypatch, workers, n, r
     b = gen.random(n) < 0.75
     expected = _oracle_bootstrap(a, b, resamples, 5, confidence)
     _force_workers(monkeypatch, workers)
-    uniforms = rng.uniforms
+    fill = rng._fill
     callers = set()
 
-    def recording(seed, stream, index, **kwargs):
+    def recording(key, gamma, index, out, tmp):
         callers.add(threading.get_ident())
-        return uniforms(seed, stream, index, **kwargs)
+        fill(key, gamma, index, out, tmp)
 
-    monkeypatch.setattr("refineloop.rng.uniforms", recording)
+    monkeypatch.setattr("refineloop.rng._fill", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -284,18 +286,18 @@ def test_bootstrap_bits_do_not_depend_on_worker_count(monkeypatch, workers, n, r
 
 def test_bootstrap_helper_exception_reaches_the_caller(monkeypatch):
     _force_workers(monkeypatch, 3)
-    uniforms = rng.uniforms
+    fill = rng._fill
     caller = threading.get_ident()
     helper_drew = threading.Event()
 
-    def failing(seed, stream, index, **kwargs):
+    def failing(key, gamma, index, out, tmp):
         if threading.get_ident() == caller:
             helper_drew.wait(timeout=10)  # hold the caller's first tile until a helper fails
-            return uniforms(seed, stream, index, **kwargs)
+            return fill(key, gamma, index, out, tmp)
         helper_drew.set()
         raise RuntimeError("draw failed in a helper")
 
-    monkeypatch.setattr("refineloop.rng.uniforms", failing)
+    monkeypatch.setattr("refineloop.rng._fill", failing)
     threads = threading.active_count()
     col = np.arange(500) % 3 == 0
     with pytest.raises(RuntimeError, match="draw failed in a helper"):
@@ -304,26 +306,65 @@ def test_bootstrap_helper_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_bootstrap_draws_every_index_through_rng_uniforms(monkeypatch):
-    # the benchmark traces the kernel's draws at rng.uniforms, so a kernel
-    # that generated them any other way would go unmeasured
+def test_bootstrap_workers_reuse_their_scratch(monkeypatch):
+    # every buffer the kernel is handed stays referenced here, so a tile that
+    # allocated its own would show as a new address, never a recycled one
+    n, resamples = 70_000, 6  # one resample per tile, two column chunks each
+    _force_workers(monkeypatch, 3)
+    fill = rng._fill
+    handed = {}
+
+    def recording(key, gamma, index, out, tmp):
+        handed.setdefault(threading.get_ident(), []).append((out, tmp))
+        fill(key, gamma, index, out, tmp)
+
+    gen = np.random.default_rng(n)
+    a = gen.random(n) < 0.7
+    b = gen.random(n) < 0.75
+    expected = paired_bootstrap_delta(a, b, resamples=resamples, seed=5)
+    monkeypatch.setattr("refineloop.rng._fill", recording)
+    assert paired_bootstrap_delta(a, b, resamples=resamples, seed=5) == expected
+    assert sum(len(buffers) for buffers in handed.values()) == 2 * resamples
+    for buffers in handed.values():
+        addresses = {(out.__array_interface__["data"][0], tmp.__array_interface__["data"][0]) for out, tmp in buffers}
+        assert len(addresses) == 1
+
+
+def test_the_top_draw_lands_on_the_last_index():
+    # the largest draw m = 2**53 - 1 scaled by n floors to n - 1 whichever
+    # way it is rounded, so the kernel's mode="clip" never moves an index
+    powers = 2 ** np.arange(41, dtype=np.int64)
+    n = np.unique(np.concatenate([np.arange(1, 5_001), powers - 1, powers, powers + 1]))
+    n = n[n >= 1]
+    m = float(2**53 - 1)
+    assert np.array_equal(((m * 2.0**-53) * n).astype(np.int64), n - 1)
+    assert np.array_equal((m * (n * 2.0**-53)).astype(np.int64), n - 1)
+
+
+def test_bootstrap_draws_every_index_through_rng_fill(monkeypatch):
+    # the generator is written once, in rng._fill: a kernel that generated
+    # its draws any other way could drift from rng.uniforms' bits. The
+    # benchmark counts these draws in stats.paired_bootstrap_delta.index_draws
+    # and times them inside its span.
     n, resamples = 3_000, 70
     drawn = []
     coordinates = set()
-    uniforms = rng.uniforms
+    fill = rng._fill
+    streams = [rng.BOOTSTRAP_STREAM_BASE + r for r in range(resamples)]
+    stream_of = dict(zip(zip(*(part.tolist() for part in rng._stream_keys(2, streams))), streams))
 
-    def counting(seed, stream, index, **kwargs):
-        u = uniforms(seed, stream, index, **kwargs)
-        drawn.append(u.size)
-        st, ix = np.broadcast_arrays(np.asarray(stream), np.asarray(index))
+    def counting(key, gamma, index, out, tmp):
+        fill(key, gamma, index, out, tmp)
+        drawn.append(out.size)
+        st = [stream_of[pair] for pair in zip(key.ravel().tolist(), gamma.ravel().tolist())]
+        st, ix = np.broadcast_arrays(np.array(st)[:, None], np.asarray(index))
         coordinates.update(zip(st.ravel().tolist(), ix.ravel().tolist()))
-        return u
 
     gen = np.random.default_rng(4)
     a = gen.random(n) < 0.6
     b = gen.random(n) < 0.65
     expected = paired_bootstrap_delta(a, b, resamples=resamples, seed=2)
-    monkeypatch.setattr("refineloop.rng.uniforms", counting)
+    monkeypatch.setattr("refineloop.rng._fill", counting)
     assert paired_bootstrap_delta(a, b, resamples=resamples, seed=2) == expected
     assert sum(drawn) == resamples * n
     assert coordinates == {
@@ -339,8 +380,8 @@ def test_bootstrap_draws_every_index_through_rng_uniforms(monkeypatch):
     ],
 )
 def test_bootstrap_derives_stream_keys_once_per_call(monkeypatch, n, resamples):
-    # a tile or column chunk that derived its own keys would show up as a
-    # second call, made from inside rng.uniforms
+    # a tile or column chunk that derived its own keys would show up here
+    # as a second call
     derived = []
     stream_keys = rng._stream_keys
 
@@ -358,24 +399,23 @@ def test_bootstrap_derives_stream_keys_once_per_call(monkeypatch, n, resamples):
 
 
 def _spy_on_draws(monkeypatch):
-    """Record every ``rng.uniforms`` draw count, and every key derivation and tile run."""
+    """Record every ``rng._fill`` draw count, and every key derivation and tile run."""
     drawn, calls = [], []
-    uniforms, stream_keys, run_tiles = rng.uniforms, rng._stream_keys, stats._run_tiles
+    fill, stream_keys, run_tiles = rng._fill, rng._stream_keys, stats._run_tiles
 
-    def counting(seed, stream, index, **kwargs):
-        u = uniforms(seed, stream, index, **kwargs)
-        drawn.append(u.size)
-        return u
+    def counting(key, gamma, index, out, tmp):
+        fill(key, gamma, index, out, tmp)
+        drawn.append(out.size)
 
     def deriving(seed, stream):
         calls.append(("keys", np.asarray(stream).size))
         return stream_keys(seed, stream)
 
-    def tiling(tile, starts):
+    def tiling(new_tile, starts):
         calls.append(("tiles", len(starts)))  # the only place helper threads start
-        return run_tiles(tile, starts)
+        return run_tiles(new_tile, starts)
 
-    monkeypatch.setattr("refineloop.rng.uniforms", counting)
+    monkeypatch.setattr("refineloop.rng._fill", counting)
     monkeypatch.setattr("refineloop.rng._stream_keys", deriving)
     monkeypatch.setattr(stats, "_run_tiles", tiling)
     return drawn, calls
