@@ -526,7 +526,7 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities, missing {missing!r}")
         try:
             rates = TransitionRates(pair["eir"], pair["ecr"])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ScenarioError(f"calibration_rates must be {{eir, ecr}} probabilities: {exc}") from None
     try:
         config = AscConfig(

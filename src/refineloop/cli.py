@@ -11,13 +11,12 @@ Subcommands::
 
 All artifacts land in the directory given by ``--out`` (default ``.``).
 Exit codes: 0 success, 1 usage error, 2 malformed input data, 3 internal
-invariant breach. ``REFINELOOP_SEED`` supplies the default seed; it is
-read once per call, after parsing, and checked like ``--seed``.
+invariant breach. The seed of ``simulate``, ``sc`` and ``report`` comes
+only from ``--seed`` (default 0); no environment variable is read.
 """
 
 import argparse
 import itertools
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -42,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-SEED_ENV_VAR = "REFINELOOP_SEED"
 
 
 class _UsageError(Exception):
@@ -245,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=500, help="population size (default 500)")
     sim.add_argument("--iterations", type=int, help="refinement passes (default: schedule length)")
     sim.add_argument("--acc0", type=float, help="initial accuracy (default: preset baseline)")
-    sim.add_argument("--seed", type=_seed, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    sim.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     sim.add_argument("--label", help="run label stored in the log (default: preset name or 'run')")
     sim.add_argument("--form", choices=("records", "compact"), default="records")
     sim.add_argument("--stationary-tail", action="store_true",
@@ -274,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc_p.add_argument("--k", type=int, default=3, help="samples per problem (odd, default 3)")
     sc_p.add_argument("--rho", type=float, default=0.0, help="common-cause weight (default 0)")
     sc_p.add_argument("--n", type=_n_problems, default=100_000, help="simulated problems (default 100000)")
-    sc_p.add_argument("--seed", type=_seed)
+    sc_p.add_argument("--seed", type=_seed, default=0)
     sc_p.add_argument("--fit-target", type=float,
                       help="also fit the rho whose closed-form accuracy hits this value")
     sc_p.add_argument("--out", default=".")
@@ -284,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("logs", nargs="+", metavar="LOG")
     rep.add_argument("--pair", nargs=2, metavar=("RUN_A", "RUN_B"),
                      help="paired comparison (default: automatic when exactly two runs)")
-    rep.add_argument("--seed", type=_seed)
+    rep.add_argument("--seed", type=_seed, default=0)
     rep.add_argument("--resamples", type=_resamples, default=10_000)
     rep.add_argument("--confidence", type=_confidence, default=0.95)
     rep.add_argument("--out", default=".")
@@ -304,11 +301,6 @@ def main(argv=None) -> int:
         # a usage error found after parsing names the subcommand's flags
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        if getattr(args, "seed", 0) is None:  # no --seed given (asc, analyze and diagnose take none)
-            try:
-                args.seed = _seed(os.environ.get(SEED_ENV_VAR, "0"))
-            except argparse.ArgumentTypeError as exc:
-                args.parser.error(f"${SEED_ENV_VAR}: {exc}")
         return args.run(args, args.parser)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
@@ -320,7 +312,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - invariant breach boundary
         print(f"refineloop: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -131,11 +131,9 @@ def uniforms(seed: int, stream, index) -> np.ndarray:
     they broadcast against each other. Each draw carries 53 random bits.
     The arguments are never written to.
     """
-    seed = check_seed(seed)
-    st = _coordinates("stream", stream)
+    key, gamma = _stream_keys(seed, stream)  # checks the seed, then the stream
     ix = _coordinates("index", index)
-    key, gamma = _stream_keys(seed, st)
-    bits = np.empty(np.broadcast_shapes(st.shape, ix.shape), dtype=np.uint64)
+    bits = np.empty(np.broadcast_shapes(key.shape, ix.shape), dtype=np.uint64)
     _fill(key, gamma, ix, bits, np.empty_like(bits))  # uint64 arrays wrap without a warning
     # the value is below 2**53: converting it as signed is exact and faster
     u = bits.view(np.int64).astype(np.float64)

@@ -29,6 +29,7 @@ def _bench_module(name):
 
 
 spans = _bench_module("spans")
+smoke = _bench_module("smoke")
 
 
 @pytest.mark.parametrize("module, attribute", [(m, a) for m, a, _, _ in spans.WRAPS])
@@ -49,27 +50,37 @@ def test_bench_scenario_replay_counts_two_calls_per_answer(tmp_path):
     assert counts["asc.stopped_equilibrium"] == summary.stop_reasons.get(StopReason.EQUILIBRIUM, 0) > 0
 
 
-def _paper_scale_pass(workloads, size, inputs, out) -> dict[str, bytes]:
-    """Run one smoke-size paper-scale pass through ``cli.main`` and return its ``--out`` tree."""
-    for step, argv in workloads.pass_steps("paper-scale", 1, size, inputs, out):
+def _pass(workloads, workload, size, inputs, out) -> dict[str, bytes]:
+    """Run one pass of ``workload`` through ``cli.main`` and return its ``--out`` tree."""
+    for step, argv in workloads.pass_steps(workload, 1, size, inputs, out):
         assert cli.main(argv) == 0, step  # looked up on the module, so a traced main is the one called
     return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
 
 
-def test_every_wrapped_layer_fires_in_a_traced_paper_scale_pass(tmp_path):
+# The bootstrap draws through rng._fill, so paired-bootstrap no longer calls
+# rng.uniforms; the smoke list that still names it waits for a benchmark change.
+_NOT_YET_FIRED = {"paired-bootstrap": {"rng.uniforms"}}
+
+
+@pytest.mark.parametrize("workload", smoke.EXERCISED)
+def test_every_exercised_layer_fires_in_a_traced_smoke_pass(tmp_path, workload):
+    # a span is exercised if one of the workload's smoke prefixes names one of its metrics
     workloads = _bench_module("workloads")
-    size = workloads.SIZES["smoke"]["paper-scale"]
+    size = workloads.SIZES["smoke"][workload]
     inputs = tmp_path / "inputs"
-    workloads.generate_inputs("paper-scale", 1, size, inputs)
-    plain = _paper_scale_pass(workloads, size, inputs, tmp_path / "plain")
+    workloads.generate_inputs(workload, 1, size, inputs)
+    plain = _pass(workloads, workload, size, inputs, tmp_path / "plain")
     tracer = spans.Tracer()
     tracer.install()
     try:
-        traced = _paper_scale_pass(workloads, size, inputs, tmp_path / "traced")
+        traced = _pass(workloads, workload, size, inputs, tmp_path / "traced")
     finally:
         tracer.uninstall()
     fired = {span["name"] for span in tracer.spans}
-    assert [name for _, _, name, _ in spans.WRAPS if name not in fired] == []
+    exercised = [name for _, _, name, _ in spans.WRAPS
+                 if any(f"{name}.".startswith(p) or p.startswith(f"{name}.") for p in smoke.EXERCISED[workload])]
+    assert exercised
+    assert [name for name in exercised if name not in fired and name not in _NOT_YET_FIRED.get(workload, ())] == []
     assert plain and traced == plain
 
 

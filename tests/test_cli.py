@@ -253,36 +253,24 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     assert main(["report", str(log), "--out", str(tmp_path / "r")]) == EXIT_INTERNAL
 
 
-def test_seed_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REFINELOOP_SEED", "77")
-    path = _simulate(tmp_path, "--preset", "o3-mini", out="env")
-    assert read_log(path).metadata["seed"] == "77"
-    # explicit flag wins over the environment
-    path = _simulate(tmp_path, "--preset", "o3-mini", "--seed", "5", out="flag")
-    assert read_log(path).metadata["seed"] == "5"
-    capsys.readouterr()
-    # a bad value is named as the variable, not as a --seed the user never typed
-    monkeypatch.setenv("REFINELOOP_SEED", "not-a-number")
-    assert main(["simulate", "--preset", "o3-mini", "--out", str(tmp_path / "z")]) == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "refineloop: error: $REFINELOOP_SEED: invalid int value: 'not-a-number'")
-    # a one-run report draws no bootstrap, yet its seed is checked all the same
-    monkeypatch.setenv("REFINELOOP_SEED", "-1")
-    assert main(["report", str(path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "refineloop: error: $REFINELOOP_SEED: seed must be a non-negative int, got -1")
-    assert not (tmp_path / "r").exists()
-    # an explicit flag wins over a bad environment value too
-    path = _simulate(tmp_path, "--preset", "o3-mini", "--seed", "6", out="flag2")
-    assert read_log(path).metadata["seed"] == "6"
+def test_the_seed_comes_only_from_the_flag(tmp_path, monkeypatch, capsys):
+    # the seed comes only from --seed: REFINELOOP_SEED in the environment is not read, whatever it holds
+    for i, value in enumerate(("77", "not-a-number")):
+        monkeypatch.setenv("REFINELOOP_SEED", value)
+        path = _simulate(tmp_path, "--preset", "o3-mini", out=f"env{i}")
+        assert "#meta:seed=0" in path.read_text().splitlines()
+        assert main(["report", str(path), "--out", str(tmp_path / f"r{i}")]) == EXIT_OK
+        printed = capsys.readouterr()
+        assert "seed 0)" in printed.out and printed.err == ""
 
 
-def test_parser_is_built_at_import_and_the_seed_variable_read_per_call(tmp_path, monkeypatch):
+def test_parser_is_built_at_import(tmp_path):
+    # one parser serves every call, so a flag given to one call must not become the next call's default
     with mock.patch.object(cli, "_Parser", wraps=cli._Parser) as built:  # counts top-level parsers only
-        for i, seed in enumerate(("91", "92", "91", "93")):
-            monkeypatch.setenv("REFINELOOP_SEED", seed)
-            path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", out=f"run{i}")
-            assert read_log(path).metadata["seed"] == seed
+        for i, seed in enumerate(("91", None, "93", None)):
+            flag = () if seed is None else ("--seed", seed)
+            path = _simulate(tmp_path, "--preset", "o3-mini", "--n", "20", *flag, out=f"run{i}")
+            assert read_log(path).metadata["seed"] == (seed or "0")
     assert built.call_count == 0
 
 
